@@ -7,16 +7,13 @@ The collective pair coupling leaves invariant three-level ladders
 each oscillating at the single effective frequency Omega_{m1,m2}, while the
 antisymmetric combination (|+-> - |-+>)/sqrt2 is dark.  Tracing out the field
 therefore leaves an X-shaped two-atom density matrix whose five entries are
-weighted lattice sums over the per-block solution.  The hot double loop lives
-in the compiled kernel twinphoton._core when it is available, with the
-pure-Python mirror twinphoton._core_py as fallback; set TWINPHOTON_PURE_PYTHON=1
-to force the fallback.
+weighted lattice sums over the per-block solution, evaluated by the numpy
+kernel twinphoton._core_py.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -25,27 +22,17 @@ from . import _core_py
 from .model import ATOM_INDEX, PURE_VARIANTS, InitialAtomicState, ModelParams, XState
 from .thermal import FockCutoff, thermal_weight
 
-try:
-    from . import _core
-except ImportError:
-    _core = None
-
-if os.environ.get("TWINPHOTON_PURE_PYTHON"):
-    _kernel = _core_py
-else:
-    _kernel = _core if _core is not None else _core_py
-
 
 def active_backend() -> str:
-    """Which summation kernel is in use: 'compiled' or 'python'."""
-    return "compiled" if _kernel is _core and _core is not None else "python"
+    """Name of the summation kernel: always 'python' (twinphoton._core_py)."""
+    return "python"
 
 
 def rabi(n1: int, n2: int, g: float = 1.0) -> float:
     """Effective frequency g*sqrt(2[(n1+1)(n2+1) + n1 n2]) of the (n1, n2) block."""
     if n1 < 0 or n2 < 0:
         raise ValueError(f"Fock indices must be >= 0; got ({n1}, {n2})")
-    return g * _core_py.block_frequency(n1, n2)
+    return g * float(_core_py.block_frequency(n1, n2))
 
 
 class BlockFactors(NamedTuple):
@@ -63,7 +50,9 @@ class BlockFactors(NamedTuple):
 
 def block_factors(n1: int, n2: int, gt: float, g: float = 1.0) -> BlockFactors:
     """Evolution factors of the (n1, n2) block at dimensionless time gt."""
-    w = _core_py.block_frequency(n1, n2)
+    if n1 < 0 or n2 < 0:
+        raise ValueError(f"Fock indices must be >= 0; got ({n1}, {n2})")
+    w = float(_core_py.block_frequency(n1, n2))
     th = w * gt
     return BlockFactors(g * w, math.sin(th) / w, 2.0 * (math.cos(th) - 1.0) / (w * w))
 
@@ -78,7 +67,7 @@ def xstate_term(variant: str, n1: int, n2: int, gt: float) -> XState:
         raise ValueError(f"variant must be one of {PURE_VARIANTS}; got {variant!r}")
     if n1 < 0 or n2 < 0:
         raise ValueError(f"Fock indices must be >= 0; got ({n1}, {n2})")
-    return XState(*_kernel.xstate_term(ATOM_INDEX[variant], n1, n2, gt))
+    return XState(*map(float, _core_py.xstate_term(ATOM_INDEX[variant], n1, n2, gt)))
 
 
 def _weights(nbar: float, n_max: int) -> np.ndarray:
@@ -86,8 +75,8 @@ def _weights(nbar: float, n_max: int) -> np.ndarray:
 
 
 def _check_times(gts: np.ndarray):
-    if gts.size and gts.min() < 0:
-        raise ValueError("times gt must be >= 0")
+    if gts.size and not (np.isfinite(gts).all() and gts.min() >= 0):
+        raise ValueError("times gt must be finite and >= 0")
 
 
 def sweep_pure(
@@ -106,7 +95,7 @@ def sweep_pure(
     w1 = _weights(params.nbar1, cutoff.n_max1)
     w2 = _weights(params.nbar2, cutoff.n_max2)
     out = np.empty((gts.shape[0], 5))
-    _kernel.thermal_sweep(ATOM_INDEX[variant], w1, w2, gts, out)
+    _core_py.thermal_sweep(ATOM_INDEX[variant], w1, w2, gts, out)
     return out
 
 

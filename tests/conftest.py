@@ -1,5 +1,12 @@
 """Collects acceptance-criterion results and prints one line each at the end."""
 
+import os
+
+# pyproject's pythonpath puts src/ on sys.path for this process; the CLI tests
+# run `python -m twinphoton.cli` in subprocesses, which need it in PYTHONPATH
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
 ACCEPTANCE_LINES = []
 
 

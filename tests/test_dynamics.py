@@ -16,13 +16,8 @@ from twinphoton.dynamics import (
     sweep_pure,
     xstate_term,
 )
-from twinphoton.model import InitialAtomicState, ModelParams, TimeGrid, XState
-from twinphoton.thermal import FockCutoff
-
-try:
-    from twinphoton import _core
-except ImportError:
-    _core = None
+from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGrid, XState
+from twinphoton.thermal import FockCutoff, thermal_weight
 
 GTS = (0.1, 0.7, 1.3, 3.1, 9.9)
 VARIANTS = ("ee", "eg", "ge", "gg")
@@ -42,6 +37,8 @@ def test_rabi_examples():
 def test_rabi_rejects_negative_indices():
     with pytest.raises(ValueError):
         rabi(-1, 0)
+    with pytest.raises(ValueError):
+        block_factors(0, -3, 1.0)
 
 
 def test_block_factors_ranges():
@@ -114,38 +111,9 @@ def test_term_rejects_bad_arguments():
         xstate_term("eg", -1, 0, 1.0)
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
-def test_backends_bit_identical_per_term():
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        code = int(rng.integers(0, 4))
-        n1 = int(rng.integers(0, 30))
-        n2 = int(rng.integers(0, 30))
-        gt = float(rng.uniform(0.0, 40.0))
-        assert _core.xstate_term(code, n1, n2, gt) == _core_py.xstate_term(code, n1, n2, gt)
-
-
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
-def test_backends_bit_identical_sweep():
-    p = params_for(0.8, 1.7)
-    cutoff = FockCutoff.choose(p.nbar1, p.nbar2, 1e-8)
-    gts = TimeGrid(6.0, 200).points()
-    from twinphoton.dynamics import _weights
-
-    w1 = np.ascontiguousarray(_weights(p.nbar1, cutoff.n_max1))
-    w2 = np.ascontiguousarray(_weights(p.nbar2, cutoff.n_max2))
-    out_c = np.empty((gts.size, 5))
-    out_py = np.empty((gts.size, 5))
-    _core.thermal_sweep(1, w1, w2, gts, out_c)
-    _core_py.thermal_sweep(1, w1, w2, gts, out_py)
-    assert np.array_equal(out_c, out_py)
-
-
 def test_sweep_trace_equals_retained_mass():
     p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-8)
-    from twinphoton.thermal import thermal_weight
-
     m1 = sum(thermal_weight(1.0, n) for n in range(cutoff.n_max1 + 1))
     m2 = sum(thermal_weight(1.0, n) for n in range(cutoff.n_max2 + 1))
     gts = TimeGrid(8.0, 40).points()
@@ -156,6 +124,25 @@ def test_sweep_trace_equals_retained_mass():
         assert np.all(traces >= 1.0 - cutoff.tail_bound - 1e-12)
         for row in rows:
             assert_valid_xstate(XState(*row), mass=m1 * m2, mass_tol=1e-12)
+
+
+def test_sweep_matches_exact_sum_across_row_blocks():
+    # a 116x374 grid spans 12 row blocks, with weight ~1e-2 at the first boundaries
+    p = params_for(3.0, 10.0)
+    cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
+    n1 = np.arange(cutoff.n_max1 + 1)
+    n2 = np.arange(cutoff.n_max2 + 1)
+    assert n1.size >= 3 * (_core_py.BLOCK_ELEMENTS // n2.size)
+    weight = np.outer(
+        [thermal_weight(3.0, n) for n in n1], [thermal_weight(10.0, n) for n in n2]
+    )
+    gts = (0.7, 3.1, 9.9)
+    for variant in VARIANTS:
+        rows = sweep(InitialAtomicState.pure(variant), p, gts, cutoff)
+        for row, gt in zip(rows, gts):
+            terms = _core_py.xstate_term(ATOM_INDEX[variant], n1[:, None], n2, gt)
+            exact = [math.fsum((weight * t).ravel()) for t in terms]
+            assert np.allclose(row, exact, rtol=0, atol=1e-14)
 
 
 def test_sweep_mode_swap_symmetry():
@@ -232,8 +219,9 @@ def test_evolve_wrappers_match_sweeps():
 def test_sweep_rejects_negative_times():
     p = params_for(0.3)
     cutoff = FockCutoff.choose(0.3, 0.3, 1e-10)
-    with pytest.raises(ValueError):
-        sweep_pure("eg", p, [-0.5, 1.0], cutoff)
+    for gts in ([-0.5, 1.0], [math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            sweep_pure("eg", p, gts, cutoff)
 
 
 def test_initial_projector_at_zero_time():
