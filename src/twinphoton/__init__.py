@@ -8,9 +8,6 @@ from .dynamics import (
     BlockFactors,
     active_backend,
     block_factors,
-    evolve,
-    evolve_mixed,
-    evolve_pure,
     rabi,
     sweep,
     sweep_mixed,
@@ -28,7 +25,7 @@ from .model import (
     validate_params,
 )
 from .negativity import negativity_general, negativity_x, partial_transpose
-from .thermal import FockCutoff, choose_cutoff, mean_from_temperature, tail_mass, thermal_weight
+from .thermal import FockCutoff, choose_cutoff, tail_mass, thermal_weight
 
 __version__ = "0.1.0"
 
@@ -42,10 +39,6 @@ __all__ = [
     "active_backend",
     "block_factors",
     "choose_cutoff",
-    "evolve",
-    "evolve_mixed",
-    "evolve_pure",
-    "mean_from_temperature",
     "negativity_general",
     "negativity_x",
     "partial_transpose",

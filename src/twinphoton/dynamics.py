@@ -86,7 +86,8 @@ def sweep_pure(
 
     Returns an array of shape (len(gts), 5) with columns (A, B, C, D, E) =
     (pop_ee, pop_eg, pop_ge, pop_gg, coherence).  The row trace equals the
-    retained thermal mass, i.e. 1 minus the cutoff's neglected tail.
+    retained thermal mass (1-t1)(1-t2) >= 1 - cutoff.tail_bound, and every
+    element is within cutoff.tail_bound of the untruncated average.
     """
     if variant not in PURE_VARIANTS:
         raise ValueError(f"variant must be one of {PURE_VARIANTS}; got {variant!r}")
@@ -128,24 +129,3 @@ def sweep(
     if initial.variant == "mixed":
         return sweep_mixed(initial.excited_weight, params, gts, cutoff)
     return sweep_pure(initial.variant, params, gts, cutoff)
-
-
-def evolve_pure(
-    variant: str, params: ModelParams, gt: float, cutoff: FockCutoff
-) -> XState:
-    """Reduced atomic X-state at one time for a pure initial state."""
-    return XState(*sweep_pure(variant, params, [gt], cutoff)[0])
-
-
-def evolve_mixed(
-    excited_weight: float, params: ModelParams, gt: float, cutoff: FockCutoff
-) -> XState:
-    """Reduced atomic X-state at one time for the mixed initial state."""
-    return XState(*sweep_mixed(excited_weight, params, [gt], cutoff)[0])
-
-
-def evolve(
-    initial: InitialAtomicState, params: ModelParams, gt: float, cutoff: FockCutoff
-) -> XState:
-    """Reduced atomic X-state at one time for any initial state."""
-    return XState(*sweep(initial, params, [gt], cutoff)[0])

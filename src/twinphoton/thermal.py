@@ -1,9 +1,12 @@
 """Thermal photon statistics and certified Fock-space truncation.
 
 Each cavity mode in equilibrium is a geometric (Bose-Einstein) mixture of
-Fock states.  The infinite double sums over photon numbers are truncated at a
-cutoff whose neglected mass is bounded on output, so downstream results carry
-a certificate instead of a guess.
+Fock states, p_n = (1-r) r^n with r = nbar/(1+nbar), so the probability
+neglected above a cutoff N has the closed form r^(N+1).  That plain tail is
+the only truncation rule: every per-Fock-pair X-state is a unit-trace positive
+semidefinite matrix, so each of its entries is at most 1 in magnitude, and the
+neglected mass alone bounds the truncation error of every element of the
+thermal average.  Downstream results carry that bound instead of a guess.
 """
 
 from __future__ import annotations
@@ -27,103 +30,39 @@ def thermal_weight(nbar: float, n: int) -> float:
     return (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
 
 
-def mean_from_temperature(x: float) -> float:
-    """Mean photon number of a mode in equilibrium, 1/(exp(x) - 1).
+def _check_nbar(nbar):
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0; got {nbar!r}")
 
-    ``x`` is the dimensionless ratio (mode quantum energy)/(k_B T); no unit
-    system is imposed.
+
+def tail_mass(nbar: float, n_max: int) -> float:
+    """Probability sum_{n>n_max} p_n = r^(n_max+1) neglected by a cutoff, one mode."""
+    _check_nbar(nbar)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0; got {n_max!r}")
+    return (nbar / (1.0 + nbar)) ** (n_max + 1)
+
+
+def choose_cutoff(nbar: float, tol: float) -> tuple[int, float]:
+    """Smallest cutoff N whose neglected probability r^(N+1) is below tol, for one mode.
+
+    Returns (N, tail_mass(nbar, N)).  The logarithm only gives the starting
+    guess; the final N is settled by comparing tail_mass itself against tol.
     """
-    if not (x > 0):
-        raise ValueError(f"energy/temperature ratio must be > 0; got {x!r}")
-    return 1.0 / math.expm1(x)
-
-
-def _check_cutoff_args(nbar, tol, moment_order):
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0; got {nbar!r}")
-    if tol <= 0:
+    _check_nbar(nbar)
+    if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
-    if moment_order not in (0, 1, 2):
-        raise ValueError(f"moment_order must be 0, 1 or 2; got {moment_order!r}")
-
-
-def _tail_scan(nbar: float, moment_order: int, stop: float):
-    """Partial sums of t_n = p_n (n+2)^m until the remainder is provably < stop.
-
-    The term ratio t_{n+1}/t_n = r ((n+3)/(n+2))^m decreases towards
-    r = nbar/(1+nbar), so once q = r ((n+4)/(n+3))^m < 1 the remainder past n
-    is bounded by the geometric majorant t_{n+1}/(1-q).  Returns the list of
-    partial sums and the final remainder bound.
-    """
-    r = nbar / (1.0 + nbar)
-    partials = []
-    total = 0.0
-    n = 0
-    while True:
-        total += thermal_weight(nbar, n) * float(n + 2) ** moment_order
-        partials.append(total)
-        q = r * ((n + 4) / (n + 3)) ** moment_order
-        if q < 1.0:
-            remainder = thermal_weight(nbar, n + 1) * float(n + 3) ** moment_order / (1.0 - q)
-            if remainder < stop:
-                return partials, remainder
-        n += 1
-
-
-def choose_cutoff(nbar: float, tol: float, moment_order: int = 2) -> tuple[int, float]:
-    """Smallest cutoff N with sum_{n>N} p_n (n+2)^moment_order < tol, for one mode.
-
-    moment_order 0 is the plain probability tail, with the closed form
-    (nbar/(1+nbar))^(N+1); orders 1 and 2 cover the photon-number-weighted
-    sums in the dynamics (order 2 bounds every summand family that occurs).
-
-    Returns (N, tail_bound) with tail_bound a certified upper bound < tol.
-    """
-    _check_cutoff_args(nbar, tol, moment_order)
     if nbar == 0.0:
         return 0, 0.0
     r = nbar / (1.0 + nbar)
-    if moment_order == 0:
-        n, tail = 0, r
-        while tail >= tol:
-            n += 1
-            tail *= r
-        return n, tail
-    partials, slack = _tail_scan(nbar, moment_order, stop=tol * 1e-3)
-    total_upper = partials[-1] + slack
-    for n, partial in enumerate(partials):
-        tail = total_upper - partial
-        if tail < tol:
-            return n, max(tail, 0.0)
-    raise AssertionError("unreachable: final tail equals the remainder bound")
-
-
-def tail_mass(nbar: float, n_max: int, moment_order: int = 2) -> float:
-    """Certified upper bound on sum_{n>n_max} p_n (n+2)^moment_order for one mode.
-
-    Used when a cutoff is imposed by hand instead of chosen from a tolerance.
-    """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0; got {nbar!r}")
-    if moment_order not in (0, 1, 2):
-        raise ValueError(f"moment_order must be 0, 1 or 2; got {moment_order!r}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0; got {n_max!r}")
-    if nbar == 0.0:
-        return 0.0
-    r = nbar / (1.0 + nbar)
-    if moment_order == 0:
-        return r ** (n_max + 1)
-    total = 0.0
-    n = n_max + 1
-    while True:
-        total += thermal_weight(nbar, n) * float(n + 2) ** moment_order
-        q = r * ((n + 4) / (n + 3)) ** moment_order
-        if q < 1.0:
-            remainder = thermal_weight(nbar, n + 1) * float(n + 3) ** moment_order / (1.0 - q)
-            if remainder <= max(1e-300, 1e-16 * total):
-                return total + remainder
+    if r == 1.0:
+        raise ValueError(f"nbar too large for a finite cutoff; got {nbar!r}")
+    n = max(0, math.ceil(math.log(min(tol, 1.0)) / math.log(r)) - 1)
+    while n > 0 and tail_mass(nbar, n - 1) < tol:
+        n -= 1
+    while tail_mass(nbar, n) >= tol:
         n += 1
+    return n, tail_mass(nbar, n)
 
 
 @dataclass(frozen=True)
@@ -131,8 +70,11 @@ class FockCutoff:
     """Per-mode Fock truncation with a certified bound on the neglected mass.
 
     The thermal weights factorize, so the pair grid is the product of the two
-    per-mode ranges and the combined neglected mass is at most the sum of the
-    per-mode tails.
+    per-mode ranges and the neglected mass 1 - (1-t1)(1-t2) is at most the sum
+    t1 + t2 of the per-mode tails.  Each neglected Fock pair contributes its
+    weight times a unit-trace PSD X-state, whose entries are at most 1 in
+    magnitude, so tail_bound bounds the error of every thermally averaged
+    element, populations and coherence alike.
     """
 
     n_max1: int
@@ -140,18 +82,13 @@ class FockCutoff:
     tail_bound: float
 
     @classmethod
-    def choose(
-        cls, nbar1: float, nbar2: float, tol: float = 1e-10, moment_order: int = 2
-    ) -> "FockCutoff":
+    def choose(cls, nbar1: float, nbar2: float, tol: float = 1e-10) -> "FockCutoff":
         """Smallest per-mode cutoffs whose combined tail stays below tol."""
-        n1, t1 = choose_cutoff(nbar1, tol / 2.0, moment_order)
-        n2, t2 = choose_cutoff(nbar2, tol / 2.0, moment_order)
+        n1, t1 = choose_cutoff(nbar1, tol / 2.0)
+        n2, t2 = choose_cutoff(nbar2, tol / 2.0)
         return cls(n1, n2, t1 + t2)
 
     @classmethod
-    def explicit(
-        cls, n_max1: int, n_max2: int, nbar1: float, nbar2: float, moment_order: int = 2
-    ) -> "FockCutoff":
+    def explicit(cls, n_max1: int, n_max2: int, nbar1: float, nbar2: float) -> "FockCutoff":
         """Cutoff fixed by hand; the tail bound is computed, not requested."""
-        bound = tail_mass(nbar1, n_max1, moment_order) + tail_mass(nbar2, n_max2, moment_order)
-        return cls(n_max1, n_max2, bound)
+        return cls(n_max1, n_max2, tail_mass(nbar1, n_max1) + tail_mass(nbar2, n_max2))

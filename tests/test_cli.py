@@ -142,6 +142,7 @@ def test_usage_errors_exit_one():
         ("sweep", "--initial", "eg", "--oracle", "--cutoff", "15,15"),
         ("sweep", "--initial", "eg", "--cutoff", "banana"),
         ("sweep", "--initial", "eg", "--nbar1", "-0.5"),
+        ("sweep", "--initial", "eg", "--nbar1", "1e17"),
         ("sweep", "--initial", "eg", "--steps", "0"),
         ("sweep", "--initial", "eg", "--tail-tol", "0"),
         ("check", "--cutoff", "1,1"),

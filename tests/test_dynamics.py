@@ -7,9 +7,6 @@ from helpers import assert_valid_xstate
 from twinphoton import _core_py
 from twinphoton.dynamics import (
     block_factors,
-    evolve,
-    evolve_mixed,
-    evolve_pure,
     rabi,
     sweep,
     sweep_mixed,
@@ -127,7 +124,7 @@ def test_sweep_trace_equals_retained_mass():
 
 
 def test_sweep_matches_exact_sum_across_row_blocks():
-    # a 116x374 grid spans 12 row blocks, with weight ~1e-2 at the first boundaries
+    # an 83x249 grid spans 6 blocks of 16 rows, with weight ~2.5e-3 at the first boundary
     p = params_for(3.0, 10.0)
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
     n1 = np.arange(cutoff.n_max1 + 1)
@@ -143,6 +140,28 @@ def test_sweep_matches_exact_sum_across_row_blocks():
             terms = _core_py.xstate_term(ATOM_INDEX[variant], n1[:, None], n2, gt)
             exact = [math.fsum((weight * t).ravel()) for t in terms]
             assert np.allclose(row, exact, rtol=0, atol=1e-14)
+
+
+def test_sweep_error_is_within_certified_tail_bound():
+    # every per-term X-state is unit-trace PSD (entries <= 1), so the neglected
+    # thermal mass bounds the truncation error of each element; at gt = 0 the
+    # initial population misses t1 + t2 - t1*t2 of it, so the bound is nearly attained
+    gts = np.array([0.0, 0.7, 3.1, 9.9])
+    initials = [InitialAtomicState.pure(v) for v in VARIANTS] + [
+        InitialAtomicState.mixed(0.05)
+    ]
+    for nbar1, nbar2 in ((0.3, 0.3), (1.3, 0.4), (3.0, 10.0)):
+        p = params_for(nbar1, nbar2)
+        reference = FockCutoff.choose(nbar1, nbar2, 1e-16)
+        exact = [sweep(initial, p, gts, reference) for initial in initials]
+        for tol in (1e-4, 1e-10):
+            cutoff = FockCutoff.choose(nbar1, nbar2, tol)
+            errors = [
+                np.abs(sweep(initial, p, gts, cutoff) - rows).max()
+                for initial, rows in zip(initials, exact)
+            ]
+            assert max(errors) <= cutoff.tail_bound + 1e-12
+            assert max(errors) >= 0.99 * cutoff.tail_bound
 
 
 def test_sweep_mode_swap_symmetry():
@@ -205,17 +224,6 @@ def test_mixed_rejects_lambda_outside_unit_interval():
         sweep_mixed(1.5, p, [1.0], cutoff)
 
 
-def test_evolve_wrappers_match_sweeps():
-    p = params_for(1.0)
-    cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
-    gt = 2.7
-    assert evolve_pure("eg", p, gt, cutoff) == XState(*sweep_pure("eg", p, [gt], cutoff)[0])
-    assert evolve_mixed(0.05, p, gt, cutoff) == XState(*sweep_mixed(0.05, p, [gt], cutoff)[0])
-    assert evolve(InitialAtomicState.pure("gg"), p, gt, cutoff) == evolve_pure(
-        "gg", p, gt, cutoff
-    )
-
-
 def test_sweep_rejects_negative_times():
     p = params_for(0.3)
     cutoff = FockCutoff.choose(0.3, 0.3, 1e-10)
@@ -228,7 +236,7 @@ def test_initial_projector_at_zero_time():
     p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     for variant in VARIANTS:
-        state = evolve_pure(variant, p, 0.0, cutoff)
+        state = XState(*sweep(InitialAtomicState.pure(variant), p, [0.0], cutoff)[0])
         pops = state.as_tuple()[:4]
         idx = VARIANTS.index(variant)
         for j, value in enumerate(pops):

@@ -5,7 +5,6 @@ import pytest
 from twinphoton.thermal import (
     FockCutoff,
     choose_cutoff,
-    mean_from_temperature,
     tail_mass,
     thermal_weight,
 )
@@ -13,12 +12,9 @@ from twinphoton.thermal import (
 NBARS = (0.05, 0.3, 1.0, 2.5, 10.0)
 
 
-def brute_tail(nbar, n_max, moment_order, extra=2000):
-    """Reference tail sum_{n>n_max} p_n (n+2)^m by plain direct summation."""
-    return sum(
-        thermal_weight(nbar, n) * (n + 2.0) ** moment_order
-        for n in range(n_max + 1, n_max + 1 + extra)
-    )
+def brute_tail(nbar, n_max, extra=2000):
+    """Reference tail sum_{n>n_max} p_n by plain direct summation."""
+    return sum(thermal_weight(nbar, n) for n in range(n_max + 1, n_max + 1 + extra))
 
 
 def test_thermal_weight_examples():
@@ -53,12 +49,12 @@ def test_thermal_weight_rejects_bad_input():
 
 
 def test_choose_cutoff_vacuum():
-    assert choose_cutoff(0.0, 1e-12, 0) == (0, 0.0)
-    assert choose_cutoff(0.0, 1e-12, 2) == (0, 0.0)
+    assert choose_cutoff(0.0, 1e-12) == (0, 0.0)
+    assert choose_cutoff(0.0, 1e-300) == (0, 0.0)
 
 
 def test_choose_cutoff_geometric_example():
-    n, tail = choose_cutoff(1.0, 1e-6, 0)
+    n, tail = choose_cutoff(1.0, 1e-6)
     assert n == 19
     assert tail == pytest.approx(0.5**20, rel=1e-12)
 
@@ -66,42 +62,50 @@ def test_choose_cutoff_geometric_example():
 def test_choose_cutoff_weighted_is_minimal_against_brute_force():
     # the returned N certifies the bound and N-1 must not
     for nbar, tol in ((1.0, 1e-6), (0.3, 1e-8), (2.5, 1e-6)):
-        for moment_order in (1, 2):
-            n, tail = choose_cutoff(nbar, tol, moment_order)
-            assert tail < tol
-            assert brute_tail(nbar, n, moment_order) < tol
-            assert brute_tail(nbar, n - 1, moment_order) >= tol
-            # reported tail is a valid upper bound on the true tail
-            assert tail >= brute_tail(nbar, n, moment_order) * (1.0 - 1e-12)
+        n, tail = choose_cutoff(nbar, tol)
+        assert tail < tol
+        assert brute_tail(nbar, n) < tol
+        assert brute_tail(nbar, n - 1) >= tol
+        # reported tail is a valid upper bound on the true tail
+        assert tail >= brute_tail(nbar, n) * (1.0 - 1e-12)
 
 
 def test_choose_cutoff_monotone_in_tolerance():
     for nbar in NBARS:
         last = -1
         for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-            n, _ = choose_cutoff(nbar, tol, 2)
+            n, _ = choose_cutoff(nbar, tol)
             assert n >= last
             last = n
 
 
 def test_choose_cutoff_rejects_bad_input():
     with pytest.raises(ValueError):
-        choose_cutoff(1.0, 0.0, 2)
+        choose_cutoff(1.0, 0.0)
     with pytest.raises(ValueError):
-        choose_cutoff(1.0, -1e-6, 2)
+        choose_cutoff(1.0, -1e-6)
+    for nbar, tol in ((-1.0, 1e-6), (math.nan, 1e-6), (math.inf, 1e-6), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            choose_cutoff(nbar, tol)
+    # r = nbar/(1+nbar) rounds to 1: no finite cutoff exists
     with pytest.raises(ValueError):
-        choose_cutoff(1.0, 1e-6, 3)
-    with pytest.raises(ValueError):
-        choose_cutoff(-1.0, 1e-6, 2)
+        choose_cutoff(1e17, 1e-6)
+    for nbar, n_max in ((-1.0, 3), (math.nan, 3), (1.0, -1)):
+        with pytest.raises(ValueError):
+            tail_mass(nbar, n_max)
+
+
+def test_choose_cutoff_large_nbar_is_minimal():
+    # the cutoff comes from a logarithm, not a scan over ~nbar*log(1/tol) candidates
+    for nbar in (1e4, 1e12):
+        n, tail = choose_cutoff(nbar, 1e-10)
+        assert tail == tail_mass(nbar, n) < 1e-10 <= tail_mass(nbar, n - 1)
 
 
 def test_tail_mass_matches_brute_force():
     for nbar in (0.3, 1.0, 2.5):
         for n_max in (0, 3, 12):
-            for moment_order in (0, 1, 2):
-                assert tail_mass(nbar, n_max, moment_order) == pytest.approx(
-                    brute_tail(nbar, n_max, moment_order), rel=1e-10
-                )
+            assert tail_mass(nbar, n_max) == pytest.approx(brute_tail(nbar, n_max), rel=1e-10)
 
 
 def test_fock_cutoff_choose_respects_tolerance():
@@ -109,7 +113,7 @@ def test_fock_cutoff_choose_respects_tolerance():
         cutoff = FockCutoff.choose(1.0, 0.3, tol)
         assert cutoff.tail_bound < tol
         # per-mode tails are certified independently and add up
-        assert brute_tail(1.0, cutoff.n_max1, 2) + brute_tail(0.3, cutoff.n_max2, 2) < tol
+        assert brute_tail(1.0, cutoff.n_max1) + brute_tail(0.3, cutoff.n_max2) < tol
 
 
 def test_fock_cutoff_vacuum_is_exact():
@@ -118,18 +122,7 @@ def test_fock_cutoff_vacuum_is_exact():
 
 def test_fock_cutoff_explicit_reports_computed_tail():
     cutoff = FockCutoff.explicit(10, 12, 1.0, 1.0)
-    expected = brute_tail(1.0, 10, 2) + brute_tail(1.0, 12, 2)
+    expected = brute_tail(1.0, 10) + brute_tail(1.0, 12)
     assert cutoff.n_max1 == 10 and cutoff.n_max2 == 12
     assert cutoff.tail_bound == pytest.approx(expected, rel=1e-10)
 
-
-def test_mean_from_temperature_examples():
-    assert mean_from_temperature(math.log(2.0)) == pytest.approx(1.0, abs=1e-15)
-    assert mean_from_temperature(100.0) < 1e-40
-    assert mean_from_temperature(math.log(13.0 / 3.0)) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_mean_from_temperature_rejects_bad_ratio():
-    for x in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            mean_from_temperature(x)
