@@ -1,4 +1,4 @@
-"""Domain types and parameter validation shared by every other module.
+"""Domain types, validated on construction, shared by every other module.
 
 Conventions fixed here and used everywhere:
 
@@ -22,6 +22,10 @@ VARIANTS = PURE_VARIANTS + ("mixed",)
 ATOM_INDEX = {"ee": 0, "eg": 1, "ge": 2, "gg": 3}
 
 
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical configuration: coupling constant and thermal mode intensities.
@@ -34,6 +38,14 @@ class ModelParams:
     g: float = 1.0
     nbar1: float = 0.0
     nbar2: float = 0.0
+
+    def __post_init__(self):
+        if not _finite(self.g) or self.g <= 0:
+            raise ValueError(f"g must be > 0 and finite; got {self.g!r}")
+        if not _finite(self.nbar1) or self.nbar1 < 0:
+            raise ValueError(f"nbar1 must be >= 0 and finite; got {self.nbar1!r}")
+        if not _finite(self.nbar2) or self.nbar2 < 0:
+            raise ValueError(f"nbar2 must be >= 0 and finite; got {self.nbar2!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,18 @@ class InitialAtomicState:
 
     variant: str
     excited_weight: float | None = None
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(
+                f"variant must be one of {', '.join(VARIANTS)}; got {self.variant!r}"
+            )
+        if self.variant == "mixed":
+            lam = self.excited_weight
+            if lam is None or not _finite(lam) or not 0.0 <= lam <= 1.0:
+                raise ValueError(f"lambda must be in [0,1]; got {lam!r}")
+        elif self.excited_weight is not None:
+            raise ValueError("lambda only applies to the mixed initial state")
 
     @classmethod
     def pure(cls, variant: str) -> "InitialAtomicState":
@@ -99,51 +123,11 @@ class TimeGrid:
     t_max: float
     steps: int
 
+    def __post_init__(self):
+        if not _finite(self.t_max) or self.t_max <= 0:
+            raise ValueError(f"t_max must be > 0 and finite; got {self.t_max!r}")
+        if not isinstance(self.steps, int) or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1; got {self.steps!r}")
+
     def points(self) -> np.ndarray:
         return np.array([self.t_max * k / self.steps for k in range(self.steps + 1)])
-
-
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
-def validate_params(params: ModelParams) -> ModelParams:
-    """Check ModelParams invariants; returns the input unchanged."""
-    if not _finite(params.g) or params.g <= 0:
-        raise ValueError(f"g must be > 0 and finite; got {params.g!r}")
-    if not _finite(params.nbar1) or params.nbar1 < 0:
-        raise ValueError(f"nbar1 must be >= 0 and finite; got {params.nbar1!r}")
-    if not _finite(params.nbar2) or params.nbar2 < 0:
-        raise ValueError(f"nbar2 must be >= 0 and finite; got {params.nbar2!r}")
-    return params
-
-
-def validate_initial(initial: InitialAtomicState) -> InitialAtomicState:
-    """Check InitialAtomicState invariants; returns the input unchanged."""
-    if initial.variant not in VARIANTS:
-        raise ValueError(
-            f"variant must be one of {', '.join(VARIANTS)}; got {initial.variant!r}"
-        )
-    if initial.variant == "mixed":
-        lam = initial.excited_weight
-        if lam is None or not _finite(lam) or not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda must be in [0,1]; got {lam!r}")
-    elif initial.excited_weight is not None:
-        raise ValueError("lambda only applies to the mixed initial state")
-    return initial
-
-
-def validate_grid(grid: TimeGrid) -> TimeGrid:
-    """Check TimeGrid invariants; returns the input unchanged."""
-    if not _finite(grid.t_max) or grid.t_max <= 0:
-        raise ValueError(f"t_max must be > 0 and finite; got {grid.t_max!r}")
-    if not isinstance(grid.steps, int) or grid.steps < 1:
-        raise ValueError(f"steps must be an integer >= 1; got {grid.steps!r}")
-    return grid
-
-
-def validate(
-    params: ModelParams, initial: InitialAtomicState
-) -> tuple[ModelParams, InitialAtomicState]:
-    """Validate a full configuration; idempotent, returns it unchanged."""
-    return validate_params(params), validate_initial(initial)

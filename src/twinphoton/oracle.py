@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the closed-form dynamics: the
 pair-coupling Hamiltonian is assembled from truncated ladder operators, states
-are propagated by dense Hermitian eigendecomposition, and the field is traced
+are evolved by dense Hermitian eigendecomposition, and the field is traced
 out numerically.  The closed-form path is checked against these results; this
 module is confined to tests and the explicit oracle CLI modes.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ATOM_INDEX, InitialAtomicState, ModelParams, validate_initial
+from .model import ATOM_INDEX, InitialAtomicState, ModelParams
 from .thermal import thermal_weight
 
 # +2 Fock headroom per mode: pair emission from |++> raises each mode index
@@ -25,8 +25,7 @@ HEADROOM = 2
 class JointState:
     """State on the truncated atom x atom x mode1 x mode2 space.
 
-    ``data`` is either a state vector of length dim or a density matrix of
-    shape (dim, dim), with dim = 4 (n_max1+1) (n_max2+1) and flat index
+    ``data`` is a state vector of length 4 (n_max1+1) (n_max2+1), flat index
     atom*(n_max1+1)(n_max2+1) + n1*(n_max2+1) + n2 (atom 0..3 in the basis
     order |++>, |+->, |-+>, |-->).
     """
@@ -38,14 +37,6 @@ class JointState:
     @property
     def field_dim(self) -> int:
         return (self.n_max1 + 1) * (self.n_max2 + 1)
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.field_dim
-
-    @property
-    def is_vector(self) -> bool:
-        return self.data.ndim == 1
 
 
 def flat_index(atom: int, n1: int, n2: int, n_max1: int, n_max2: int) -> int:
@@ -92,14 +83,6 @@ def build_hamiltonian(n_max1: int, n_max2: int, g: float = 1.0) -> np.ndarray:
     return g * (emit + emit.T)
 
 
-def _evolve_data(evals, evecs, data, t):
-    phases = np.exp(-1j * evals * t)
-    if data.ndim == 1:
-        return evecs @ (phases * (evecs.T.conj() @ data))
-    u = (evecs * phases) @ evecs.T.conj()
-    return u @ data @ u.conj().T
-
-
 class Propagator:
     """Unitary evolution; the Hamiltonian is diagonalized once and reused."""
 
@@ -113,11 +96,9 @@ class Propagator:
     def evolve(self, state: JointState, t: float) -> JointState:
         if (state.n_max1, state.n_max2) != (self.n_max1, self.n_max2):
             raise ValueError("state cutoffs do not match the propagator")
-        return JointState(
-            self.n_max1,
-            self.n_max2,
-            _evolve_data(self.eigenvalues, self.eigenvectors, state.data, t),
-        )
+        v = self.eigenvectors
+        phases = np.exp(-1j * self.eigenvalues * t)
+        return JointState(self.n_max1, self.n_max2, v @ (phases * (v.T.conj() @ state.data)))
 
     def evolve_basis_batch(self, flat_indices, t: float) -> np.ndarray:
         """Evolved vectors for many unit-basis initial states, one per column."""
@@ -126,22 +107,10 @@ class Propagator:
         return v @ (phases[:, None] * v[flat_indices, :].T)
 
 
-def propagate(state: JointState, hamiltonian: np.ndarray, t: float) -> JointState:
-    """One-shot evolution exp(-iHt) state exp(+iHt) via eigendecomposition.
-
-    Diagonalizes on every call; use Propagator to amortize over a time grid.
-    """
-    evals, evecs = np.linalg.eigh(hamiltonian)
-    return JointState(state.n_max1, state.n_max2, _evolve_data(evals, evecs, state.data, t))
-
-
 def reduce_atoms(state: JointState) -> np.ndarray:
     """Reduced 4x4 two-atom density matrix: partial trace over both field modes."""
-    f = state.field_dim
-    if state.is_vector:
-        psi = state.data.reshape(4, f)
-        return psi @ psi.conj().T
-    return np.einsum("afbf->ab", state.data.reshape(4, f, 4, f))
+    psi = state.data.reshape(4, state.field_dim)
+    return psi @ psi.conj().T
 
 
 def _atomic_mixture(initial: InitialAtomicState):
@@ -171,7 +140,6 @@ def thermal_sweep(
     are weighted by the thermal distribution without renormalization; the
     trace of each output equals the retained thermal mass.
     """
-    validate_initial(initial)
     if n_max1 < HEADROOM or n_max2 < HEADROOM:
         raise ValueError(f"cutoffs must be >= {HEADROOM}; got ({n_max1}, {n_max2})")
     prop = propagator if propagator is not None else Propagator(n_max1, n_max2, params.g)
@@ -192,14 +160,3 @@ def thermal_sweep(
         psi = prop.evolve_basis_batch(cols, gt / params.g).reshape(4, f, -1)
         out[i] = np.einsum("afk,bfk,k->ab", psi, psi.conj(), weights)
     return out
-
-
-def thermal_reduce(
-    initial: InitialAtomicState,
-    params: ModelParams,
-    gt: float,
-    n_max1: int,
-    n_max2: int,
-) -> np.ndarray:
-    """Thermally averaged reduced atomic density matrix at a single time."""
-    return thermal_sweep(initial, params, [gt], n_max1, n_max2)[0]

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 
+from twinphoton import cli
+from twinphoton.thermal import FockCutoff
+
 CMD = [sys.executable, "-m", "twinphoton.cli"]
 HEADER = "gt,A,B,C,D,E,epsilon"
 
@@ -98,7 +101,8 @@ def test_figure_preset3_mixture_never_entangles(tmp_path):
     ]
     assert printed == expected
     for path in expected:
-        _, rows = parse_csv(open(path).read())
+        with open(path) as fh:
+            _, rows = parse_csv(fh.read())
         assert len(rows) == 1001
         assert all(r[6] == 0.0 for r in rows)
 
@@ -145,9 +149,39 @@ def test_usage_errors_exit_one():
         ("sweep", "--initial", "eg", "--nbar1", "1e17"),
         ("sweep", "--initial", "eg", "--steps", "0"),
         ("sweep", "--initial", "eg", "--tail-tol", "0"),
+        ("sweep", "--initial", "eg", "--cutoff", "3,3", "--tail-tol", "nan"),
         ("check", "--cutoff", "1,1"),
+        ("check", "--tol", "nan"),
+        ("check", "--tol", "inf"),
     ]
     for args in bad_calls:
         res = run_cli(*args)
         assert res.returncode == 1, (args, res.stdout, res.stderr)
         assert res.stderr  # some diagnostic lands on stderr
+
+
+def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):
+    # mixed runs four kernel passes over the grid at every time sample
+    cutoff = FockCutoff.choose(0.2, 0.5, cli.DEFAULT_TAIL_TOL)
+    terms = (cutoff.n_max1 + 1) * (cutoff.n_max2 + 1) * 5 * 4
+    argv = [
+        "sweep", "--initial", "mixed", "--lambda", "0.05", "--nbar1", "0.2", "--nbar2", "0.5",
+        "--steps", "4", "--out", str(tmp_path / "mixed.csv"),
+    ]
+    monkeypatch.setattr(cli, "WARN_TERMS", terms)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    quiet = (tmp_path / "mixed.csv").read_bytes()
+
+    monkeypatch.setattr(cli, "WARN_TERMS", terms - 1)
+    assert cli.main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{terms:.3g} terms" in err[0], err
+    assert (tmp_path / "mixed.csv").read_bytes() == quiet
+
+
+def test_default_sweep_writes_nothing_to_stderr(capsys):
+    assert cli.main(["sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("\n") == 5 + 1 + 1001  # provenance, header, one row per time

@@ -5,14 +5,7 @@ import pytest
 
 from helpers import assert_valid_xstate
 from twinphoton import _core_py
-from twinphoton.dynamics import (
-    block_factors,
-    rabi,
-    sweep,
-    sweep_mixed,
-    sweep_pure,
-    xstate_term,
-)
+from twinphoton.dynamics import sweep, xstate_term
 from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGrid, XState
 from twinphoton.thermal import FockCutoff, thermal_weight
 
@@ -24,35 +17,10 @@ def params_for(nbar1, nbar2=None, g=1.0):
     return ModelParams(g=g, nbar1=nbar1, nbar2=nbar1 if nbar2 is None else nbar2)
 
 
-def test_rabi_examples():
-    assert rabi(0, 0) == pytest.approx(math.sqrt(2.0), abs=1e-14)
-    assert rabi(1, 1) == pytest.approx(math.sqrt(10.0), abs=1e-14)
-    assert rabi(2, 3) == pytest.approx(6.0, abs=1e-14)
-    assert rabi(2, 3, g=0.5) == pytest.approx(3.0, abs=1e-14)
-
-
-def test_rabi_rejects_negative_indices():
-    with pytest.raises(ValueError):
-        rabi(-1, 0)
-    with pytest.raises(ValueError):
-        block_factors(0, -3, 1.0)
-
-
-def test_block_factors_ranges():
-    for n1 in range(0, 7):
-        for n2 in range(0, 7):
-            for gt in GTS:
-                f = block_factors(n1, n2, gt)
-                assert f.omega == pytest.approx(rabi(n1, n2), abs=1e-14)
-                g_over_omega = 1.0 / f.omega
-                assert -g_over_omega - 1e-14 <= f.sin_factor <= g_over_omega + 1e-14
-                assert -4.0 * g_over_omega**2 - 1e-14 <= f.cos_factor <= 1e-14
-
-
-def test_block_factors_at_zero_time():
-    f = block_factors(3, 5, 0.0)
-    assert f.sin_factor == 0.0
-    assert f.cos_factor == 0.0
+def test_block_frequency_examples():
+    assert _core_py.block_frequency(0, 0) == pytest.approx(math.sqrt(2.0), abs=1e-14)
+    assert _core_py.block_frequency(1, 1) == pytest.approx(math.sqrt(10.0), abs=1e-14)
+    assert _core_py.block_frequency(2, 3) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_term_identity_at_zero_time():
@@ -106,6 +74,8 @@ def test_term_rejects_bad_arguments():
         xstate_term("mixed", 0, 0, 1.0)
     with pytest.raises(ValueError):
         xstate_term("eg", -1, 0, 1.0)
+    with pytest.raises(ValueError):
+        xstate_term("eg", 0, -3, 1.0)
 
 
 def test_sweep_trace_equals_retained_mass():
@@ -115,7 +85,7 @@ def test_sweep_trace_equals_retained_mass():
     m2 = sum(thermal_weight(1.0, n) for n in range(cutoff.n_max2 + 1))
     gts = TimeGrid(8.0, 40).points()
     for variant in VARIANTS:
-        rows = sweep_pure(variant, p, gts, cutoff)
+        rows = sweep(InitialAtomicState.pure(variant), p, gts, cutoff)
         traces = rows[:, :4].sum(axis=1)
         assert np.allclose(traces, m1 * m2, rtol=0, atol=1e-12)
         assert np.all(traces >= 1.0 - cutoff.tail_bound - 1e-12)
@@ -180,8 +150,9 @@ def test_sweep_depends_only_on_gt():
     # same dimensionless times, different couplings: identical elements
     cutoff = FockCutoff.choose(0.7, 0.7, 1e-10)
     gts = TimeGrid(5.0, 20).points()
-    a = sweep_pure("eg", params_for(0.7, g=1.0), gts, cutoff)
-    b = sweep_pure("eg", params_for(0.7, g=3.5), gts, cutoff)
+    eg = InitialAtomicState.pure("eg")
+    a = sweep(eg, params_for(0.7, g=1.0), gts, cutoff)
+    b = sweep(eg, params_for(0.7, g=3.5), gts, cutoff)
     assert np.array_equal(a, b)
 
 
@@ -189,8 +160,8 @@ def test_sweep_deterministic_repeat():
     p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     gts = TimeGrid(10.0, 100).points()
-    a = sweep_pure("gg", p, gts, cutoff)
-    b = sweep_pure("gg", p, gts, cutoff)
+    a = sweep(InitialAtomicState.pure("gg"), p, gts, cutoff)
+    b = sweep(InitialAtomicState.pure("gg"), p, gts, cutoff)
     assert np.array_equal(a, b)
 
 
@@ -199,13 +170,13 @@ def test_mixed_is_elementwise_combination():
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     gts = np.array([2.0])
     lam = 0.05
-    parts = {v: sweep_pure(v, p, gts, cutoff)[0] for v in VARIANTS}
+    parts = {v: sweep(InitialAtomicState.pure(v), p, gts, cutoff)[0] for v in VARIANTS}
     expected = (
         0.0025 * parts["ee"]
         + 0.0475 * (parts["eg"] + parts["ge"])
         + 0.9025 * parts["gg"]
     )
-    got = sweep_mixed(lam, p, gts, cutoff)[0]
+    got = sweep(InitialAtomicState.mixed(lam), p, gts, cutoff)[0]
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-16)
 
 
@@ -213,15 +184,14 @@ def test_mixed_endpoints_reduce_to_pure():
     p = params_for(0.6)
     cutoff = FockCutoff.choose(0.6, 0.6, 1e-10)
     gts = TimeGrid(4.0, 16).points()
-    assert np.array_equal(sweep_mixed(0.0, p, gts, cutoff), sweep_pure("gg", p, gts, cutoff))
-    assert np.array_equal(sweep_mixed(1.0, p, gts, cutoff), sweep_pure("ee", p, gts, cutoff))
+    for lam, variant in ((0.0, "gg"), (1.0, "ee")):
+        mixed = sweep(InitialAtomicState.mixed(lam), p, gts, cutoff)
+        assert np.array_equal(mixed, sweep(InitialAtomicState.pure(variant), p, gts, cutoff))
 
 
 def test_mixed_rejects_lambda_outside_unit_interval():
-    p = params_for(0.6)
-    cutoff = FockCutoff.choose(0.6, 0.6, 1e-10)
     with pytest.raises(ValueError):
-        sweep_mixed(1.5, p, [1.0], cutoff)
+        InitialAtomicState.mixed(1.5)
 
 
 def test_sweep_rejects_negative_times():
@@ -229,7 +199,7 @@ def test_sweep_rejects_negative_times():
     cutoff = FockCutoff.choose(0.3, 0.3, 1e-10)
     for gts in ([-0.5, 1.0], [math.nan], [1.0, math.inf]):
         with pytest.raises(ValueError):
-            sweep_pure("eg", p, gts, cutoff)
+            sweep(InitialAtomicState.pure("eg"), p, gts, cutoff)
 
 
 def test_initial_projector_at_zero_time():

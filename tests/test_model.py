@@ -3,69 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from twinphoton.model import (
-    ATOM_INDEX,
-    InitialAtomicState,
-    ModelParams,
-    TimeGrid,
-    XState,
-    validate,
-    validate_grid,
-    validate_initial,
-    validate_params,
-)
+from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGrid, XState
 
 
 def test_validate_accepts_standard_configuration():
     params = ModelParams(g=1.0, nbar1=1.0, nbar2=1.0)
     initial = InitialAtomicState.pure("eg")
-    assert validate(params, initial) == (params, initial)
-
-
-def test_validate_is_idempotent():
-    params = ModelParams(g=2.0, nbar1=0.3, nbar2=0.7)
-    initial = InitialAtomicState.mixed(0.05)
-    once = validate(*validate(params, initial))
-    assert once == (params, initial)
+    assert (params.g, params.nbar1, params.nbar2) == (1.0, 1.0, 1.0)
+    assert (initial.variant, initial.excited_weight) == ("eg", None)
 
 
 def test_negative_nbar_rejected_by_name():
     with pytest.raises(ValueError, match="nbar1"):
-        validate_params(ModelParams(g=1.0, nbar1=-0.1, nbar2=1.0))
+        ModelParams(g=1.0, nbar1=-0.1, nbar2=1.0)
     with pytest.raises(ValueError, match="nbar2"):
-        validate_params(ModelParams(g=1.0, nbar1=1.0, nbar2=-2.0))
+        ModelParams(g=1.0, nbar1=1.0, nbar2=-2.0)
 
 
 def test_nonpositive_or_nonfinite_g_rejected():
     for g in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="g"):
-            validate_params(ModelParams(g=g, nbar1=0.0, nbar2=0.0))
+            ModelParams(g=g, nbar1=0.0, nbar2=0.0)
 
 
 def test_nonfinite_nbar_rejected():
     with pytest.raises(ValueError, match="nbar1"):
-        validate_params(ModelParams(g=1.0, nbar1=math.nan, nbar2=0.0))
+        ModelParams(g=1.0, nbar1=math.nan, nbar2=0.0)
 
 
 def test_lambda_out_of_range_rejected():
     for lam in (1.5, -0.1, math.nan):
         with pytest.raises(ValueError, match="lambda must be in"):
-            validate_initial(InitialAtomicState.mixed(lam))
+            InitialAtomicState.mixed(lam)
 
 
 def test_mixed_requires_lambda():
     with pytest.raises(ValueError, match="lambda"):
-        validate_initial(InitialAtomicState("mixed", None))
+        InitialAtomicState("mixed", None)
 
 
 def test_lambda_forbidden_on_pure_states():
     with pytest.raises(ValueError, match="lambda only applies"):
-        validate_initial(InitialAtomicState("eg", 0.3))
+        InitialAtomicState("eg", 0.3)
 
 
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError, match="variant"):
-        validate_initial(InitialAtomicState("xy", None))
+        InitialAtomicState("xy", None)
 
 
 def test_atom_index_follows_basis_order():
@@ -78,7 +62,7 @@ def test_pure_and_mixed_constructors():
 
 
 def test_time_grid_points():
-    grid = validate_grid(TimeGrid(10.0, 1000))
+    grid = TimeGrid(10.0, 1000)
     pts = grid.points()
     assert pts.shape == (1001,)
     assert pts[0] == 0.0
@@ -92,12 +76,12 @@ def test_time_grid_single_step():
 
 
 def test_invalid_grid_rejected():
-    for bad in (TimeGrid(0.0, 10), TimeGrid(-1.0, 10), TimeGrid(math.inf, 10)):
+    for t_max in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="t_max"):
-            validate_grid(bad)
-    for bad in (TimeGrid(1.0, 0), TimeGrid(1.0, -3), TimeGrid(1.0, 2.5)):
+            TimeGrid(t_max, 10)
+    for steps in (0, -3, 2.5):
         with pytest.raises(ValueError, match="steps"):
-            validate_grid(bad)
+            TimeGrid(1.0, steps)
 
 
 def test_xstate_accessors():

@@ -14,9 +14,7 @@ from twinphoton.oracle import (
     basis_state,
     build_hamiltonian,
     flat_index,
-    propagate,
     reduce_atoms,
-    thermal_reduce,
     thermal_sweep,
 )
 from twinphoton.thermal import FockCutoff
@@ -98,10 +96,9 @@ def test_conserved_quantities_commute_with_hamiltonian():
     assert np.abs(h @ total - total @ h).max() < 1e-12
 
 
-def test_propagate_at_time_zero_is_identity():
+def test_evolve_at_time_zero_is_identity():
     state = basis_state("eg", 2, 1, 4, 4)
-    h = build_hamiltonian(4, 4)
-    out = propagate(state, h, 0.0)
+    out = Propagator(4, 4).evolve(state, 0.0)
     assert np.abs(out.data - state.data).max() < 1e-12
 
 
@@ -119,14 +116,6 @@ def test_excitation_swaps_between_atoms():
     evolved = prop.evolve(basis_state("eg", 0, 0, 3, 3), math.pi / math.sqrt(2.0))
     rho = reduce_atoms(evolved)
     assert np.abs(np.diag(rho) - np.array([0.0, 0.0, 1.0, 0.0])).max() < 1e-12
-
-
-def test_propagator_matches_one_shot_propagate():
-    prop = Propagator(4, 4, g=1.3)
-    state = basis_state("gg", 2, 2, 4, 4)
-    a = prop.evolve(state, 2.1).data
-    b = propagate(state, prop.hamiltonian, 2.1).data
-    assert np.abs(a - b).max() < 1e-13
 
 
 def test_basis_batch_matches_individual_columns():
@@ -153,8 +142,10 @@ def test_reduce_atoms_product_state():
 def test_reduce_atoms_vector_and_density_paths_agree():
     prop = Propagator(4, 4)
     psi = prop.evolve(basis_state("ee", 1, 1, 4, 4), 2.4)
-    rho_full = JointState(4, 4, np.outer(psi.data, psi.data.conj()))
-    assert np.abs(reduce_atoms(psi) - reduce_atoms(rho_full)).max() < 1e-13
+    # partial trace of the joint density matrix |psi><psi| over both modes
+    f = psi.field_dim
+    rho_full = np.outer(psi.data, psi.data.conj()).reshape(4, f, 4, f)
+    assert np.abs(reduce_atoms(psi) - np.einsum("afbf->ab", rho_full)).max() < 1e-13
     assert np.trace(reduce_atoms(psi)).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -169,10 +160,10 @@ def test_single_photon_pair_generates_bell_state():
     assert negativity_general(rho) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_thermal_reduce_vacuum_equals_single_fock_term():
+def test_thermal_sweep_vacuum_equals_single_fock_term():
     params = ModelParams(g=1.0, nbar1=0.0, nbar2=0.0)
     initial = InitialAtomicState.pure("eg")
-    rho = thermal_reduce(initial, params, 1.9, 4, 4)
+    rho = thermal_sweep(initial, params, [1.9], 4, 4)[0]
     prop = Propagator(4, 4)
     direct = reduce_atoms(prop.evolve(basis_state("eg", 0, 0, 4, 4), 1.9))
     assert np.abs(rho - direct).max() < 1e-13
@@ -181,7 +172,7 @@ def test_thermal_reduce_vacuum_equals_single_fock_term():
 def test_thermal_sweep_time_zero_returns_initial_mixture():
     params = ModelParams(g=1.0, nbar1=1.0, nbar2=1.0)
     lam = 0.3
-    rho = thermal_reduce(InitialAtomicState.mixed(lam), params, 0.0, 8, 8)
+    rho = thermal_sweep(InitialAtomicState.mixed(lam), params, [0.0], 8, 8)[0]
     mass = (1.0 - 0.5 ** 7) ** 2  # retained thermal weight per mode at nbar=1
     expected = mass * np.diag(
         [lam ** 2, lam * (1.0 - lam), lam * (1.0 - lam), (1.0 - lam) ** 2]
@@ -193,7 +184,7 @@ def test_thermal_sweep_matches_closed_form():
     params = ModelParams(g=1.0, nbar1=1.0, nbar2=1.0)
     initial = InitialAtomicState.pure("eg")
     n_max = 14
-    rho = thermal_reduce(initial, params, 1.0, n_max, n_max)
+    rho = thermal_sweep(initial, params, [1.0], n_max, n_max)[0]
     cutoff = FockCutoff.explicit(n_max - HEADROOM, n_max - HEADROOM, 1.0, 1.0)
     row = dynamics.sweep(initial, params, [1.0], cutoff)[0]
     assert np.abs(XState(*row).to_matrix() - rho).max() < 1e-10
