@@ -69,13 +69,19 @@ def test_term_unit_trace_and_invariants():
                     assert_valid_xstate(term, mass=1.0, mass_tol=1e-12)
 
 
+def test_rabi_rejects_negative_indices():
+    # the block frequency is only defined for photon numbers n1, n2 >= 0
+    with pytest.raises(ValueError):
+        xstate_term("eg", -1, 0, 1.0)
+    with pytest.raises(ValueError):
+        xstate_term("eg", 0, -3, 1.0)
+
+
 def test_term_rejects_bad_arguments():
     with pytest.raises(ValueError):
         xstate_term("mixed", 0, 0, 1.0)
     with pytest.raises(ValueError):
         xstate_term("eg", -1, 0, 1.0)
-    with pytest.raises(ValueError):
-        xstate_term("eg", 0, -3, 1.0)
 
 
 def test_sweep_trace_equals_retained_mass():
