@@ -129,13 +129,13 @@ def build_parser() -> _Parser:
         f"N <= {ORACLE_MAX_CUTOFF})",
     )
     sweep.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
-    sweep.set_defaults(func=_run_sweep)
+    sweep.set_defaults(func=_run_sweep, parser=sweep)
 
     figure = sub.add_parser("figure", help="emit the preset curve CSVs for one figure")
     figure.add_argument("--preset", type=int, choices=sorted(FIGURE_PRESETS), required=True)
     figure.add_argument("--outdir", default=".", help="directory for the curve files")
     figure.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
-    figure.set_defaults(func=_run_figure)
+    figure.set_defaults(func=_run_figure, parser=figure)
 
     check = sub.add_parser(
         "check", help="cross-validate the closed form against the brute-force oracle"
@@ -164,7 +164,7 @@ def build_parser() -> _Parser:
         default=DEFAULT_CHECK_TOL,
         help="max allowed deviation between the two paths",
     )
-    check.set_defaults(func=_run_check)
+    check.set_defaults(func=_run_check, parser=check)
 
     return parser
 
@@ -204,7 +204,7 @@ def _sweep_document(initial, params, grid, cutoff, oracle_cutoff=None):
         eps = [negativity_x(XState(*row)) for row in rows]
         label = "closed form"
     else:
-        rhos = oracle.thermal_sweep(initial, params, gts, oracle_cutoff[0], oracle_cutoff[1])
+        rhos = oracle.thermal_sweep([initial], params, gts, *oracle_cutoff)[0]
         rows = np.stack(
             [
                 [r[0, 0].real, r[1, 1].real, r[2, 2].real, r[3, 3].real, r[1, 2].real]
@@ -256,7 +256,7 @@ def _warn_if_large(initial, grid, cutoff):
 
 def _run_sweep(args, parser) -> int:
     initial = _parse_initial(args.initial, args.lam, parser)
-    params = ModelParams(g=1.0, nbar1=args.nbar1, nbar2=args.nbar2)
+    params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
     grid = TimeGrid(args.tmax, args.steps)
     if not args.tail_tol > 0:
         parser.error(f"--tail-tol must be > 0; got {args.tail_tol!r}")
@@ -291,7 +291,7 @@ def _run_figure(args, parser) -> int:
         initial = (
             InitialAtomicState.mixed(lam) if variant == "mixed" else InitialAtomicState.pure(variant)
         )
-        params = ModelParams(g=1.0, nbar1=nbar, nbar2=nbar)
+        params = ModelParams(nbar1=nbar, nbar2=nbar)
         cutoff = FockCutoff.choose(params.nbar1, params.nbar2, args.tail_tol)
         path = os.path.join(args.outdir, name)
         _emit(_sweep_document(initial, params, grid, cutoff), path)
@@ -305,7 +305,7 @@ def _run_check(args, parser) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         parser.error(f"--tol must be finite and > 0; got {args.tol!r}")
     n1, n2 = args.cutoff
-    params = ModelParams(g=1.0, nbar1=args.nbar1, nbar2=args.nbar2)
+    params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
     grid = TimeGrid(args.tmax, args.steps)
     gts = grid.points()
     variants = args.initial if args.initial else CHECK_DEFAULT_STATES
@@ -314,15 +314,13 @@ def _run_check(args, parser) -> int:
     cutoff = FockCutoff.explicit(
         n1 - oracle.HEADROOM, n2 - oracle.HEADROOM, params.nbar1, params.nbar2
     )
-    prop = oracle.Propagator(n1, n2, params.g)
     print(
         f"closed form vs oracle: truncation ({n1}, {n2}), nbar=({args.nbar1:g}, {args.nbar2:g}),"
         f" {grid.steps + 1} times in [0, {grid.t_max:g}]"
     )
     worst = 0.0
-    for initial in initials:
+    for initial, rhos in zip(initials, oracle.thermal_sweep(initials, params, gts, n1, n2)):
         closed = dynamics.sweep(initial, params, gts, cutoff)
-        rhos = oracle.thermal_sweep(initial, params, gts, n1, n2, propagator=prop)
         dev_elem = 0.0
         dev_eps = 0.0
         for row, rho in zip(closed, rhos):
@@ -339,11 +337,12 @@ def _run_check(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
-    except (ValueError, OSError) as exc:
+        return args.func(args, args.parser)
+    except ValueError as exc:  # an input the domain types reject
+        args.parser.error(str(exc))
+    except OSError as exc:
         print(f"twinphoton: error: {exc}", file=sys.stderr)
         return 1
 

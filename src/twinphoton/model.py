@@ -4,8 +4,8 @@ Conventions fixed here and used everywhere:
 
 * two-atom basis order ``|++>, |+->, |-+>, |-->`` (``+`` excited, ``-``
   ground), indices 0..3;
-* time is quoted externally as the dimensionless product ``g*t``; the
-  coupling ``g`` stays available as a parameter but defaults to 1.
+* time is quoted as the dimensionless product ``g*t`` of the atom-field
+  coupling and the time, so the coupling itself never appears.
 """
 
 from __future__ import annotations
@@ -28,20 +28,15 @@ def _finite(x) -> bool:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration: coupling constant and thermal mode intensities.
+    """Physical configuration: the thermal mode intensities.
 
-    ``g`` is the atom-field coupling (inverse time; 1 by convention so that
-    time is measured as ``g*t``), ``nbar1``/``nbar2`` are the mean photon
-    numbers of the two cavity modes.
+    ``nbar1``/``nbar2`` are the mean photon numbers of the two cavity modes.
     """
 
-    g: float = 1.0
     nbar1: float = 0.0
     nbar2: float = 0.0
 
     def __post_init__(self):
-        if not _finite(self.g) or self.g <= 0:
-            raise ValueError(f"g must be > 0 and finite; got {self.g!r}")
         if not _finite(self.nbar1) or self.nbar1 < 0:
             raise ValueError(f"nbar1 must be >= 0 and finite; got {self.nbar1!r}")
         if not _finite(self.nbar2) or self.nbar2 < 0:

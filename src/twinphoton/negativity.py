@@ -58,28 +58,3 @@ def negativity_general(rho: np.ndarray) -> float:
     negative = eigs[eigs < -ZERO_EIGENVALUE_TOL]
     return float(-2.0 * negative.sum())
 
-
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    positivity_tol: float = 1e-10,
-) -> np.ndarray:
-    """Assert the two-qubit density-matrix invariants; returns rho unchanged.
-
-    Hermitian within herm_tol, unit trace within trace_tol, eigenvalues above
-    -positivity_tol.  Used by the tests on every producer of 4x4 states.
-    """
-    rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix; got shape {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {trace_tol:.1e}")
-    lo = np.linalg.eigvalsh(rho).min()
-    if lo < -positivity_tol:
-        raise ValueError(f"negative eigenvalue {lo:.3e}")
-    return rho

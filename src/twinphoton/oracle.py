@@ -1,10 +1,13 @@
 """Brute-force verifier on the truncated joint atom-field Hilbert space.
 
 Everything here is deliberately independent of the closed-form dynamics: the
-pair-coupling Hamiltonian is assembled from truncated ladder operators, states
-are evolved by dense Hermitian eigendecomposition, and the field is traced
-out numerically.  The closed-form path is checked against these results; this
-module is confined to tests and the explicit oracle CLI modes.
+pair-coupling Hamiltonian is assembled from truncated ladder operators as one
+dense real symmetric matrix (time in units of 1/g, so the coupling is 1),
+states are evolved through its full eigendecomposition in real arithmetic, and
+the field is traced out numerically.  A thermal sweep evolves each atomic
+basis column it needs once per time, shared by all the initial states it is
+given.  The closed-form path is checked against these results; this module is
+confined to tests and the explicit oracle CLI modes.
 """
 
 from __future__ import annotations
@@ -68,29 +71,29 @@ def _collective_lowering() -> np.ndarray:
     return low
 
 
-def build_hamiltonian(n_max1: int, n_max2: int, g: float = 1.0) -> np.ndarray:
-    """Pair-coupling interaction Hamiltonian (over hbar) on the truncated space.
+def build_hamiltonian(n_max1: int, n_max2: int) -> np.ndarray:
+    """Pair-coupling interaction Hamiltonian (over hbar g) on the truncated space.
 
-    g * [a1+ a2+ (R1- + R2-)  +  (R1+ + R2+) a1 a2] with the ladder operators
+    a1+ a2+ (R1- + R2-)  +  (R1+ + R2+) a1 a2 with the ladder operators
     truncated at the cutoffs; matrix elements that would leave the truncated
-    space are dropped.  Real and symmetric by construction.
+    space are dropped.  Time is measured as g*t, so the coupling is 1.  Real
+    and symmetric by construction.
     """
     if n_max1 < 0 or n_max2 < 0:
         raise ValueError(f"cutoffs must be >= 0; got ({n_max1}, {n_max2})")
     a1 = annihilation(n_max1)
     a2 = annihilation(n_max2)
     emit = np.kron(_collective_lowering(), np.kron(a1.T, a2.T))
-    return g * (emit + emit.T)
+    return emit + emit.T
 
 
 class Propagator:
     """Unitary evolution; the Hamiltonian is diagonalized once and reused."""
 
-    def __init__(self, n_max1: int, n_max2: int, g: float = 1.0):
+    def __init__(self, n_max1: int, n_max2: int):
         self.n_max1 = n_max1
         self.n_max2 = n_max2
-        self.g = g
-        self.hamiltonian = build_hamiltonian(n_max1, n_max2, g)
+        self.hamiltonian = build_hamiltonian(n_max1, n_max2)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.hamiltonian)
 
     def evolve(self, state: JointState, t: float) -> JointState:
@@ -98,13 +101,21 @@ class Propagator:
             raise ValueError("state cutoffs do not match the propagator")
         v = self.eigenvectors
         phases = np.exp(-1j * self.eigenvalues * t)
-        return JointState(self.n_max1, self.n_max2, v @ (phases * (v.T.conj() @ state.data)))
+        return JointState(self.n_max1, self.n_max2, v @ (phases * (v.T @ state.data)))
 
     def evolve_basis_batch(self, flat_indices, t: float) -> np.ndarray:
-        """Evolved vectors for many unit-basis initial states, one per column."""
+        """Evolved vectors for many unit-basis initial states, one per column.
+
+        The eigenvectors V are real, so exp(-iHt) = V cos(Et) V^T - i V sin(Et) V^T
+        and both parts are real matrix products.
+        """
         v = self.eigenvectors
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return v @ (phases[:, None] * v[flat_indices, :].T)
+        rows = v[flat_indices, :].T
+        et = self.eigenvalues * t
+        out = np.empty(rows.shape, dtype=complex)
+        out.real = v @ (np.cos(et)[:, None] * rows)
+        out.imag = v @ (-np.sin(et)[:, None] * rows)
+        return out
 
 
 def reduce_atoms(state: JointState) -> np.ndarray:
@@ -126,37 +137,44 @@ def _atomic_mixture(initial: InitialAtomicState):
 
 
 def thermal_sweep(
-    initial: InitialAtomicState,
-    params: ModelParams,
-    gts,
-    n_max1: int,
-    n_max2: int,
-    propagator: Propagator | None = None,
-) -> np.ndarray:
-    """Thermally averaged reduced atomic density matrices, one 4x4 per time.
+    initials: list[InitialAtomicState], params: ModelParams, gts, n_max1: int, n_max2: int
+) -> list[np.ndarray]:
+    """Thermally averaged reduced atomic density matrices for several initial states.
 
-    Initial Fock pairs run over n1 <= n_max1-2, n2 <= n_max2-2 (HEADROOM
-    below the truncation, so every retained component evolves exactly) and
-    are weighted by the thermal distribution without renormalization; the
-    trace of each output equals the retained thermal mass.
+    Returns one (len(gts), 4, 4) stack per entry of ``initials``.  Initial
+    Fock pairs run over n1 <= n_max1-2, n2 <= n_max2-2 (HEADROOM below the
+    truncation, so every retained component evolves exactly) and are weighted
+    by the thermal distribution without renormalization; the trace of each
+    output equals the retained thermal mass.
+
+    Each time takes one pass: every atomic basis state the initial states
+    need is evolved with each retained Fock pair in a single batch, the field
+    is traced out per atomic basis state, and each initial state is the
+    weighted sum of those per-atom matrices.
     """
     if n_max1 < HEADROOM or n_max2 < HEADROOM:
         raise ValueError(f"cutoffs must be >= {HEADROOM}; got ({n_max1}, {n_max2})")
-    prop = propagator if propagator is not None else Propagator(n_max1, n_max2, params.g)
-    cols = []
-    weights = []
-    for atom, atom_weight in _atomic_mixture(initial):
-        for n1 in range(n_max1 - HEADROOM + 1):
-            p1 = atom_weight * thermal_weight(params.nbar1, n1)
-            for n2 in range(n_max2 - HEADROOM + 1):
-                cols.append(flat_index(atom, n1, n2, n_max1, n_max2))
-                weights.append(p1 * thermal_weight(params.nbar2, n2))
-    cols = np.array(cols)
-    weights = np.array(weights)
-    gts = np.atleast_1d(np.asarray(gts, dtype=float))
-    out = np.empty((gts.shape[0], 4, 4), dtype=complex)
+    prop = Propagator(n_max1, n_max2)
+    mixtures = [_atomic_mixture(initial) for initial in initials]
+    atoms = sorted({atom for mixture in mixtures for atom, _ in mixture})
+    n1 = np.arange(n_max1 - HEADROOM + 1)
+    n2 = np.arange(n_max2 - HEADROOM + 1)
+    weights = np.outer(
+        [thermal_weight(params.nbar1, n) for n in n1],
+        [thermal_weight(params.nbar2, n) for n in n2],
+    ).ravel()
+    cols = np.concatenate(
+        [flat_index(atom, n1[:, None], n2, n_max1, n_max2).ravel() for atom in atoms]
+    )
     f = (n_max1 + 1) * (n_max2 + 1)
+    gts = np.atleast_1d(np.asarray(gts, dtype=float))
+    out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for i, gt in enumerate(gts):
-        psi = prop.evolve_basis_batch(cols, gt / params.g).reshape(4, f, -1)
-        out[i] = np.einsum("afk,bfk,k->ab", psi, psi.conj(), weights)
+        psi = prop.evolve_basis_batch(cols, gt).reshape(4, f, len(atoms), -1)
+        per_atom = {}
+        for k, atom in enumerate(atoms):
+            block = psi[:, :, k, :]
+            per_atom[atom] = (block * weights).reshape(4, -1) @ block.reshape(4, -1).conj().T
+        for stack, mixture in zip(out, mixtures):
+            stack[i] = sum(w * per_atom[atom] for atom, w in mixture)
     return out

@@ -76,7 +76,7 @@ def test_criterion_4_double_excitation_never_entangles():
     worst = 0.0
     gts = GRID.points()
     for nbar in (0.3, 1.0):
-        params = ModelParams(g=1.0, nbar1=nbar, nbar2=nbar)
+        params = ModelParams(nbar1=nbar, nbar2=nbar)
         cutoff = FockCutoff.choose(nbar, nbar, 1e-10)
         rows = dynamics.sweep(InitialAtomicState.pure("ee"), params, gts, cutoff)
         worst = max(worst, max(negativity_x(XState(*row)) for row in rows))
@@ -89,7 +89,7 @@ def test_criterion_4_double_excitation_never_entangles():
 
 def test_criterion_5_mixture_negativity_vanishing_and_monotone():
     gts = GRID.points()
-    params = ModelParams(g=1.0, nbar1=1.0, nbar2=1.0)
+    params = ModelParams(nbar1=1.0, nbar2=1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     maxima = {}
     for lam in (0.01, 0.05, 0.09):

@@ -158,6 +158,8 @@ def test_usage_errors_exit_one():
         res = run_cli(*args)
         assert res.returncode == 1, (args, res.stdout, res.stderr)
         assert res.stderr  # some diagnostic lands on stderr
+        if args and args[0] in ("sweep", "figure", "check"):
+            assert f"usage: twinphoton {args[0]}".encode() in res.stderr, (args, res.stderr)
 
 
 def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):

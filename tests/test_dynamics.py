@@ -13,8 +13,8 @@ GTS = (0.1, 0.7, 1.3, 3.1, 9.9)
 VARIANTS = ("ee", "eg", "ge", "gg")
 
 
-def params_for(nbar1, nbar2=None, g=1.0):
-    return ModelParams(g=g, nbar1=nbar1, nbar2=nbar1 if nbar2 is None else nbar2)
+def params_for(nbar1, nbar2=None):
+    return ModelParams(nbar1=nbar1, nbar2=nbar1 if nbar2 is None else nbar2)
 
 
 def test_block_frequency_examples():
@@ -150,16 +150,6 @@ def test_sweep_mode_swap_symmetry():
         a = sweep(initial, params_for(1.3, 0.4), gts, cutoff)
         b = sweep(initial, params_for(0.4, 1.3), gts, swapped)
         assert np.allclose(a, b, rtol=0, atol=1e-13)
-
-
-def test_sweep_depends_only_on_gt():
-    # same dimensionless times, different couplings: identical elements
-    cutoff = FockCutoff.choose(0.7, 0.7, 1e-10)
-    gts = TimeGrid(5.0, 20).points()
-    eg = InitialAtomicState.pure("eg")
-    a = sweep(eg, params_for(0.7, g=1.0), gts, cutoff)
-    b = sweep(eg, params_for(0.7, g=3.5), gts, cutoff)
-    assert np.array_equal(a, b)
 
 
 def test_sweep_deterministic_repeat():

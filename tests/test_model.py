@@ -7,28 +7,22 @@ from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGr
 
 
 def test_validate_accepts_standard_configuration():
-    params = ModelParams(g=1.0, nbar1=1.0, nbar2=1.0)
+    params = ModelParams(nbar1=1.0, nbar2=1.0)
     initial = InitialAtomicState.pure("eg")
-    assert (params.g, params.nbar1, params.nbar2) == (1.0, 1.0, 1.0)
+    assert (params.nbar1, params.nbar2) == (1.0, 1.0)
     assert (initial.variant, initial.excited_weight) == ("eg", None)
 
 
 def test_negative_nbar_rejected_by_name():
     with pytest.raises(ValueError, match="nbar1"):
-        ModelParams(g=1.0, nbar1=-0.1, nbar2=1.0)
+        ModelParams(nbar1=-0.1, nbar2=1.0)
     with pytest.raises(ValueError, match="nbar2"):
-        ModelParams(g=1.0, nbar1=1.0, nbar2=-2.0)
-
-
-def test_nonpositive_or_nonfinite_g_rejected():
-    for g in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="g"):
-            ModelParams(g=g, nbar1=0.0, nbar2=0.0)
+        ModelParams(nbar1=1.0, nbar2=-2.0)
 
 
 def test_nonfinite_nbar_rejected():
     with pytest.raises(ValueError, match="nbar1"):
-        ModelParams(g=1.0, nbar1=math.nan, nbar2=0.0)
+        ModelParams(nbar1=math.nan, nbar2=0.0)
 
 
 def test_lambda_out_of_range_rejected():

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import check_density_matrix
 from twinphoton.model import XState
-from twinphoton.negativity import (
-    check_density_matrix,
-    negativity_general,
-    negativity_x,
-    partial_transpose,
-)
+from twinphoton.negativity import negativity_general, negativity_x, partial_transpose
 
 BELL_SYM = np.zeros((4, 4))
 BELL_SYM[1:3, 1:3] = 0.5  # (|+-> + |-+>)/sqrt2 projector
