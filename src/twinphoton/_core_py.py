@@ -1,9 +1,19 @@
 """Summation kernel: per-Fock-pair X-states and their thermally weighted sum.
 
-One numpy formula gives the X-state elements of a pure initial state with the
-field in |n1, n2>, broadcast over arrays of Fock indices.  The sweep evaluates
-it on row blocks of the Fock grid and reduces each block with np.sum in a
-fixed order (no BLAS), so reruns on the same inputs give identical output.
+A pure initial state with the field in |n1, n2> stays in one three-level
+ladder, which oscillates at the single block frequency Omega.  Each of its
+X-state elements is therefore a quadratic polynomial in
+
+    x = 1 - cos(Omega gt) = 2 sin^2(Omega gt / 2),
+
+with coefficients that depend on (n1, n2) only.  term_coefficients writes that
+physics once; xstate_term evaluates it at one point, and thermal_sweep sums the
+thermally weighted coefficients of each grid block once and then needs one
+sin per grid point and time.  Since x = 0 at gt = 0, the first row is exactly
+the weighted constant terms.
+
+Reductions use np.sum and np.einsum (no BLAS) in a fixed order, so the output
+does not depend on the BLAS thread count and reruns give identical output.
 """
 
 import numpy as np
@@ -11,8 +21,10 @@ import numpy as np
 # initial-state codes, equal to the two-atom basis index
 EE, EG, GE, GG = 0, 1, 2, 3
 
-# grid points evaluated at once by thermal_sweep: bounds its temporaries
-BLOCK_ELEMENTS = 4096
+# grid points per coefficient block, and grid points x times per trig block:
+# together they bound thermal_sweep's temporaries
+BLOCK_ELEMENTS = 1024
+TRIG_ELEMENTS = 16384
 
 
 def block_frequency(m1, m2):
@@ -20,17 +32,19 @@ def block_frequency(m1, m2):
     return np.sqrt(2.0 * ((m1 + 1.0) * (m2 + 1.0) + m1 * m2))
 
 
-def xstate_term(code, n1, n2, gt):
-    """Single-Fock-pair X-state elements (A, B, C, D, E) at dimensionless time gt.
+def term_coefficients(code, n1, n2):
+    """Half block frequency and x-polynomial coefficients of each X-state element.
 
-    These are the unweighted per-term summands of the thermal double sum for
-    the pure initial state ``code`` with the field in |n1, n2>.  ``n1`` and
-    ``n2`` may be scalars or arrays that broadcast against each other; each
-    element comes back with their broadcast shape.
+    Returns ``(half, coef)``.  ``coef`` has shape (5, 3, *shape), where shape
+    is the broadcast shape of ``n1`` and ``n2``: element k of (A, B, C, D, E)
+    is coef[k, 0] + coef[k, 1] x + coef[k, 2] x^2 with
+    x = 2 sin^2(half * gt).
 
     The state starts in the ladder of block (m1, m2), whose lower step
     |++>|m1-1, m2-1> <-> middle couples with u = m1 m2 and whose upper step
-    middle <-> |-->|m1+1, m2+1> couples with v = (m1+1)(m2+1).
+    middle <-> |-->|m1+1, m2+1> couples with v = (m1+1)(m2+1).  With
+    p = u/Omega^2 and q = v/Omega^2 the elements are built from x(2-x)
+    (= sin^2), (1 - 2 p x)^2 and x^2.
     """
     n1 = np.asarray(n1, dtype=np.float64)
     n2 = np.asarray(n2, dtype=np.float64)
@@ -46,25 +60,75 @@ def xstate_term(code, n1, n2, gt):
         m1, m2 = n1, n2
         u, v = n1 * n2, (n1 + 1.0) * (n2 + 1.0)
     w = block_frequency(m1, m2)
-    th = w * gt
-    s = np.sin(th)
-    c = np.cos(th)
-    sf = s * s / (w * w)
-    cf = 2.0 * (c - 1.0) / (w * w)
+    p = u / (w * w)
+    q = v / (w * w)
+    coef = np.zeros((5, 3) + w.shape)
+
+    def sin_sq(k, scale):  # scale * x(2 - x)
+        coef[k, 1] = 2.0 * scale
+        coef[k, 2] = -scale
+
+    def ladder_end(k, r):  # (1 - 2 r x)^2
+        coef[k, 0] = 1.0
+        coef[k, 1] = -4.0 * r
+        coef[k, 2] = 4.0 * r * r
 
     if code == EE:
-        bce = u * sf
-        return (np.square(1.0 + u * cf), bce, bce, u * v * (cf * cf), bce)
-    if code == GG:
-        bce = v * sf
-        return (u * v * (cf * cf), bce, bce, np.square(1.0 + v * cf), bce)
-    # cos^4(th/2) and sin^4(th/2)
-    cos4 = np.square(0.5 * (1.0 + c))
-    sin4 = np.square(0.5 * (1.0 - c))
-    e = -0.25 * (s * s)
-    if code == EG:
-        return (u * sf, cos4, sin4, v * sf, e)
-    return (u * sf, sin4, cos4, v * sf, e)
+        ladder_end(0, p)
+        for k in (1, 2, 4):
+            sin_sq(k, p)
+        coef[3, 2] = 4.0 * p * q
+    elif code == GG:
+        coef[0, 2] = 4.0 * p * q
+        for k in (1, 2, 4):
+            sin_sq(k, q)
+        ladder_end(3, q)
+    else:
+        # cos^4(th/2) = (1 - x/2)^2 and sin^4(th/2) = x^2/4 on the middle rung
+        stay, leave = (1, 2) if code == EG else (2, 1)
+        sin_sq(0, p)
+        coef[stay, 0], coef[stay, 1], coef[stay, 2] = 1.0, -1.0, 0.25
+        coef[leave, 2] = 0.25
+        sin_sq(3, q)
+        sin_sq(4, -0.25)
+    return 0.5 * w, coef
+
+
+def xstate_term(code, n1, n2, gt):
+    """Single-Fock-pair X-state elements (A, B, C, D, E) at dimensionless time gt.
+
+    These are the unweighted per-term summands of the thermal double sum for
+    the pure initial state ``code`` with the field in |n1, n2>.  ``n1`` and
+    ``n2`` may be scalars or arrays that broadcast against each other; each
+    element comes back with their broadcast shape.
+    """
+    half, coef = term_coefficients(code, n1, n2)
+    x = 2.0 * np.square(np.sin(half * gt))
+    return tuple(coef[:, 0] + x * coef[:, 1] + (x * x) * coef[:, 2])
+
+
+def _add_block(code, n1, n2, weight, gts, out):
+    """Add the weighted sum over one grid block to every row of ``out``.
+
+    A function of its own so that one block's arrays are freed before the
+    next block's are built.
+    """
+    half, coef = term_coefficients(code, n1, n2)
+    half = half.ravel()
+    coef = coef.reshape(5, 3, -1)
+    coef *= weight
+    const = coef[:, 0].sum(axis=1)
+    step = max(1, TRIG_ELEMENTS // half.size)
+    for t0 in range(0, len(gts), step):
+        x = np.multiply.outer(gts[t0 : t0 + step], half)
+        np.sin(x, out=x)
+        np.square(x, out=x)
+        x *= 2.0
+        rows = np.einsum("tp,kp->tk", x, coef[:, 1])
+        np.square(x, out=x)
+        rows += np.einsum("tp,kp->tk", x, coef[:, 2])
+        rows += const
+        out[t0 : t0 + step] += rows
 
 
 def thermal_sweep(code, w1, w2, gts, out):
@@ -72,8 +136,12 @@ def thermal_sweep(code, w1, w2, gts, out):
 
     Writes one row (A, B, C, D, E) per time sample into ``out``.  Each row is
     the double sum of xstate_term over the (n1, n2) grid weighted by
-    w1[n1]*w2[n2]: a pairwise np.sum within each block of grid rows, and the
-    block sums added in ascending row order.
+    w1[n1]*w2[n2].  The grid is cut into blocks of whole rows (about
+    BLOCK_ELEMENTS points); per block the weighted coefficients are formed
+    once, and for each block of times (about TRIG_ELEMENTS points x times)
+    x = 2 sin^2(Omega gt / 2) is evaluated once per point and time.  A block
+    adds two np.einsum reductions, over x and over x^2, plus its constant
+    terms to ``out``; the blocks are added in ascending row order.
     """
     n2 = np.arange(len(w2), dtype=np.float64)
     rows = max(1, BLOCK_ELEMENTS // len(w2))
@@ -81,7 +149,4 @@ def thermal_sweep(code, w1, w2, gts, out):
     for lo in range(0, len(w1), rows):
         hi = min(lo + rows, len(w1))
         n1 = np.arange(lo, hi, dtype=np.float64)[:, None]
-        weight = (w1[lo:hi, None] * w2).ravel()
-        for i, gt in enumerate(gts):
-            terms = np.stack(xstate_term(code, n1, n2, gt))
-            out[i] += (terms.reshape(5, -1) * weight).sum(axis=1)
+        _add_block(code, n1, n2, (w1[lo:hi, None] * w2).ravel(), gts, out)

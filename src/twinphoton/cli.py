@@ -3,7 +3,9 @@
 Output is CSV with a fixed header ``gt,A,B,C,D,E,epsilon`` and ``#`` comment
 lines carrying the full parameter provenance.  Floats are written with their
 shortest round-trip representation and the summation order inside the kernels
-is fixed, so repeated runs with identical flags are byte-identical.
+is fixed, so repeated runs with identical flags are byte-identical.  The
+closed form uses no BLAS and is identical at any BLAS thread count; oracle
+output (``--oracle``, ``check``) is identical only at a fixed thread count.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-validation failure.
 """

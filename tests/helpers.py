@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from twinphoton._core_py import EE, EG, GG
+
 POP_TOL = 1e-12
 COHERENCE_TOL = 1e-10
 
@@ -45,3 +47,40 @@ def check_density_matrix(
     if lo < -positivity_tol:
         raise ValueError(f"negative eigenvalue {lo:.3e}")
     return rho
+
+
+def trig_xstate_term(code, n1, n2, gt):
+    """Per-Fock-pair X-state elements (A, B, C, D, E) written in sin/cos of Omega gt.
+
+    The ladder solution in trigonometric form, the reference for the kernel's
+    polynomial in x = 1 - cos(Omega gt): one sin and one cos of the block
+    angle per term, with cos^4 and sin^4 of the half angle as ((1 +- cos)/2)^2.
+    """
+    n1 = np.asarray(n1, dtype=np.float64)
+    n2 = np.asarray(n2, dtype=np.float64)
+    if code == EE:
+        m1, m2 = n1 + 1.0, n2 + 1.0
+        u, v = m1 * m2, (m1 + 1.0) * (m2 + 1.0)
+    elif code == GG:
+        m1, m2 = np.maximum(n1 - 1.0, 0.0), np.maximum(n2 - 1.0, 0.0)
+        u, v = m1 * m2, n1 * n2
+    else:
+        m1, m2 = n1, n2
+        u, v = n1 * n2, (n1 + 1.0) * (n2 + 1.0)
+    w = np.sqrt(2.0 * ((m1 + 1.0) * (m2 + 1.0) + m1 * m2))
+    s = np.sin(w * gt)
+    c = np.cos(w * gt)
+    sf = s * s / (w * w)
+    cf = 2.0 * (c - 1.0) / (w * w)
+    if code == EE:
+        bce = u * sf
+        return (np.square(1.0 + u * cf), bce, bce, u * v * (cf * cf), bce)
+    if code == GG:
+        bce = v * sf
+        return (u * v * (cf * cf), bce, bce, np.square(1.0 + v * cf), bce)
+    cos4 = np.square(0.5 * (1.0 + c))
+    sin4 = np.square(0.5 * (1.0 - c))
+    e = -0.25 * (s * s)
+    if code == EG:
+        return (u * sf, cos4, sin4, v * sf, e)
+    return (u * sf, sin4, cos4, v * sf, e)

@@ -68,6 +68,23 @@ def test_sweep_repeat_runs_are_byte_identical():
     assert first.stdout and first.stdout == second.stdout
 
 
+def test_closed_form_sweep_is_identical_across_blas_threads():
+    # the kernel reduces with np.sum and np.einsum, never BLAS; a 35x35 grid at
+    # nbar 1 spans two grid blocks and 201 times several time blocks
+    for args in (
+        ("--initial", "eg"),
+        ("--initial", "mixed", "--lambda", "0.05"),
+    ):
+        argv = ("sweep", *args, "--nbar1", "1", "--nbar2", "1", "--steps", "200")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = subprocess.run([*CMD, *argv], capture_output=True, env=env)
+            assert res.returncode == 0, res.stderr
+            outputs.append(res.stdout)
+        assert outputs[0] and outputs[0] == outputs[1], args
+
+
 def test_sweep_out_file_matches_stdout(tmp_path):
     args = ("sweep", "--initial", "eg", "--nbar1", "0.3", "--tmax", "3", "--steps", "12")
     piped = run_cli(*args)

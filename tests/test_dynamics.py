@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import assert_valid_xstate
+from helpers import assert_valid_xstate, trig_xstate_term
 from twinphoton import _core_py
 from twinphoton.dynamics import sweep, xstate_term
 from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGrid, XState
@@ -69,6 +70,21 @@ def test_term_unit_trace_and_invariants():
                     assert_valid_xstate(term, mass=1.0, mass_tol=1e-12)
 
 
+def test_term_coefficients_match_trig_formula():
+    # the x = 1 - cos(Omega gt) polynomial against the sin/cos ladder solution,
+    # on a random sample of Fock pairs up to the largest grids the CLI sums
+    rng = np.random.default_rng(7)
+    n1 = np.concatenate([[0, 0, 5, 1], rng.integers(0, 250, 200)]).astype(float)
+    n2 = np.concatenate([[0, 5, 0, 1], rng.integers(0, 250, 200)]).astype(float)
+    for code in range(4):
+        for gt in (0.0, 1e-8, 0.37, 10.0):
+            new = np.array(_core_py.xstate_term(code, n1, n2, gt))
+            old = np.array(trig_xstate_term(code, n1, n2, gt))
+            if gt == 0.0:
+                assert np.array_equal(new, old), code
+            assert np.abs(new - old).max() <= 1e-14, (code, gt)
+
+
 def test_rabi_rejects_negative_indices():
     # the block frequency is only defined for photon numbers n1, n2 >= 0
     with pytest.raises(ValueError):
@@ -100,7 +116,7 @@ def test_sweep_trace_equals_retained_mass():
 
 
 def test_sweep_matches_exact_sum_across_row_blocks():
-    # an 83x249 grid spans 6 blocks of 16 rows, with weight ~2.5e-3 at the first boundary
+    # an 83x249 grid spans 21 blocks of 4 rows, with weight ~0.08 at the first boundary
     p = params_for(3.0, 10.0)
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
     n1 = np.arange(cutoff.n_max1 + 1)
@@ -138,6 +154,26 @@ def test_sweep_error_is_within_certified_tail_bound():
             ]
             assert max(errors) <= cutoff.tail_bound + 1e-12
             assert max(errors) >= 0.99 * cutoff.tail_bound
+
+
+def test_sweep_temporaries_are_bounded_in_the_number_of_times():
+    # the kernel works on fixed-size blocks of grid points and times; holding
+    # the whole time axis would need 1001 x 996 x 8 B ~ 8 MB per array here
+    cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
+    w1 = np.array([thermal_weight(3.0, n) for n in range(cutoff.n_max1 + 1)])
+    w2 = np.array([thermal_weight(10.0, n) for n in range(cutoff.n_max2 + 1)])
+    peaks = {}
+    for steps in (11, 1001):
+        gts = np.linspace(0.0, 10.0, steps)
+        out = np.empty((steps, 5))
+        tracemalloc.start()
+        try:
+            _core_py.thermal_sweep(ATOM_INDEX["eg"], w1, w2, gts, out)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 1 << 20, peaks
+    assert peaks[1001] < 2 * peaks[11], peaks
 
 
 def test_sweep_mode_swap_symmetry():
