@@ -232,7 +232,8 @@ def _parse_initial(variant, lam, parser):
     return InitialAtomicState.pure(variant)
 
 
-def _guard_oracle_cutoff(pair, parser):
+def _oracle_retained_cutoff(pair, params, parser) -> FockCutoff:
+    """Guard an oracle truncation N1,N2; return the retained Fock set HEADROOM below it."""
     n1, n2 = pair
     if max(n1, n2) > ORACLE_MAX_CUTOFF:
         parser.error(
@@ -241,6 +242,9 @@ def _guard_oracle_cutoff(pair, parser):
         )
     if min(n1, n2) < oracle.HEADROOM:
         parser.error(f"oracle truncation must be >= {oracle.HEADROOM} per mode")
+    return FockCutoff.explicit(
+        n1 - oracle.HEADROOM, n2 - oracle.HEADROOM, params.nbar1, params.nbar2
+    )
 
 
 def _warn_if_large(initial, grid, cutoff):
@@ -266,13 +270,8 @@ def _run_sweep(args, parser) -> int:
     if args.oracle:
         if args.cutoff is None:
             parser.error("--oracle requires an explicit --cutoff N1,N2")
-        _guard_oracle_cutoff(args.cutoff, parser)
-        n1, n2 = args.cutoff
-        # report the retained initial Fock set, which is headroom below the truncation
-        cutoff = FockCutoff.explicit(
-            n1 - oracle.HEADROOM, n2 - oracle.HEADROOM, params.nbar1, params.nbar2
-        )
-        lines = _sweep_document(initial, params, grid, cutoff, oracle_cutoff=(n1, n2))
+        cutoff = _oracle_retained_cutoff(args.cutoff, params, parser)
+        lines = _sweep_document(initial, params, grid, cutoff, oracle_cutoff=args.cutoff)
     else:
         if args.cutoff is not None:
             cutoff = FockCutoff.explicit(*args.cutoff, params.nbar1, params.nbar2)
@@ -303,19 +302,16 @@ def _run_figure(args, parser) -> int:
 
 def _run_check(args, parser) -> int:
     """Run both paths on the same retained Fock set and compare everywhere."""
-    _guard_oracle_cutoff(args.cutoff, parser)
     if not (math.isfinite(args.tol) and args.tol > 0):
         parser.error(f"--tol must be finite and > 0; got {args.tol!r}")
     n1, n2 = args.cutoff
     params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
+    cutoff = _oracle_retained_cutoff(args.cutoff, params, parser)
     grid = TimeGrid(args.tmax, args.steps)
     gts = grid.points()
     variants = args.initial if args.initial else CHECK_DEFAULT_STATES
     initials = [_parse_initial(v, args.lam if v == "mixed" else None, parser) for v in variants]
 
-    cutoff = FockCutoff.explicit(
-        n1 - oracle.HEADROOM, n2 - oracle.HEADROOM, params.nbar1, params.nbar2
-    )
     print(
         f"closed form vs oracle: truncation ({n1}, {n2}), nbar=({args.nbar1:g}, {args.nbar2:g}),"
         f" {grid.steps + 1} times in [0, {grid.t_max:g}]"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _core_py
-from .model import ATOM_INDEX, PURE_VARIANTS, InitialAtomicState, ModelParams, XState
+from .model import ATOM_INDEX, PURE_VARIANTS, InitialAtomicState, ModelParams, XState, _count
 from .thermal import FockCutoff, thermal_weight
 
 
@@ -36,8 +36,9 @@ def xstate_term(variant: str, n1: int, n2: int, gt: float) -> XState:
     """
     if variant not in PURE_VARIANTS:
         raise ValueError(f"variant must be one of {PURE_VARIANTS}; got {variant!r}")
-    if n1 < 0 or n2 < 0:
-        raise ValueError(f"Fock indices must be >= 0; got ({n1}, {n2})")
+    if not (_count(n1) and _count(n2)):
+        raise ValueError(f"Fock indices must be integers >= 0; got ({n1!r}, {n2!r})")
+    _check_times(np.ascontiguousarray(gt, dtype=np.float64))
     return XState(*map(float, _core_py.xstate_term(ATOM_INDEX[variant], n1, n2, gt)))
 
 

@@ -26,6 +26,11 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def _count(x) -> bool:
+    """True for a non-negative integer (Python or numpy), such as a Fock index."""
+    return isinstance(x, (int, np.integer)) and x >= 0
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical configuration: the thermal mode intensities.

@@ -2,17 +2,18 @@
 
 Everything here is deliberately independent of the closed-form dynamics: the
 pair-coupling Hamiltonian is assembled from truncated ladder operators as one
-dense real symmetric matrix (time in units of 1/g, so the coupling is 1),
-states are evolved through its full eigendecomposition in real arithmetic, and
-the field is traced out numerically.  A thermal sweep evolves each atomic
-basis column it needs once per time, shared by all the initial states it is
-given.  The closed-form path is checked against these results; this module is
-confined to tests and the explicit oracle CLI modes.
+dense real symmetric matrix (time in units of 1/g, so the coupling is 1), and
+every result comes from one path.  States are unit-basis columns |atom>|n1, n2>
+named by flat_index; Propagator.evolve_basis_batch evolves a batch of them
+through the full eigendecomposition in real arithmetic, and reduce_atoms
+traces out the field as a weighted sum over the batch's columns.  A thermal
+sweep evolves each atomic basis column it needs once per time, shared by all
+the initial states it is given; a single Fock term is a batch of one column
+with weight 1.  The closed-form path is checked against these results; this
+module is confined to tests and the explicit oracle CLI modes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,36 +25,9 @@ from .thermal import thermal_weight
 HEADROOM = 2
 
 
-@dataclass(frozen=True)
-class JointState:
-    """State on the truncated atom x atom x mode1 x mode2 space.
-
-    ``data`` is a state vector of length 4 (n_max1+1) (n_max2+1), flat index
-    atom*(n_max1+1)(n_max2+1) + n1*(n_max2+1) + n2 (atom 0..3 in the basis
-    order |++>, |+->, |-+>, |-->).
-    """
-
-    n_max1: int
-    n_max2: int
-    data: np.ndarray
-
-    @property
-    def field_dim(self) -> int:
-        return (self.n_max1 + 1) * (self.n_max2 + 1)
-
-
 def flat_index(atom: int, n1: int, n2: int, n_max1: int, n_max2: int) -> int:
     """Flat basis index of |atom>|n1> |n2> on the truncated space."""
     return (atom * (n_max1 + 1) + n1) * (n_max2 + 1) + n2
-
-
-def basis_state(variant: str, n1: int, n2: int, n_max1: int, n_max2: int) -> JointState:
-    """Product basis state |variant> tensor |n1, n2> as a JointState vector."""
-    if not (0 <= n1 <= n_max1 and 0 <= n2 <= n_max2):
-        raise ValueError(f"Fock pair ({n1}, {n2}) outside cutoff ({n_max1}, {n_max2})")
-    psi = np.zeros(4 * (n_max1 + 1) * (n_max2 + 1))
-    psi[flat_index(ATOM_INDEX[variant], n1, n2, n_max1, n_max2)] = 1.0
-    return JointState(n_max1, n_max2, psi)
 
 
 def annihilation(n_max: int) -> np.ndarray:
@@ -91,17 +65,8 @@ class Propagator:
     """Unitary evolution; the Hamiltonian is diagonalized once and reused."""
 
     def __init__(self, n_max1: int, n_max2: int):
-        self.n_max1 = n_max1
-        self.n_max2 = n_max2
         self.hamiltonian = build_hamiltonian(n_max1, n_max2)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.hamiltonian)
-
-    def evolve(self, state: JointState, t: float) -> JointState:
-        if (state.n_max1, state.n_max2) != (self.n_max1, self.n_max2):
-            raise ValueError("state cutoffs do not match the propagator")
-        v = self.eigenvectors
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return JointState(self.n_max1, self.n_max2, v @ (phases * (v.T @ state.data)))
 
     def evolve_basis_batch(self, flat_indices, t: float) -> np.ndarray:
         """Evolved vectors for many unit-basis initial states, one per column.
@@ -118,10 +83,13 @@ class Propagator:
         return out
 
 
-def reduce_atoms(state: JointState) -> np.ndarray:
-    """Reduced 4x4 two-atom density matrix: partial trace over both field modes."""
-    psi = state.data.reshape(4, state.field_dim)
-    return psi @ psi.conj().T
+def reduce_atoms(psi, weights) -> np.ndarray:
+    """Weighted reduced two-atom density matrix sum_k w_k Tr_field |psi_k><psi_k|.
+
+    ``psi`` holds one joint state per column, shape (4 F, K) with F the field
+    dimension (flat_index order), and ``weights`` the K column weights.
+    """
+    return (psi * weights).reshape(4, -1) @ psi.reshape(4, -1).conj().T
 
 
 def _atomic_mixture(initial: InitialAtomicState):
@@ -166,15 +134,15 @@ def thermal_sweep(
     cols = np.concatenate(
         [flat_index(atom, n1[:, None], n2, n_max1, n_max2).ravel() for atom in atoms]
     )
-    f = (n_max1 + 1) * (n_max2 + 1)
+    pairs = len(weights)
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for i, gt in enumerate(gts):
-        psi = prop.evolve_basis_batch(cols, gt).reshape(4, f, len(atoms), -1)
-        per_atom = {}
-        for k, atom in enumerate(atoms):
-            block = psi[:, :, k, :]
-            per_atom[atom] = (block * weights).reshape(4, -1) @ block.reshape(4, -1).conj().T
+        psi = prop.evolve_basis_batch(cols, gt)
+        per_atom = {
+            atom: reduce_atoms(psi[:, j * pairs : (j + 1) * pairs], weights)
+            for j, atom in enumerate(atoms)
+        }
         for stack, mixture in zip(out, mixtures):
             stack[i] = sum(w * per_atom[atom] for atom, w in mixture)
     return out

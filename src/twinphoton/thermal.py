@@ -14,6 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import _count
+
+
+def _check_nbar(nbar):
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0; got {nbar!r}")
+
 
 def thermal_weight(nbar: float, n: int) -> float:
     """Probability of finding n photons in a thermal mode with mean nbar.
@@ -21,18 +28,12 @@ def thermal_weight(nbar: float, n: int) -> float:
     Evaluates nbar^n / (1 + nbar)^(n+1) in ratio form, (nbar/(1+nbar))^n / (1+nbar),
     so large n cannot overflow.  The vacuum limit nbar = 0 gives delta_{n,0}.
     """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0; got {nbar!r}")
+    _check_nbar(nbar)
     if n < 0:
         raise ValueError(f"n must be >= 0; got {n!r}")
     if nbar == 0.0:
         return 1.0 if n == 0 else 0.0
     return (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
-
-
-def _check_nbar(nbar):
-    if not 0.0 <= nbar < math.inf:
-        raise ValueError(f"nbar must be finite and >= 0; got {nbar!r}")
 
 
 def tail_mass(nbar: float, n_max: int) -> float:
@@ -80,6 +81,14 @@ class FockCutoff:
     n_max1: int
     n_max2: int
     tail_bound: float
+
+    def __post_init__(self):
+        if not (_count(self.n_max1) and _count(self.n_max2)):
+            raise ValueError(
+                f"cutoffs must be integers >= 0; got ({self.n_max1!r}, {self.n_max2!r})"
+            )
+        if not 0.0 <= self.tail_bound < math.inf:
+            raise ValueError(f"tail_bound must be finite and >= 0; got {self.tail_bound!r}")
 
     @classmethod
     def choose(cls, nbar1: float, nbar2: float, tol: float = 1e-10) -> "FockCutoff":

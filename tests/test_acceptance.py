@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import record_acceptance
 from twinphoton import dynamics, oracle
-from twinphoton.model import InitialAtomicState, ModelParams, TimeGrid, XState
+from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGrid, XState
 from twinphoton.negativity import negativity_general, negativity_x
 from twinphoton.thermal import FockCutoff
 
@@ -46,9 +46,9 @@ def test_criterion_2_per_term_oracle_equivalence():
             m1, m2 = n1 + oracle.HEADROOM, n2 + oracle.HEADROOM
             prop = oracle.Propagator(m1, m2)
             for variant in VARIANTS:
-                state = oracle.basis_state(variant, n1, n2, m1, m2)
+                column = [oracle.flat_index(ATOM_INDEX[variant], n1, n2, m1, m2)]
                 for gt in (0.3, 1.0, 2.7, 5.0):
-                    rho = oracle.reduce_atoms(prop.evolve(state, gt))
+                    rho = oracle.reduce_atoms(prop.evolve_basis_batch(column, gt), [1.0])
                     closed = dynamics.xstate_term(variant, n1, n2, gt).to_matrix()
                     worst = max(worst, float(np.abs(closed - rho).max()))
     ok = worst < 1e-10
@@ -141,8 +141,8 @@ def test_criterion_6_vacuum_limit_analytic_curve():
 def test_criterion_7_conditional_bell_generation():
     gt = math.pi / (2.0 * math.sqrt(2.0))
     closed = negativity_x(dynamics.xstate_term("gg", 1, 1, gt))
-    prop = oracle.Propagator(3, 3)
-    rho = oracle.reduce_atoms(prop.evolve(oracle.basis_state("gg", 1, 1, 3, 3), gt))
+    column = [oracle.flat_index(ATOM_INDEX["gg"], 1, 1, 3, 3)]
+    rho = oracle.reduce_atoms(oracle.Propagator(3, 3).evolve_basis_batch(column, gt), [1.0])
     brute = negativity_general(rho)
     dev = max(abs(closed - 1.0), abs(brute - 1.0))
     ok = dev < 1e-10

@@ -46,6 +46,9 @@ def test_thermal_weight_rejects_bad_input():
         thermal_weight(-0.5, 0)
     with pytest.raises(ValueError):
         thermal_weight(1.0, -1)
+    for nbar in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            thermal_weight(nbar, 1)
 
 
 def test_choose_cutoff_vacuum():
@@ -118,6 +121,23 @@ def test_fock_cutoff_choose_respects_tolerance():
 
 def test_fock_cutoff_vacuum_is_exact():
     assert FockCutoff.choose(0.0, 0.0, 1e-12) == FockCutoff(0, 0, 0.0)
+
+
+def test_fock_cutoff_rejects_bad_fields():
+    # a negative or fractional cutoff would sum an empty or undefined grid
+    # under a bound that certifies nothing
+    for n_max1, n_max2, tail in (
+        (-1, 3, 0.0),
+        (3, -1, 0.0),
+        (3.5, 3, 0.0),
+        (3, 3.0, 0.0),
+        (3, 3, -1e-3),
+        (3, 3, math.nan),
+        (3, 3, math.inf),
+    ):
+        with pytest.raises(ValueError):
+            FockCutoff(n_max1, n_max2, tail)
+    assert FockCutoff(0, 0, 0.0).tail_bound == 0.0
 
 
 def test_fock_cutoff_explicit_reports_computed_tail():
