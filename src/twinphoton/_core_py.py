@@ -6,14 +6,17 @@ X-state elements is therefore a quadratic polynomial in
 
     x = 1 - cos(Omega gt) = 2 sin^2(Omega gt / 2),
 
-with coefficients that depend on (n1, n2) only.  term_coefficients writes that
-physics once; xstate_term evaluates it at one point, and thermal_sweep sums the
-thermally weighted coefficients of each grid block once and then needs one
-sin per grid point and time.  Since x = 0 at gt = 0, the first row is exactly
-the weighted constant terms.
+with coefficients that depend on (n1, n2) only.  Omega^2 - 1 is the odd
+integer (2 m1 + 1)(2 m2 + 1) of the block indices, so many grid points share a
+frequency.  term_coefficients writes the physics once; xstate_term evaluates
+it at one point, and thermal_sweep sums the thermally weighted coefficients of
+all grid points that share a block frequency before the time loop and then
+needs one sin per distinct block frequency and time.  Since x = 0 at gt = 0,
+the first row is exactly the weighted constant terms.
 
-Reductions use np.sum and np.einsum (no BLAS) in a fixed order, so the output
-does not depend on the BLAS thread count and reruns give identical output.
+Reductions use np.sum, np.bincount and np.einsum (no BLAS) in a fixed order,
+so the output does not depend on the BLAS thread count and reruns give
+identical output.
 """
 
 import numpy as np
@@ -21,8 +24,8 @@ import numpy as np
 # initial-state codes, equal to the two-atom basis index
 EE, EG, GE, GG = 0, 1, 2, 3
 
-# grid points per coefficient block, and grid points x times per trig block:
-# together they bound thermal_sweep's temporaries
+# grid points per coefficient chunk, and distinct frequencies x times per trig
+# block: together they bound thermal_sweep's temporaries
 BLOCK_ELEMENTS = 1024
 TRIG_ELEMENTS = 16384
 
@@ -107,26 +110,44 @@ def xstate_term(code, n1, n2, gt):
     return tuple(coef[:, 0] + x * coef[:, 1] + (x * x) * coef[:, 2])
 
 
-def _add_block(code, n1, n2, weight, gts, out):
-    """Add the weighted sum over one grid block to every row of ``out``.
+def _odd_factors(code, size):
+    """Odd factor 2m+1 of the block index m of each Fock index 0..size-1 of one mode.
 
-    A function of its own so that one block's arrays are freed before the
-    next block's are built.
+    Omega^2 - 1 = (2 m1 + 1)(2 m2 + 1), so the product of the two modes'
+    factors identifies a grid point's block frequency exactly.
+    """
+    shift = {EE: 1, GG: -1}.get(code, 0)
+    return 2 * np.maximum(np.arange(size) + shift, 0) + 1
+
+
+def _add_chunk(code, n1, n2, keys, weight, gts, out):
+    """Add the weighted sum over one chunk of grid points to every row of ``out``.
+
+    The points come in ascending order of their frequency keys.  Points that
+    share a key are summed into one x- and one x^2-coefficient per element
+    before the time loop, so each time takes one sin per distinct key.  A
+    function of its own so that one chunk's arrays are freed before the next
+    chunk's are built.
     """
     half, coef = term_coefficients(code, n1, n2)
-    half = half.ravel()
-    coef = coef.reshape(5, 3, -1)
     coef *= weight
     const = coef[:, 0].sum(axis=1)
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    # np.bincount adds in index order: deterministic, and no BLAS
+    sums = np.array([[np.bincount(group, c) for c in element[1:]] for element in coef])
+    half = half[first]
     step = max(1, TRIG_ELEMENTS // half.size)
     for t0 in range(0, len(gts), step):
         x = np.multiply.outer(gts[t0 : t0 + step], half)
         np.sin(x, out=x)
         np.square(x, out=x)
         x *= 2.0
-        rows = np.einsum("tp,kp->tk", x, coef[:, 1])
+        rows = np.einsum("tp,kp->tk", x, sums[:, 0])
         np.square(x, out=x)
-        rows += np.einsum("tp,kp->tk", x, coef[:, 2])
+        rows += np.einsum("tp,kp->tk", x, sums[:, 1])
         rows += const
         out[t0 : t0 + step] += rows
 
@@ -136,17 +157,18 @@ def thermal_sweep(code, w1, w2, gts, out):
 
     Writes one row (A, B, C, D, E) per time sample into ``out``.  Each row is
     the double sum of xstate_term over the (n1, n2) grid weighted by
-    w1[n1]*w2[n2].  The grid is cut into blocks of whole rows (about
-    BLOCK_ELEMENTS points); per block the weighted coefficients are formed
-    once, and for each block of times (about TRIG_ELEMENTS points x times)
-    x = 2 sin^2(Omega gt / 2) is evaluated once per point and time.  A block
-    adds two np.einsum reductions, over x and over x^2, plus its constant
-    terms to ``out``; the blocks are added in ascending row order.
+    w1[n1]*w2[n2].  The grid points are stably sorted by block frequency and
+    cut into chunks of BLOCK_ELEMENTS points; per chunk the weighted
+    coefficients of all points that share a frequency are summed once, and
+    for each block of times (about TRIG_ELEMENTS frequencies x times)
+    x = 2 sin^2(Omega gt / 2) is evaluated once per distinct block frequency
+    and time.  A chunk adds two np.einsum reductions, over x and over x^2,
+    plus its constant terms to ``out``; the chunks are added in ascending
+    frequency order.
     """
-    n2 = np.arange(len(w2), dtype=np.float64)
-    rows = max(1, BLOCK_ELEMENTS // len(w2))
+    odd1, odd2 = _odd_factors(code, len(w1)), _odd_factors(code, len(w2))
+    order = np.argsort(np.multiply.outer(odd1, odd2).ravel(), kind="stable")
     out[:] = 0.0
-    for lo in range(0, len(w1), rows):
-        hi = min(lo + rows, len(w1))
-        n1 = np.arange(lo, hi, dtype=np.float64)[:, None]
-        _add_block(code, n1, n2, (w1[lo:hi, None] * w2).ravel(), gts, out)
+    for lo in range(0, order.size, BLOCK_ELEMENTS):
+        n1, n2 = np.divmod(order[lo : lo + BLOCK_ELEMENTS], len(w2))
+        _add_chunk(code, n1, n2, odd1[n1] * odd2[n2], w1[n1] * w2[n2], gts, out)

@@ -202,23 +202,20 @@ def _sweep_document(initial, params, grid, cutoff, oracle_cutoff=None):
     """CSV lines for one sweep; oracle_cutoff switches to the brute-force path."""
     gts = grid.points()
     if oracle_cutoff is None:
-        rows = dynamics.sweep(initial, params, gts, cutoff)
+        rows = dynamics.sweep(initial, params, gts, cutoff).tolist()
         eps = [negativity_x(XState(*row)) for row in rows]
         label = "closed form"
     else:
         rhos = oracle.thermal_sweep([initial], params, gts, *oracle_cutoff)[0]
-        rows = np.stack(
-            [
-                [r[0, 0].real, r[1, 1].real, r[2, 2].real, r[3, 3].real, r[1, 2].real]
-                for r in rhos
-            ]
-        )
+        # (A, B, C, D, E) = rho[00], rho[11], rho[22], rho[33], Re rho[12]
+        rows = rhos[:, [0, 1, 2, 3, 1], [0, 1, 2, 3, 2]].real.tolist()
         eps = [negativity_general(r) for r in rhos]
         label = f"oracle, truncation ({oracle_cutoff[0]}, {oracle_cutoff[1]})"
     lines = _provenance_lines(initial, params, grid, cutoff, label)
     lines.append(CSV_HEADER)
-    for gt, row, e in zip(gts, rows, eps):
-        lines.append(",".join(_format_float(v) for v in (gt, *row, e)))
+    # repr of a Python float is its shortest round-trip form
+    for gt, row, e in zip(gts.tolist(), rows, eps):
+        lines.append(",".join(map(repr, (gt, *row, e))))
     return lines
 
 

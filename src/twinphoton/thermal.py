@@ -29,8 +29,8 @@ def thermal_weight(nbar: float, n: int) -> float:
     so large n cannot overflow.  The vacuum limit nbar = 0 gives delta_{n,0}.
     """
     _check_nbar(nbar)
-    if n < 0:
-        raise ValueError(f"n must be >= 0; got {n!r}")
+    if not _count(n):
+        raise ValueError(f"n must be an integer >= 0; got {n!r}")
     if nbar == 0.0:
         return 1.0 if n == 0 else 0.0
     return (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
@@ -39,8 +39,8 @@ def thermal_weight(nbar: float, n: int) -> float:
 def tail_mass(nbar: float, n_max: int) -> float:
     """Probability sum_{n>n_max} p_n = r^(n_max+1) neglected by a cutoff, one mode."""
     _check_nbar(nbar)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0; got {n_max!r}")
+    if not _count(n_max):
+        raise ValueError(f"n_max must be an integer >= 0; got {n_max!r}")
     return (nbar / (1.0 + nbar)) ** (n_max + 1)
 
 

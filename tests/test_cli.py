@@ -69,8 +69,8 @@ def test_sweep_repeat_runs_are_byte_identical():
 
 
 def test_closed_form_sweep_is_identical_across_blas_threads():
-    # the kernel reduces with np.sum and np.einsum, never BLAS; a 35x35 grid at
-    # nbar 1 spans two grid blocks and 201 times several time blocks
+    # the kernel reduces with np.sum, np.bincount and np.einsum, never BLAS; a
+    # 35x35 grid at nbar 1 spans two chunks and 201 times several time blocks
     for args in (
         ("--initial", "eg"),
         ("--initial", "mixed", "--lambda", "0.05"),

@@ -128,7 +128,8 @@ def test_sweep_trace_equals_retained_mass():
 
 
 def test_sweep_matches_exact_sum_across_row_blocks():
-    # an 83x249 grid spans 21 blocks of 4 rows, with weight ~0.08 at the first boundary
+    # the 20,667 points of an 83x249 grid, sorted by block frequency, fill 21
+    # chunks, and several frequencies straddle a chunk boundary
     p = params_for(3.0, 10.0)
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
     n1 = np.arange(cutoff.n_max1 + 1)
@@ -169,8 +170,8 @@ def test_sweep_error_is_within_certified_tail_bound():
 
 
 def test_sweep_temporaries_are_bounded_in_the_number_of_times():
-    # the kernel works on fixed-size blocks of grid points and times; holding
-    # the whole time axis would need 1001 x 996 x 8 B ~ 8 MB per array here
+    # the kernel works on fixed-size chunks of grid points and blocks of times;
+    # holding the whole time axis would need 1001 x 1024 x 8 B ~ 8 MB per array here
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
     w1 = np.array([thermal_weight(3.0, n) for n in range(cutoff.n_max1 + 1)])
     w2 = np.array([thermal_weight(10.0, n) for n in range(cutoff.n_max2 + 1)])
@@ -186,6 +187,41 @@ def test_sweep_temporaries_are_bounded_in_the_number_of_times():
             tracemalloc.stop()
     assert max(peaks.values()) <= 1 << 20, peaks
     assert peaks[1001] < 2 * peaks[11], peaks
+
+
+class _SinCounter:
+    """Stands in for numpy in the kernel module and counts the elements passed to sin."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x, *args, **kwargs):
+        self.elements += np.size(x)
+        return np.sin(x, *args, **kwargs)
+
+
+def test_sweep_takes_one_sin_per_distinct_frequency_and_time(monkeypatch):
+    # grid points with the same (2 m1 + 1)(2 m2 + 1) share a block frequency;
+    # one sin per grid point and time would be ~1.8x this bound on 83x249
+    cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
+    w1 = np.array([thermal_weight(3.0, n) for n in range(cutoff.n_max1 + 1)])
+    w2 = np.array([thermal_weight(10.0, n) for n in range(cutoff.n_max2 + 1)])
+    gts = np.linspace(0.0, 10.0, 21)
+    chunks = -(-w1.size * w2.size // _core_py.BLOCK_ELEMENTS)
+    block_shift = {"ee": 1, "eg": 0, "ge": 0, "gg": -1}
+    for variant in VARIANTS:
+        m1 = np.maximum(np.arange(w1.size) + block_shift[variant], 0)
+        m2 = np.maximum(np.arange(w2.size) + block_shift[variant], 0)
+        distinct = np.unique(_core_py.block_frequency(m1[:, None], m2)).size
+        assert distinct < 0.6 * w1.size * w2.size
+        counter = _SinCounter()
+        monkeypatch.setattr(_core_py, "np", counter)
+        _core_py.thermal_sweep(ATOM_INDEX[variant], w1, w2, gts, np.empty((gts.size, 5)))
+        monkeypatch.undo()
+        assert distinct * gts.size <= counter.elements <= (distinct + chunks) * gts.size
 
 
 def test_sweep_mode_swap_symmetry():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from twinphoton.thermal import (
@@ -44,11 +45,14 @@ def test_thermal_weight_ratio_is_constant():
 def test_thermal_weight_rejects_bad_input():
     with pytest.raises(ValueError):
         thermal_weight(-0.5, 0)
-    with pytest.raises(ValueError):
-        thermal_weight(1.0, -1)
+    for n in (-1, 0.5, 2.5, math.nan):
+        with pytest.raises(ValueError):
+            thermal_weight(1.0, n)
     for nbar in (math.nan, math.inf):
         with pytest.raises(ValueError):
             thermal_weight(nbar, 1)
+    # numpy integers, as np.arange yields them, are Fock indices too
+    assert thermal_weight(1.0, np.int64(2)) == thermal_weight(1.0, 2)
 
 
 def test_choose_cutoff_vacuum():
@@ -93,9 +97,11 @@ def test_choose_cutoff_rejects_bad_input():
     # r = nbar/(1+nbar) rounds to 1: no finite cutoff exists
     with pytest.raises(ValueError):
         choose_cutoff(1e17, 1e-6)
-    for nbar, n_max in ((-1.0, 3), (math.nan, 3), (1.0, -1)):
+    bad = ((-1.0, 3), (math.nan, 3), (1.0, -1), (1.0, 0.5), (1.0, 2.5), (1.0, math.nan))
+    for nbar, n_max in bad:
         with pytest.raises(ValueError):
             tail_mass(nbar, n_max)
+    assert tail_mass(1.0, np.int64(2)) == tail_mass(1.0, 2)
 
 
 def test_choose_cutoff_large_nbar_is_minimal():
