@@ -35,6 +35,17 @@ def block_frequency(m1, m2):
     return np.sqrt(2.0 * ((m1 + 1.0) * (m2 + 1.0) + m1 * m2))
 
 
+def _block_index(code, n):
+    """Block index m, per mode, of the ladder that ``code`` with n photons starts in.
+
+    EE starts on the bottom rung (m = n + 1), EG and GE on the middle one
+    (m = n) and GG on the top one (m = n - 1).  With an empty mode GG is
+    stationary; clamping its block index at 0 keeps the (unused) frequency
+    finite.  Keeps the dtype of ``n``.
+    """
+    return np.maximum(n + {EE: 1, GG: -1}.get(code, 0), 0)
+
+
 def term_coefficients(code, n1, n2):
     """Half block frequency and x-polynomial coefficients of each X-state element.
 
@@ -51,17 +62,10 @@ def term_coefficients(code, n1, n2):
     """
     n1 = np.asarray(n1, dtype=np.float64)
     n2 = np.asarray(n2, dtype=np.float64)
-    if code == EE:
-        m1, m2 = n1 + 1.0, n2 + 1.0
-        u, v = m1 * m2, (m1 + 1.0) * (m2 + 1.0)
-    elif code == GG:
-        # with an empty mode v = 0 and the state is stationary; clamping the
-        # block index keeps its (unused) frequency finite
-        m1, m2 = np.maximum(n1 - 1.0, 0.0), np.maximum(n2 - 1.0, 0.0)
-        u, v = m1 * m2, n1 * n2
-    else:
-        m1, m2 = n1, n2
-        u, v = n1 * n2, (n1 + 1.0) * (n2 + 1.0)
+    m1, m2 = _block_index(code, n1), _block_index(code, n2)
+    u = m1 * m2
+    # GG starts on the top rung |-->|n1, n2>, so v = n1 n2 even where m is clamped
+    v = n1 * n2 if code == GG else (m1 + 1.0) * (m2 + 1.0)
     w = block_frequency(m1, m2)
     p = u / (w * w)
     q = v / (w * w)
@@ -116,8 +120,7 @@ def _odd_factors(code, size):
     Omega^2 - 1 = (2 m1 + 1)(2 m2 + 1), so the product of the two modes'
     factors identifies a grid point's block frequency exactly.
     """
-    shift = {EE: 1, GG: -1}.get(code, 0)
-    return 2 * np.maximum(np.arange(size) + shift, 0) + 1
+    return 2 * _block_index(code, np.arange(size)) + 1
 
 
 def _add_chunk(code, n1, n2, keys, weight, gts, out):

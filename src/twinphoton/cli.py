@@ -74,23 +74,14 @@ def _cutoff_pair(text: str) -> tuple[int, int]:
     return n1, n2
 
 
-def _add_state_arguments(parser, require_initial: bool):
-    parser.add_argument(
-        "--initial",
-        choices=VARIANTS,
-        required=require_initial,
-        help="initial atomic state (mixed requires --lambda)",
-    )
-    parser.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=None,
-        metavar="F",
-        help="excitation weight of the mixed initial state",
-    )
-    parser.add_argument("--nbar1", type=float, default=0.0, help="mean photon number, mode 1")
-    parser.add_argument("--nbar2", type=float, default=0.0, help="mean photon number, mode 2")
+def _positive_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0; got {text!r}")
+    return tol
 
 
 def _add_grid_arguments(parser, tmax: float, steps: int):
@@ -109,11 +100,26 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sweep = sub.add_parser("sweep", help="emit one CSV of X-state elements and negativity")
-    _add_state_arguments(sweep, require_initial=True)
+    sweep.add_argument(
+        "--initial",
+        choices=VARIANTS,
+        required=True,
+        help="initial atomic state (mixed requires --lambda)",
+    )
+    sweep.add_argument(
+        "--lambda",
+        dest="lam",
+        type=float,
+        default=None,
+        metavar="F",
+        help="excitation weight of the mixed initial state",
+    )
+    sweep.add_argument("--nbar1", type=float, default=0.0, help="mean photon number, mode 1")
+    sweep.add_argument("--nbar2", type=float, default=0.0, help="mean photon number, mode 2")
     _add_grid_arguments(sweep, tmax=10.0, steps=1000)
     sweep.add_argument(
         "--tail-tol",
-        type=float,
+        type=_positive_tol,
         default=DEFAULT_TAIL_TOL,
         help="bound on the neglected thermal mass when choosing the Fock cutoff",
     )
@@ -136,7 +142,7 @@ def build_parser() -> _Parser:
     figure = sub.add_parser("figure", help="emit the preset curve CSVs for one figure")
     figure.add_argument("--preset", type=int, choices=sorted(FIGURE_PRESETS), required=True)
     figure.add_argument("--outdir", default=".", help="directory for the curve files")
-    figure.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
+    figure.add_argument("--tail-tol", type=_positive_tol, default=DEFAULT_TAIL_TOL)
     figure.set_defaults(func=_run_figure, parser=figure)
 
     check = sub.add_parser(
@@ -162,7 +168,7 @@ def build_parser() -> _Parser:
     )
     check.add_argument(
         "--tol",
-        type=float,
+        type=_positive_tol,
         default=DEFAULT_CHECK_TOL,
         help="max allowed deviation between the two paths",
     )
@@ -219,16 +225,6 @@ def _sweep_document(initial, params, grid, cutoff, oracle_cutoff=None):
     return lines
 
 
-def _parse_initial(variant, lam, parser):
-    if variant == "mixed":
-        if lam is None:
-            parser.error("--initial mixed requires --lambda")
-        return InitialAtomicState.mixed(lam)
-    if lam is not None:
-        parser.error("--lambda only applies to --initial mixed")
-    return InitialAtomicState.pure(variant)
-
-
 def _oracle_retained_cutoff(pair, params, parser) -> FockCutoff:
     """Guard an oracle truncation N1,N2; return the retained Fock set HEADROOM below it."""
     n1, n2 = pair
@@ -247,7 +243,7 @@ def _oracle_retained_cutoff(pair, params, parser) -> FockCutoff:
 def _warn_if_large(initial, grid, cutoff):
     """One stderr line when the closed-form sweep will sum more than WARN_TERMS terms."""
     points = (cutoff.n_max1 + 1) * (cutoff.n_max2 + 1)
-    passes = 4 if initial.variant == "mixed" else 1  # dynamics.sweep: one per pure part
+    passes = len(initial.parts)  # dynamics.sweep: one per pure part
     terms = points * (grid.steps + 1) * passes
     if terms > WARN_TERMS:
         print(
@@ -258,11 +254,9 @@ def _warn_if_large(initial, grid, cutoff):
 
 
 def _run_sweep(args, parser) -> int:
-    initial = _parse_initial(args.initial, args.lam, parser)
+    initial = InitialAtomicState(args.initial, args.lam)
     params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
     grid = TimeGrid(args.tmax, args.steps)
-    if not args.tail_tol > 0:
-        parser.error(f"--tail-tol must be > 0; got {args.tail_tol!r}")
 
     if args.oracle:
         if args.cutoff is None:
@@ -282,13 +276,9 @@ def _run_sweep(args, parser) -> int:
 
 def _run_figure(args, parser) -> int:
     grid = TimeGrid(10.0, 1000)
-    if not args.tail_tol > 0:
-        parser.error(f"--tail-tol must be > 0; got {args.tail_tol!r}")
     os.makedirs(args.outdir, exist_ok=True)
     for variant, lam, nbar, name in FIGURE_PRESETS[args.preset]:
-        initial = (
-            InitialAtomicState.mixed(lam) if variant == "mixed" else InitialAtomicState.pure(variant)
-        )
+        initial = InitialAtomicState(variant, lam)
         params = ModelParams(nbar1=nbar, nbar2=nbar)
         cutoff = FockCutoff.choose(params.nbar1, params.nbar2, args.tail_tol)
         path = os.path.join(args.outdir, name)
@@ -299,15 +289,13 @@ def _run_figure(args, parser) -> int:
 
 def _run_check(args, parser) -> int:
     """Run both paths on the same retained Fock set and compare everywhere."""
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        parser.error(f"--tol must be finite and > 0; got {args.tol!r}")
     n1, n2 = args.cutoff
     params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
     cutoff = _oracle_retained_cutoff(args.cutoff, params, parser)
     grid = TimeGrid(args.tmax, args.steps)
     gts = grid.points()
     variants = args.initial if args.initial else CHECK_DEFAULT_STATES
-    initials = [_parse_initial(v, args.lam if v == "mixed" else None, parser) for v in variants]
+    initials = [InitialAtomicState(v, args.lam if v == "mixed" else None) for v in variants]
 
     print(
         f"closed form vs oracle: truncation ({n1}, {n2}), nbar=({args.nbar1:g}, {args.nbar2:g}),"

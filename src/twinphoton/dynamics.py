@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _core_py
 from .model import ATOM_INDEX, PURE_VARIANTS, InitialAtomicState, ModelParams, XState, _count
-from .thermal import FockCutoff, thermal_weight
+from .thermal import FockCutoff, mode_weights
 
 
 def active_backend() -> str:
@@ -42,10 +42,6 @@ def xstate_term(variant: str, n1: int, n2: int, gt: float) -> XState:
     return XState(*map(float, _core_py.xstate_term(ATOM_INDEX[variant], n1, n2, gt)))
 
 
-def _weights(nbar: float, n_max: int) -> np.ndarray:
-    return np.array([thermal_weight(nbar, n) for n in range(n_max + 1)])
-
-
 def _check_times(gts: np.ndarray):
     if gts.size and not (np.isfinite(gts).all() and gts.min() >= 0):
         raise ValueError("times gt must be finite and >= 0")
@@ -67,21 +63,14 @@ def sweep(
     retained thermal mass (1-t1)(1-t2) >= 1 - cutoff.tail_bound, and every
     element is within cutoff.tail_bound of the untruncated average.
 
-    The evolution is linear in the initial density operator, so the mixture
-    with per-atom excitation weight lambda is the element-wise combination
-    lambda^2 EE + lambda(1-lambda) (EG + GE) + (1-lambda)^2 GG.
+    The evolution is linear in the initial density operator, so the result is
+    the weighted sum of one kernel pass per pure part of ``initial``
+    (InitialAtomicState.parts), added in the order of the parts.
     """
     gts = np.ascontiguousarray(gts, dtype=np.float64)
     _check_times(gts)
-    w1 = _weights(params.nbar1, cutoff.n_max1)
-    w2 = _weights(params.nbar2, cutoff.n_max2)
-    if initial.variant != "mixed":
-        return _pure_sweep(initial.variant, w1, w2, gts)
-    lam = initial.excited_weight
-    cross = lam * (1.0 - lam)
-    return (
-        (lam * lam) * _pure_sweep("ee", w1, w2, gts)
-        + cross * _pure_sweep("eg", w1, w2, gts)
-        + cross * _pure_sweep("ge", w1, w2, gts)
-        + ((1.0 - lam) * (1.0 - lam)) * _pure_sweep("gg", w1, w2, gts)
-    )
+    w1 = mode_weights(params.nbar1, cutoff.n_max1)
+    w2 = mode_weights(params.nbar2, cutoff.n_max2)
+    terms = (weight * _pure_sweep(variant, w1, w2, gts) for variant, weight in initial.parts)
+    # start from the first part, not from 0, which would turn its -0.0 entries into 0.0
+    return sum(terms, next(terms))

@@ -66,12 +66,14 @@ class InitialAtomicState:
             raise ValueError(
                 f"variant must be one of {', '.join(VARIANTS)}; got {self.variant!r}"
             )
-        if self.variant == "mixed":
-            lam = self.excited_weight
-            if lam is None or not _finite(lam) or not 0.0 <= lam <= 1.0:
-                raise ValueError(f"lambda must be in [0,1]; got {lam!r}")
-        elif self.excited_weight is not None:
-            raise ValueError("lambda only applies to the mixed initial state")
+        lam = self.excited_weight
+        if self.variant != "mixed":
+            if lam is not None:
+                raise ValueError("lambda only applies to the mixed initial state")
+        elif lam is None:
+            raise ValueError("the mixed initial state requires lambda")
+        elif not _finite(lam) or not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lambda must be in [0,1]; got {lam!r}")
 
     @classmethod
     def pure(cls, variant: str) -> "InitialAtomicState":
@@ -80,6 +82,20 @@ class InitialAtomicState:
     @classmethod
     def mixed(cls, excited_weight: float) -> "InitialAtomicState":
         return cls("mixed", excited_weight)
+
+    @property
+    def parts(self) -> list[tuple[str, float]]:
+        """Pure variants and their weights, (variant, weight) in the order ee, eg, ge, gg.
+
+        A pure state is one part of weight 1.  The mixed state is the product
+        of two single-atom states lambda|+><+| + (1-lambda)|-><-|, whose four
+        product terms are the diagonal of rho_1 (x) rho_1.
+        """
+        if self.variant != "mixed":
+            return [(self.variant, 1.0)]
+        lam = self.excited_weight
+        cross = lam * (1.0 - lam)
+        return [("ee", lam * lam), ("eg", cross), ("ge", cross), ("gg", (1.0 - lam) * (1.0 - lam))]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ATOM_INDEX, InitialAtomicState, ModelParams
-from .thermal import thermal_weight
+from .thermal import mode_weights
 
 # +2 Fock headroom per mode: pair emission from |++> raises each mode index
 # by at most 2, so initial Fock components up to n_max-2 evolve exactly
@@ -92,18 +92,6 @@ def reduce_atoms(psi, weights) -> np.ndarray:
     return (psi * weights).reshape(4, -1) @ psi.reshape(4, -1).conj().T
 
 
-def _atomic_mixture(initial: InitialAtomicState):
-    if initial.variant == "mixed":
-        lam = initial.excited_weight
-        return [
-            (0, lam * lam),
-            (1, lam * (1.0 - lam)),
-            (2, lam * (1.0 - lam)),
-            (3, (1.0 - lam) * (1.0 - lam)),
-        ]
-    return [(ATOM_INDEX[initial.variant], 1.0)]
-
-
 def thermal_sweep(
     initials: list[InitialAtomicState], params: ModelParams, gts, n_max1: int, n_max2: int
 ) -> list[np.ndarray]:
@@ -123,14 +111,10 @@ def thermal_sweep(
     if n_max1 < HEADROOM or n_max2 < HEADROOM:
         raise ValueError(f"cutoffs must be >= {HEADROOM}; got ({n_max1}, {n_max2})")
     prop = Propagator(n_max1, n_max2)
-    mixtures = [_atomic_mixture(initial) for initial in initials]
-    atoms = sorted({atom for mixture in mixtures for atom, _ in mixture})
-    n1 = np.arange(n_max1 - HEADROOM + 1)
-    n2 = np.arange(n_max2 - HEADROOM + 1)
-    weights = np.outer(
-        [thermal_weight(params.nbar1, n) for n in n1],
-        [thermal_weight(params.nbar2, n) for n in n2],
-    ).ravel()
+    atoms = sorted({ATOM_INDEX[v] for initial in initials for v, _ in initial.parts})
+    k1, k2 = n_max1 - HEADROOM, n_max2 - HEADROOM  # largest retained initial Fock index
+    weights = np.outer(mode_weights(params.nbar1, k1), mode_weights(params.nbar2, k2)).ravel()
+    n1, n2 = np.arange(k1 + 1), np.arange(k2 + 1)
     cols = np.concatenate(
         [flat_index(atom, n1[:, None], n2, n_max1, n_max2).ravel() for atom in atoms]
     )
@@ -143,6 +127,6 @@ def thermal_sweep(
             atom: reduce_atoms(psi[:, j * pairs : (j + 1) * pairs], weights)
             for j, atom in enumerate(atoms)
         }
-        for stack, mixture in zip(out, mixtures):
-            stack[i] = sum(w * per_atom[atom] for atom, w in mixture)
+        for stack, initial in zip(out, initials):
+            stack[i] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)
     return out

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import _count
 
 
@@ -34,6 +36,13 @@ def thermal_weight(nbar: float, n: int) -> float:
     if nbar == 0.0:
         return 1.0 if n == 0 else 0.0
     return (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
+
+
+def mode_weights(nbar: float, n_max: int) -> np.ndarray:
+    """Thermal weights p_0..p_n_max of one mode, as an array of length n_max + 1."""
+    if not _count(n_max):
+        raise ValueError(f"n_max must be an integer >= 0; got {n_max!r}")
+    return np.array([thermal_weight(nbar, n) for n in range(n_max + 1)])
 
 
 def tail_mass(nbar: float, n_max: int) -> float:

@@ -3,7 +3,8 @@ import os
 import subprocess
 import sys
 
-from twinphoton import cli
+from twinphoton import _core_py, cli, dynamics
+from twinphoton.model import VARIANTS, InitialAtomicState, ModelParams
 from twinphoton.thermal import FockCutoff
 
 CMD = [sys.executable, "-m", "twinphoton.cli"]
@@ -167,6 +168,9 @@ def test_usage_errors_exit_one():
         ("sweep", "--initial", "eg", "--steps", "0"),
         ("sweep", "--initial", "eg", "--tail-tol", "0"),
         ("sweep", "--initial", "eg", "--cutoff", "3,3", "--tail-tol", "nan"),
+        ("sweep", "--initial", "eg", "--tail-tol", "inf"),
+        ("figure",),
+        ("figure", "--preset", "1", "--tail-tol", "0"),
         ("check", "--cutoff", "1,1"),
         ("check", "--tol", "nan"),
         ("check", "--tol", "inf"),
@@ -197,6 +201,25 @@ def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{terms:.3g} terms" in err[0], err
     assert (tmp_path / "mixed.csv").read_bytes() == quiet
+
+
+def test_warned_pass_count_is_the_kernel_call_count(monkeypatch):
+    # _warn_if_large counts len(initial.parts) kernel passes per sweep
+    calls = []
+    kernel = _core_py.thermal_sweep
+
+    def counting(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(_core_py, "thermal_sweep", counting)
+    cutoff = FockCutoff.choose(0.2, 0.5, 1e-6)
+    params = ModelParams(nbar1=0.2, nbar2=0.5)
+    for variant in VARIANTS:
+        initial = InitialAtomicState(variant, 0.05 if variant == "mixed" else None)
+        calls.clear()
+        dynamics.sweep(initial, params, [0.0, 1.0], cutoff)
+        assert len(calls) == len(initial.parts), variant
 
 
 def test_default_sweep_writes_nothing_to_stderr(capsys):

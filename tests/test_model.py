@@ -50,6 +50,19 @@ def test_atom_index_follows_basis_order():
     assert ATOM_INDEX == {"ee": 0, "eg": 1, "ge": 2, "gg": 3}
 
 
+def test_parts_decompose_the_initial_state():
+    for variant in ATOM_INDEX:
+        assert InitialAtomicState.pure(variant).parts == [(variant, 1.0)]
+    lam = 0.3
+    rho1 = np.diag([lam, 1.0 - lam])  # one atom, basis |+>, |->
+    parts = InitialAtomicState.mixed(lam).parts
+    assert [v for v, _ in parts] == ["ee", "eg", "ge", "gg"]
+    assert np.allclose([w for _, w in parts], np.diag(np.kron(rho1, rho1)), rtol=0, atol=1e-15)
+    assert sum(w for _, w in parts) == pytest.approx(1.0, abs=1e-15)
+    for lam in (0.0, 1.0):
+        assert len(InitialAtomicState.mixed(lam).parts) == 4
+
+
 def test_pure_and_mixed_constructors():
     assert InitialAtomicState.pure("gg") == InitialAtomicState("gg", None)
     assert InitialAtomicState.mixed(0.09) == InitialAtomicState("mixed", 0.09)

@@ -6,6 +6,7 @@ import pytest
 from twinphoton.thermal import (
     FockCutoff,
     choose_cutoff,
+    mode_weights,
     tail_mass,
     thermal_weight,
 )
@@ -28,8 +29,11 @@ def test_thermal_weight_examples():
 def test_thermal_weight_partial_sums_match_geometric_closed_form():
     for nbar in NBARS:
         r = nbar / (1.0 + nbar)
+        weights = mode_weights(nbar, 200)
+        assert weights.shape == (201,)
         total = 0.0
         for n in range(201):
+            assert weights[n] == thermal_weight(nbar, n)
             total += thermal_weight(nbar, n)
             assert total == pytest.approx(1.0 - r ** (n + 1), abs=1e-12)
 
@@ -45,6 +49,8 @@ def test_thermal_weight_ratio_is_constant():
 def test_thermal_weight_rejects_bad_input():
     with pytest.raises(ValueError):
         thermal_weight(-0.5, 0)
+    with pytest.raises(ValueError):
+        mode_weights(-0.5, 3)
     for n in (-1, 0.5, 2.5, math.nan):
         with pytest.raises(ValueError):
             thermal_weight(1.0, n)
