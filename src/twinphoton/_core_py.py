@@ -8,11 +8,12 @@ X-state elements is therefore a quadratic polynomial in
 
 with coefficients that depend on (n1, n2) only.  Omega^2 - 1 is the odd
 integer (2 m1 + 1)(2 m2 + 1) of the block indices, so many grid points share a
-frequency.  term_coefficients writes the physics once; xstate_term evaluates
-it at one point, and thermal_sweep sums the thermally weighted coefficients of
-all grid points that share a block frequency before the time loop and then
-needs one sin per distinct block frequency and time.  Since x = 0 at gt = 0,
-the first row is exactly the weighted constant terms.
+frequency.  Each function takes a pure initial state by its variant name
+("ee", "eg", "ge", "gg").  term_coefficients writes the physics once;
+xstate_term evaluates it at one point, and thermal_sweep sums the thermally
+weighted coefficients of all grid points that share a block frequency before
+the time loop, needs one sin per distinct block frequency and time, and
+returns one row per time; at gt = 0 (x = 0) that row is the constant terms.
 
 Reductions use np.sum, np.bincount and np.einsum (no BLAS) in a fixed order,
 so the output does not depend on the BLAS thread count and reruns give
@@ -20,9 +21,6 @@ identical output.
 """
 
 import numpy as np
-
-# initial-state codes, equal to the two-atom basis index
-EE, EG, GE, GG = 0, 1, 2, 3
 
 # grid points per coefficient chunk, and distinct frequencies x times per trig
 # block: together they bound thermal_sweep's temporaries
@@ -35,18 +33,18 @@ def block_frequency(m1, m2):
     return np.sqrt(2.0 * ((m1 + 1.0) * (m2 + 1.0) + m1 * m2))
 
 
-def _block_index(code, n):
-    """Block index m, per mode, of the ladder that ``code`` with n photons starts in.
+def _block_index(variant, n):
+    """Block index m, per mode, of the ladder that ``variant`` with n photons starts in.
 
-    EE starts on the bottom rung (m = n + 1), EG and GE on the middle one
-    (m = n) and GG on the top one (m = n - 1).  With an empty mode GG is
+    ee starts on the bottom rung (m = n + 1), eg and ge on the middle one
+    (m = n) and gg on the top one (m = n - 1).  With an empty mode gg is
     stationary; clamping its block index at 0 keeps the (unused) frequency
     finite.  Keeps the dtype of ``n``.
     """
-    return np.maximum(n + {EE: 1, GG: -1}.get(code, 0), 0)
+    return np.maximum(n + {"ee": 1, "gg": -1}.get(variant, 0), 0)
 
 
-def term_coefficients(code, n1, n2):
+def term_coefficients(variant, n1, n2):
     """Half block frequency and x-polynomial coefficients of each X-state element.
 
     Returns ``(half, coef)``.  ``coef`` has shape (5, 3, *shape), where shape
@@ -62,10 +60,10 @@ def term_coefficients(code, n1, n2):
     """
     n1 = np.asarray(n1, dtype=np.float64)
     n2 = np.asarray(n2, dtype=np.float64)
-    m1, m2 = _block_index(code, n1), _block_index(code, n2)
+    m1, m2 = _block_index(variant, n1), _block_index(variant, n2)
     u = m1 * m2
-    # GG starts on the top rung |-->|n1, n2>, so v = n1 n2 even where m is clamped
-    v = n1 * n2 if code == GG else (m1 + 1.0) * (m2 + 1.0)
+    # gg starts on the top rung |-->|n1, n2>, so v = n1 n2 even where m is clamped
+    v = n1 * n2 if variant == "gg" else (m1 + 1.0) * (m2 + 1.0)
     w = block_frequency(m1, m2)
     p = u / (w * w)
     q = v / (w * w)
@@ -80,19 +78,19 @@ def term_coefficients(code, n1, n2):
         coef[k, 1] = -4.0 * r
         coef[k, 2] = 4.0 * r * r
 
-    if code == EE:
+    if variant == "ee":
         ladder_end(0, p)
         for k in (1, 2, 4):
             sin_sq(k, p)
         coef[3, 2] = 4.0 * p * q
-    elif code == GG:
+    elif variant == "gg":
         coef[0, 2] = 4.0 * p * q
         for k in (1, 2, 4):
             sin_sq(k, q)
         ladder_end(3, q)
     else:
         # cos^4(th/2) = (1 - x/2)^2 and sin^4(th/2) = x^2/4 on the middle rung
-        stay, leave = (1, 2) if code == EG else (2, 1)
+        stay, leave = (1, 2) if variant == "eg" else (2, 1)
         sin_sq(0, p)
         coef[stay, 0], coef[stay, 1], coef[stay, 2] = 1.0, -1.0, 0.25
         coef[leave, 2] = 0.25
@@ -101,29 +99,29 @@ def term_coefficients(code, n1, n2):
     return 0.5 * w, coef
 
 
-def xstate_term(code, n1, n2, gt):
+def xstate_term(variant, n1, n2, gt):
     """Single-Fock-pair X-state elements (A, B, C, D, E) at dimensionless time gt.
 
     These are the unweighted per-term summands of the thermal double sum for
-    the pure initial state ``code`` with the field in |n1, n2>.  ``n1`` and
+    the pure initial state ``variant`` with the field in |n1, n2>.  ``n1`` and
     ``n2`` may be scalars or arrays that broadcast against each other; each
     element comes back with their broadcast shape.
     """
-    half, coef = term_coefficients(code, n1, n2)
+    half, coef = term_coefficients(variant, n1, n2)
     x = 2.0 * np.square(np.sin(half * gt))
     return tuple(coef[:, 0] + x * coef[:, 1] + (x * x) * coef[:, 2])
 
 
-def _odd_factors(code, size):
+def _odd_factors(variant, size):
     """Odd factor 2m+1 of the block index m of each Fock index 0..size-1 of one mode.
 
     Omega^2 - 1 = (2 m1 + 1)(2 m2 + 1), so the product of the two modes'
     factors identifies a grid point's block frequency exactly.
     """
-    return 2 * _block_index(code, np.arange(size)) + 1
+    return 2 * _block_index(variant, np.arange(size)) + 1
 
 
-def _add_chunk(code, n1, n2, keys, weight, gts, out):
+def _add_chunk(variant, n1, n2, keys, weight, gts, out):
     """Add the weighted sum over one chunk of grid points to every row of ``out``.
 
     The points come in ascending order of their frequency keys.  Points that
@@ -132,7 +130,7 @@ def _add_chunk(code, n1, n2, keys, weight, gts, out):
     function of its own so that one chunk's arrays are freed before the next
     chunk's are built.
     """
-    half, coef = term_coefficients(code, n1, n2)
+    half, coef = term_coefficients(variant, n1, n2)
     coef *= weight
     const = coef[:, 0].sum(axis=1)
     first = np.empty(keys.size, dtype=bool)
@@ -155,23 +153,24 @@ def _add_chunk(code, n1, n2, keys, weight, gts, out):
         out[t0 : t0 + step] += rows
 
 
-def thermal_sweep(code, w1, w2, gts, out):
+def thermal_sweep(variant, w1, w2, gts):
     """Thermally weighted X-state elements for every time in ``gts``.
 
-    Writes one row (A, B, C, D, E) per time sample into ``out``.  Each row is
-    the double sum of xstate_term over the (n1, n2) grid weighted by
+    Returns one row (A, B, C, D, E) per time, shape (len(gts), 5): the double
+    sum of xstate_term(variant, n1, n2, gt) over the (n1, n2) grid weighted by
     w1[n1]*w2[n2].  The grid points are stably sorted by block frequency and
     cut into chunks of BLOCK_ELEMENTS points; per chunk the weighted
     coefficients of all points that share a frequency are summed once, and
     for each block of times (about TRIG_ELEMENTS frequencies x times)
     x = 2 sin^2(Omega gt / 2) is evaluated once per distinct block frequency
     and time.  A chunk adds two np.einsum reductions, over x and over x^2,
-    plus its constant terms to ``out``; the chunks are added in ascending
+    plus its constant terms to the rows; the chunks are added in ascending
     frequency order.
     """
-    odd1, odd2 = _odd_factors(code, len(w1)), _odd_factors(code, len(w2))
+    odd1, odd2 = _odd_factors(variant, len(w1)), _odd_factors(variant, len(w2))
     order = np.argsort(np.multiply.outer(odd1, odd2).ravel(), kind="stable")
-    out[:] = 0.0
+    out = np.zeros((len(gts), 5))
     for lo in range(0, order.size, BLOCK_ELEMENTS):
         n1, n2 = np.divmod(order[lo : lo + BLOCK_ELEMENTS], len(w2))
-        _add_chunk(code, n1, n2, odd1[n1] * odd2[n2], w1[n1] * w2[n2], gts, out)
+        _add_chunk(variant, n1, n2, odd1[n1] * odd2[n2], w1[n1] * w2[n2], gts, out)
+    return out

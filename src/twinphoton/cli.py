@@ -225,16 +225,16 @@ def _sweep_document(initial, params, grid, cutoff, oracle_cutoff=None):
     return lines
 
 
-def _oracle_retained_cutoff(pair, params, parser) -> FockCutoff:
+def _oracle_retained_cutoff(pair, params) -> FockCutoff:
     """Guard an oracle truncation N1,N2; return the retained Fock set HEADROOM below it."""
     n1, n2 = pair
     if max(n1, n2) > ORACLE_MAX_CUTOFF:
-        parser.error(
+        raise ValueError(
             f"oracle truncation {n1},{n2} too large; the dense propagator is "
             f"capped at {ORACLE_MAX_CUTOFF} per mode"
         )
     if min(n1, n2) < oracle.HEADROOM:
-        parser.error(f"oracle truncation must be >= {oracle.HEADROOM} per mode")
+        raise ValueError(f"oracle truncation must be >= {oracle.HEADROOM} per mode")
     return FockCutoff.explicit(
         n1 - oracle.HEADROOM, n2 - oracle.HEADROOM, params.nbar1, params.nbar2
     )
@@ -253,15 +253,15 @@ def _warn_if_large(initial, grid, cutoff):
         )
 
 
-def _run_sweep(args, parser) -> int:
+def _run_sweep(args) -> int:
     initial = InitialAtomicState(args.initial, args.lam)
     params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
     grid = TimeGrid(args.tmax, args.steps)
 
     if args.oracle:
         if args.cutoff is None:
-            parser.error("--oracle requires an explicit --cutoff N1,N2")
-        cutoff = _oracle_retained_cutoff(args.cutoff, params, parser)
+            raise ValueError("--oracle requires an explicit --cutoff N1,N2")
+        cutoff = _oracle_retained_cutoff(args.cutoff, params)
         lines = _sweep_document(initial, params, grid, cutoff, oracle_cutoff=args.cutoff)
     else:
         if args.cutoff is not None:
@@ -274,7 +274,7 @@ def _run_sweep(args, parser) -> int:
     return 0
 
 
-def _run_figure(args, parser) -> int:
+def _run_figure(args) -> int:
     grid = TimeGrid(10.0, 1000)
     os.makedirs(args.outdir, exist_ok=True)
     for variant, lam, nbar, name in FIGURE_PRESETS[args.preset]:
@@ -287,11 +287,11 @@ def _run_figure(args, parser) -> int:
     return 0
 
 
-def _run_check(args, parser) -> int:
+def _run_check(args) -> int:
     """Run both paths on the same retained Fock set and compare everywhere."""
     n1, n2 = args.cutoff
     params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
-    cutoff = _oracle_retained_cutoff(args.cutoff, params, parser)
+    cutoff = _oracle_retained_cutoff(args.cutoff, params)
     grid = TimeGrid(args.tmax, args.steps)
     gts = grid.points()
     variants = args.initial if args.initial else CHECK_DEFAULT_STATES
@@ -322,8 +322,8 @@ def _run_check(args, parser) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, args.parser)
-    except ValueError as exc:  # an input the domain types reject
+        return args.func(args)
+    except ValueError as exc:  # a usage error: an input the CLI or the domain types reject
         args.parser.error(str(exc))
     except OSError as exc:
         print(f"twinphoton: error: {exc}", file=sys.stderr)

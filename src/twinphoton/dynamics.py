@@ -8,7 +8,7 @@ each oscillating at the single effective frequency Omega_{m1,m2}, while the
 antisymmetric combination (|+-> - |-+>)/sqrt2 is dark.  Tracing out the field
 therefore leaves an X-shaped two-atom density matrix whose five entries are
 weighted lattice sums over the per-block solution, evaluated by the numpy
-kernel twinphoton._core_py.
+kernel twinphoton._core_py, called once per pure part of the initial state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _core_py
-from .model import ATOM_INDEX, PURE_VARIANTS, InitialAtomicState, ModelParams, XState, _count
+from .model import PURE_VARIANTS, InitialAtomicState, ModelParams, XState, _count
 from .thermal import FockCutoff, mode_weights
 
 
@@ -39,18 +39,12 @@ def xstate_term(variant: str, n1: int, n2: int, gt: float) -> XState:
     if not (_count(n1) and _count(n2)):
         raise ValueError(f"Fock indices must be integers >= 0; got ({n1!r}, {n2!r})")
     _check_times(np.ascontiguousarray(gt, dtype=np.float64))
-    return XState(*map(float, _core_py.xstate_term(ATOM_INDEX[variant], n1, n2, gt)))
+    return XState(*map(float, _core_py.xstate_term(variant, n1, n2, gt)))
 
 
 def _check_times(gts: np.ndarray):
     if gts.size and not (np.isfinite(gts).all() and gts.min() >= 0):
         raise ValueError("times gt must be finite and >= 0")
-
-
-def _pure_sweep(variant: str, w1, w2, gts) -> np.ndarray:
-    out = np.empty((gts.shape[0], 5))
-    _core_py.thermal_sweep(ATOM_INDEX[variant], w1, w2, gts, out)
-    return out
 
 
 def sweep(
@@ -71,6 +65,6 @@ def sweep(
     _check_times(gts)
     w1 = mode_weights(params.nbar1, cutoff.n_max1)
     w2 = mode_weights(params.nbar2, cutoff.n_max2)
-    terms = (weight * _pure_sweep(variant, w1, w2, gts) for variant, weight in initial.parts)
+    terms = (w * _core_py.thermal_sweep(v, w1, w2, gts) for v, w in initial.parts)
     # start from the first part, not from 0, which would turn its -0.0 entries into 0.0
     return sum(terms, next(terms))

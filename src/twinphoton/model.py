@@ -18,17 +18,24 @@ import numpy as np
 PURE_VARIANTS = ("ee", "eg", "ge", "gg")
 VARIANTS = PURE_VARIANTS + ("mixed",)
 
-# kernel/oracle code for each pure initial state, equal to its basis index
+# two-atom basis index of each pure initial state, used by the oracle
 ATOM_INDEX = {"ee": 0, "eg": 1, "ge": 2, "gg": 3}
 
 
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    return isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
 
 
 def _count(x) -> bool:
     """True for a non-negative integer (Python or numpy), such as a Fock index."""
     return isinstance(x, (int, np.integer)) and x >= 0
+
+
+def _check_nbar(value, name: str = "nbar") -> float:
+    """The mean photon number as a Python float; rejects anything but a finite real >= 0."""
+    if not _finite(value) or value < 0:
+        raise ValueError(f"{name} must be >= 0 and finite; got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -42,10 +49,8 @@ class ModelParams:
     nbar2: float = 0.0
 
     def __post_init__(self):
-        if not _finite(self.nbar1) or self.nbar1 < 0:
-            raise ValueError(f"nbar1 must be >= 0 and finite; got {self.nbar1!r}")
-        if not _finite(self.nbar2) or self.nbar2 < 0:
-            raise ValueError(f"nbar2 must be >= 0 and finite; got {self.nbar2!r}")
+        _check_nbar(self.nbar1, "nbar1")
+        _check_nbar(self.nbar2, "nbar2")
 
 
 @dataclass(frozen=True)
@@ -74,14 +79,6 @@ class InitialAtomicState:
             raise ValueError("the mixed initial state requires lambda")
         elif not _finite(lam) or not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0,1]; got {lam!r}")
-
-    @classmethod
-    def pure(cls, variant: str) -> "InitialAtomicState":
-        return cls(variant)
-
-    @classmethod
-    def mixed(cls, excited_weight: float) -> "InitialAtomicState":
-        return cls("mixed", excited_weight)
 
     @property
     def parts(self) -> list[tuple[str, float]]:

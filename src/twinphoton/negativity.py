@@ -33,28 +33,24 @@ def negativity_x(state: XState) -> float:
     return 0.0
 
 
-def partial_transpose(rho: np.ndarray, atom: int = 1) -> np.ndarray:
-    """Transpose the indices of one atom (0 = first, 1 = second) of a 4x4 matrix."""
-    if atom not in (0, 1):
-        raise ValueError(f"atom must be 0 or 1; got {atom!r}")
-    r = np.asarray(rho).reshape(2, 2, 2, 2)
-    axes = (0, 3, 2, 1) if atom == 1 else (2, 1, 0, 3)
-    return r.transpose(axes).reshape(4, 4)
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose the second atom's indices of a 4x4 two-qubit matrix."""
+    return np.asarray(rho).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def negativity_general(rho: np.ndarray) -> float:
     """Negativity of an arbitrary two-qubit density matrix.
 
     Partial-transposes the second atom, diagonalizes, and returns -2 times
-    the sum of the negative eigenvalues (the choice of atom does not matter).
-    Rejects non-Hermitian input.
+    the sum of the negative eigenvalues (the first atom's partial transpose
+    is its transpose, with the same spectrum).  Rejects non-Hermitian input.
     """
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix; got shape {rho.shape}")
     if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("density matrix must be Hermitian")
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, atom=1))
+    eigs = np.linalg.eigvalsh(partial_transpose(rho))
     negative = eigs[eigs < -ZERO_EIGENVALUE_TOL]
     return float(-2.0 * negative.sum())
 

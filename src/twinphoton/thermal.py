@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _count
-
-
-def _check_nbar(nbar):
-    if not 0.0 <= nbar < math.inf:
-        raise ValueError(f"nbar must be finite and >= 0; got {nbar!r}")
+from .model import _check_nbar, _count
 
 
 def thermal_weight(nbar: float, n: int) -> float:
@@ -30,9 +25,10 @@ def thermal_weight(nbar: float, n: int) -> float:
     Evaluates nbar^n / (1 + nbar)^(n+1) in ratio form, (nbar/(1+nbar))^n / (1+nbar),
     so large n cannot overflow.  The vacuum limit nbar = 0 gives delta_{n,0}.
     """
-    _check_nbar(nbar)
+    nbar = _check_nbar(nbar)
     if not _count(n):
         raise ValueError(f"n must be an integer >= 0; got {n!r}")
+    n = int(n)  # float ** np.int64 is numpy's power, which can differ in the last bit
     if nbar == 0.0:
         return 1.0 if n == 0 else 0.0
     return (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
@@ -47,7 +43,7 @@ def mode_weights(nbar: float, n_max: int) -> np.ndarray:
 
 def tail_mass(nbar: float, n_max: int) -> float:
     """Probability sum_{n>n_max} p_n = r^(n_max+1) neglected by a cutoff, one mode."""
-    _check_nbar(nbar)
+    nbar = _check_nbar(nbar)
     if not _count(n_max):
         raise ValueError(f"n_max must be an integer >= 0; got {n_max!r}")
     return (nbar / (1.0 + nbar)) ** (n_max + 1)
@@ -59,7 +55,7 @@ def choose_cutoff(nbar: float, tol: float) -> tuple[int, float]:
     Returns (N, tail_mass(nbar, N)).  The logarithm only gives the starting
     guess; the final N is settled by comparing tail_mass itself against tol.
     """
-    _check_nbar(nbar)
+    nbar = _check_nbar(nbar)
     if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
     if nbar == 0.0:

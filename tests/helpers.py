@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 
-from twinphoton._core_py import EE, EG, GG
-
 POP_TOL = 1e-12
 COHERENCE_TOL = 1e-10
 
@@ -49,7 +47,7 @@ def check_density_matrix(
     return rho
 
 
-def trig_xstate_term(code, n1, n2, gt):
+def trig_xstate_term(variant, n1, n2, gt):
     """Per-Fock-pair X-state elements (A, B, C, D, E) written in sin/cos of Omega gt.
 
     The ladder solution in trigonometric form, the reference for the kernel's
@@ -58,10 +56,10 @@ def trig_xstate_term(code, n1, n2, gt):
     """
     n1 = np.asarray(n1, dtype=np.float64)
     n2 = np.asarray(n2, dtype=np.float64)
-    if code == EE:
+    if variant == "ee":
         m1, m2 = n1 + 1.0, n2 + 1.0
         u, v = m1 * m2, (m1 + 1.0) * (m2 + 1.0)
-    elif code == GG:
+    elif variant == "gg":
         m1, m2 = np.maximum(n1 - 1.0, 0.0), np.maximum(n2 - 1.0, 0.0)
         u, v = m1 * m2, n1 * n2
     else:
@@ -72,15 +70,15 @@ def trig_xstate_term(code, n1, n2, gt):
     c = np.cos(w * gt)
     sf = s * s / (w * w)
     cf = 2.0 * (c - 1.0) / (w * w)
-    if code == EE:
+    if variant == "ee":
         bce = u * sf
         return (np.square(1.0 + u * cf), bce, bce, u * v * (cf * cf), bce)
-    if code == GG:
+    if variant == "gg":
         bce = v * sf
         return (u * v * (cf * cf), bce, bce, np.square(1.0 + v * cf), bce)
     cos4 = np.square(0.5 * (1.0 + c))
     sin4 = np.square(0.5 * (1.0 - c))
     e = -0.25 * (s * s)
-    if code == EG:
+    if variant == "eg":
         return (u * sf, cos4, sin4, v * sf, e)
     return (u * sf, sin4, cos4, v * sf, e)

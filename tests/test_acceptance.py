@@ -78,7 +78,7 @@ def test_criterion_4_double_excitation_never_entangles():
     for nbar in (0.3, 1.0):
         params = ModelParams(nbar1=nbar, nbar2=nbar)
         cutoff = FockCutoff.choose(nbar, nbar, 1e-10)
-        rows = dynamics.sweep(InitialAtomicState.pure("ee"), params, gts, cutoff)
+        rows = dynamics.sweep(InitialAtomicState("ee"), params, gts, cutoff)
         worst = max(worst, max(negativity_x(XState(*row)) for row in rows))
     ok = worst < 1e-12
     record_acceptance(
@@ -93,7 +93,7 @@ def test_criterion_5_mixture_negativity_vanishing_and_monotone():
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     maxima = {}
     for lam in (0.01, 0.05, 0.09):
-        rows = dynamics.sweep(InitialAtomicState.mixed(lam), params, gts, cutoff)
+        rows = dynamics.sweep(InitialAtomicState("mixed", lam), params, gts, cutoff)
         maxima[lam] = max(negativity_x(XState(*row)) for row in rows)
     vanished = maxima[0.09] < 1e-12
     positive = maxima[0.01] > 0.0 and maxima[0.05] > 0.0
@@ -121,7 +121,7 @@ def test_criterion_6_vacuum_limit_analytic_curve():
     gts = GRID.points()
     params = ModelParams()
     cutoff = FockCutoff.explicit(0, 0, 0.0, 0.0)
-    rows = dynamics.sweep(InitialAtomicState.pure("eg"), params, gts, cutoff)
+    rows = dynamics.sweep(InitialAtomicState("eg"), params, gts, cutoff)
     eps = np.array([negativity_x(XState(*row)) for row in rows])
     analytic = np.maximum(
         0.0, (math.sqrt(2.0) - 1.0) * np.sin(math.sqrt(2.0) * gts) ** 2 / 2.0

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from twinphoton import _core_py, cli, dynamics
 from twinphoton.model import VARIANTS, InitialAtomicState, ModelParams
 from twinphoton.thermal import FockCutoff
@@ -151,7 +153,7 @@ def test_check_subcommand_detects_violation():
     assert "FAIL" in res.stdout.decode()
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(capsys):
     bad_calls = [
         (),
         ("frobnicate",),
@@ -176,11 +178,17 @@ def test_usage_errors_exit_one():
         ("check", "--tol", "inf"),
     ]
     for args in bad_calls:
-        res = run_cli(*args)
-        assert res.returncode == 1, (args, res.stdout, res.stderr)
-        assert res.stderr  # some diagnostic lands on stderr
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(list(args))
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 1, (args, err)
+        assert err  # some diagnostic lands on stderr
         if args and args[0] in ("sweep", "figure", "check"):
-            assert f"usage: twinphoton {args[0]}".encode() in res.stderr, (args, res.stderr)
+            assert f"usage: twinphoton {args[0]}" in err, (args, err)
+    # the exit status of the real process, for an error raised past argparse
+    res = run_cli("sweep", "--initial", "eg", "--oracle")
+    assert res.returncode == 1, (res.stdout, res.stderr)
+    assert b"usage: twinphoton sweep" in res.stderr, res.stderr
 
 
 def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from helpers import assert_valid_xstate, trig_xstate_term
 from twinphoton import _core_py
 from twinphoton.dynamics import sweep, xstate_term
-from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGrid, XState
+from twinphoton.model import InitialAtomicState, ModelParams, TimeGrid, XState
 from twinphoton.thermal import FockCutoff, thermal_weight
 
 GTS = (0.1, 0.7, 1.3, 3.1, 9.9)
@@ -76,13 +76,13 @@ def test_term_coefficients_match_trig_formula():
     rng = np.random.default_rng(7)
     n1 = np.concatenate([[0, 0, 5, 1], rng.integers(0, 250, 200)]).astype(float)
     n2 = np.concatenate([[0, 5, 0, 1], rng.integers(0, 250, 200)]).astype(float)
-    for code in range(4):
+    for variant in VARIANTS:
         for gt in (0.0, 1e-8, 0.37, 10.0):
-            new = np.array(_core_py.xstate_term(code, n1, n2, gt))
-            old = np.array(trig_xstate_term(code, n1, n2, gt))
+            new = np.array(_core_py.xstate_term(variant, n1, n2, gt))
+            old = np.array(trig_xstate_term(variant, n1, n2, gt))
             if gt == 0.0:
-                assert np.array_equal(new, old), code
-            assert np.abs(new - old).max() <= 1e-14, (code, gt)
+                assert np.array_equal(new, old), variant
+            assert np.abs(new - old).max() <= 1e-14, (variant, gt)
 
 
 def test_rabi_rejects_negative_indices():
@@ -119,7 +119,7 @@ def test_sweep_trace_equals_retained_mass():
     m2 = sum(thermal_weight(1.0, n) for n in range(cutoff.n_max2 + 1))
     gts = TimeGrid(8.0, 40).points()
     for variant in VARIANTS:
-        rows = sweep(InitialAtomicState.pure(variant), p, gts, cutoff)
+        rows = sweep(InitialAtomicState(variant), p, gts, cutoff)
         traces = rows[:, :4].sum(axis=1)
         assert np.allclose(traces, m1 * m2, rtol=0, atol=1e-12)
         assert np.all(traces >= 1.0 - cutoff.tail_bound - 1e-12)
@@ -140,9 +140,9 @@ def test_sweep_matches_exact_sum_across_row_blocks():
     )
     gts = (0.7, 3.1, 9.9)
     for variant in VARIANTS:
-        rows = sweep(InitialAtomicState.pure(variant), p, gts, cutoff)
+        rows = sweep(InitialAtomicState(variant), p, gts, cutoff)
         for row, gt in zip(rows, gts):
-            terms = _core_py.xstate_term(ATOM_INDEX[variant], n1[:, None], n2, gt)
+            terms = _core_py.xstate_term(variant, n1[:, None], n2, gt)
             exact = [math.fsum((weight * t).ravel()) for t in terms]
             assert np.allclose(row, exact, rtol=0, atol=1e-14)
 
@@ -152,8 +152,8 @@ def test_sweep_error_is_within_certified_tail_bound():
     # thermal mass bounds the truncation error of each element; at gt = 0 the
     # initial population misses t1 + t2 - t1*t2 of it, so the bound is nearly attained
     gts = np.array([0.0, 0.7, 3.1, 9.9])
-    initials = [InitialAtomicState.pure(v) for v in VARIANTS] + [
-        InitialAtomicState.mixed(0.05)
+    initials = [InitialAtomicState(v) for v in VARIANTS] + [
+        InitialAtomicState("mixed", 0.05)
     ]
     for nbar1, nbar2 in ((0.3, 0.3), (1.3, 0.4), (3.0, 10.0)):
         p = params_for(nbar1, nbar2)
@@ -178,10 +178,9 @@ def test_sweep_temporaries_are_bounded_in_the_number_of_times():
     peaks = {}
     for steps in (11, 1001):
         gts = np.linspace(0.0, 10.0, steps)
-        out = np.empty((steps, 5))
         tracemalloc.start()
         try:
-            _core_py.thermal_sweep(ATOM_INDEX["eg"], w1, w2, gts, out)
+            _core_py.thermal_sweep("eg", w1, w2, gts)
             peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -219,7 +218,7 @@ def test_sweep_takes_one_sin_per_distinct_frequency_and_time(monkeypatch):
         assert distinct < 0.6 * w1.size * w2.size
         counter = _SinCounter()
         monkeypatch.setattr(_core_py, "np", counter)
-        _core_py.thermal_sweep(ATOM_INDEX[variant], w1, w2, gts, np.empty((gts.size, 5)))
+        _core_py.thermal_sweep(variant, w1, w2, gts)
         monkeypatch.undo()
         assert distinct * gts.size <= counter.elements <= (distinct + chunks) * gts.size
 
@@ -228,8 +227,8 @@ def test_sweep_mode_swap_symmetry():
     cutoff = FockCutoff.choose(1.3, 0.4, 1e-10)
     swapped = FockCutoff(cutoff.n_max2, cutoff.n_max1, cutoff.tail_bound)
     gts = TimeGrid(7.0, 60).points()
-    for initial in [InitialAtomicState.pure(v) for v in VARIANTS] + [
-        InitialAtomicState.mixed(0.05)
+    for initial in [InitialAtomicState(v) for v in VARIANTS] + [
+        InitialAtomicState("mixed", 0.05)
     ]:
         a = sweep(initial, params_for(1.3, 0.4), gts, cutoff)
         b = sweep(initial, params_for(0.4, 1.3), gts, swapped)
@@ -240,8 +239,8 @@ def test_sweep_deterministic_repeat():
     p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     gts = TimeGrid(10.0, 100).points()
-    a = sweep(InitialAtomicState.pure("gg"), p, gts, cutoff)
-    b = sweep(InitialAtomicState.pure("gg"), p, gts, cutoff)
+    a = sweep(InitialAtomicState("gg"), p, gts, cutoff)
+    b = sweep(InitialAtomicState("gg"), p, gts, cutoff)
     assert np.array_equal(a, b)
 
 
@@ -250,13 +249,13 @@ def test_mixed_is_elementwise_combination():
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     gts = np.array([2.0])
     lam = 0.05
-    parts = {v: sweep(InitialAtomicState.pure(v), p, gts, cutoff)[0] for v in VARIANTS}
+    parts = {v: sweep(InitialAtomicState(v), p, gts, cutoff)[0] for v in VARIANTS}
     expected = (
         0.0025 * parts["ee"]
         + 0.0475 * (parts["eg"] + parts["ge"])
         + 0.9025 * parts["gg"]
     )
-    got = sweep(InitialAtomicState.mixed(lam), p, gts, cutoff)[0]
+    got = sweep(InitialAtomicState("mixed", lam), p, gts, cutoff)[0]
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-16)
 
 
@@ -265,13 +264,13 @@ def test_mixed_endpoints_reduce_to_pure():
     cutoff = FockCutoff.choose(0.6, 0.6, 1e-10)
     gts = TimeGrid(4.0, 16).points()
     for lam, variant in ((0.0, "gg"), (1.0, "ee")):
-        mixed = sweep(InitialAtomicState.mixed(lam), p, gts, cutoff)
-        assert np.array_equal(mixed, sweep(InitialAtomicState.pure(variant), p, gts, cutoff))
+        mixed = sweep(InitialAtomicState("mixed", lam), p, gts, cutoff)
+        assert np.array_equal(mixed, sweep(InitialAtomicState(variant), p, gts, cutoff))
 
 
 def test_mixed_rejects_lambda_outside_unit_interval():
     with pytest.raises(ValueError):
-        InitialAtomicState.mixed(1.5)
+        InitialAtomicState("mixed", 1.5)
 
 
 def test_sweep_rejects_negative_times():
@@ -279,14 +278,14 @@ def test_sweep_rejects_negative_times():
     cutoff = FockCutoff.choose(0.3, 0.3, 1e-10)
     for gts in ([-0.5, 1.0], [math.nan], [1.0, math.inf]):
         with pytest.raises(ValueError):
-            sweep(InitialAtomicState.pure("eg"), p, gts, cutoff)
+            sweep(InitialAtomicState("eg"), p, gts, cutoff)
 
 
 def test_initial_projector_at_zero_time():
     p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     for variant in VARIANTS:
-        state = XState(*sweep(InitialAtomicState.pure(variant), p, [0.0], cutoff)[0])
+        state = XState(*sweep(InitialAtomicState(variant), p, [0.0], cutoff)[0])
         pops = state.as_tuple()[:4]
         idx = VARIANTS.index(variant)
         for j, value in enumerate(pops):

@@ -8,9 +8,13 @@ from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGr
 
 def test_validate_accepts_standard_configuration():
     params = ModelParams(nbar1=1.0, nbar2=1.0)
-    initial = InitialAtomicState.pure("eg")
+    initial = InitialAtomicState("eg")
     assert (params.nbar1, params.nbar2) == (1.0, 1.0)
     assert (initial.variant, initial.excited_weight) == ("eg", None)
+    # numpy scalars pass the same nbar rule as FockCutoff.choose and thermal_weight
+    for nbar in (np.int64(1), np.float32(1.0), np.float64(1.0)):
+        params = ModelParams(nbar1=nbar, nbar2=1.0)
+        assert params.nbar1 == 1.0
 
 
 def test_negative_nbar_rejected_by_name():
@@ -28,7 +32,7 @@ def test_nonfinite_nbar_rejected():
 def test_lambda_out_of_range_rejected():
     for lam in (1.5, -0.1, math.nan):
         with pytest.raises(ValueError, match="lambda must be in"):
-            InitialAtomicState.mixed(lam)
+            InitialAtomicState("mixed", lam)
 
 
 def test_mixed_requires_lambda():
@@ -52,20 +56,15 @@ def test_atom_index_follows_basis_order():
 
 def test_parts_decompose_the_initial_state():
     for variant in ATOM_INDEX:
-        assert InitialAtomicState.pure(variant).parts == [(variant, 1.0)]
+        assert InitialAtomicState(variant).parts == [(variant, 1.0)]
     lam = 0.3
     rho1 = np.diag([lam, 1.0 - lam])  # one atom, basis |+>, |->
-    parts = InitialAtomicState.mixed(lam).parts
+    parts = InitialAtomicState("mixed", lam).parts
     assert [v for v, _ in parts] == ["ee", "eg", "ge", "gg"]
     assert np.allclose([w for _, w in parts], np.diag(np.kron(rho1, rho1)), rtol=0, atol=1e-15)
     assert sum(w for _, w in parts) == pytest.approx(1.0, abs=1e-15)
     for lam in (0.0, 1.0):
-        assert len(InitialAtomicState.mixed(lam).parts) == 4
-
-
-def test_pure_and_mixed_constructors():
-    assert InitialAtomicState.pure("gg") == InitialAtomicState("gg", None)
-    assert InitialAtomicState.mixed(0.09) == InitialAtomicState("mixed", 0.09)
+        assert len(InitialAtomicState("mixed", lam).parts) == 4
 
 
 def test_time_grid_points():

@@ -80,7 +80,7 @@ def test_closed_form_matches_general_on_random_xstates():
 
 def test_partial_transpose_moves_coherence_to_outer_block():
     state = XState(0.1, 0.35, 0.35, 0.2, 0.3)
-    pt = partial_transpose(state.to_matrix(), atom=1)
+    pt = partial_transpose(state.to_matrix())
     assert pt[0, 3] == pt[3, 0] == 0.3
     assert pt[1, 2] == pt[2, 1] == 0.0
     assert np.array_equal(np.diag(pt), np.diag(state.to_matrix()))
@@ -89,24 +89,7 @@ def test_partial_transpose_moves_coherence_to_outer_block():
 def test_partial_transpose_is_involution():
     rng = np.random.default_rng(3)
     rho = random_density(rng)
-    for atom in (0, 1):
-        assert np.array_equal(partial_transpose(partial_transpose(rho, atom), atom), rho)
-
-
-def test_partial_transpose_atom_choice_is_irrelevant():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        rho = random_density(rng)
-        e0 = np.linalg.eigvalsh(partial_transpose(rho, atom=0))
-        e1 = np.linalg.eigvalsh(partial_transpose(rho, atom=1))
-        n0 = -2.0 * e0[e0 < -1e-12].sum()
-        n1 = -2.0 * e1[e1 < -1e-12].sum()
-        assert n0 == pytest.approx(n1, abs=1e-12)
-
-
-def test_partial_transpose_rejects_bad_atom():
-    with pytest.raises(ValueError):
-        partial_transpose(np.eye(4), atom=2)
+    assert np.array_equal(partial_transpose(partial_transpose(rho)), rho)
 
 
 def test_x_states_have_at_most_one_negative_eigenvalue():

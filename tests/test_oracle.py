@@ -173,7 +173,7 @@ def test_single_photon_pair_generates_bell_state():
 
 def test_thermal_sweep_vacuum_equals_single_fock_term():
     params = ModelParams(nbar1=0.0, nbar2=0.0)
-    initial = InitialAtomicState.pure("eg")
+    initial = InitialAtomicState("eg")
     rho = thermal_sweep([initial], params, [1.9], 4, 4)[0][0]
     direct = reduce_atoms(evolve_term("eg", 0, 0, 4, 4, 1.9), [1.0])
     assert np.abs(rho - direct).max() < 1e-13
@@ -182,7 +182,7 @@ def test_thermal_sweep_vacuum_equals_single_fock_term():
 def test_thermal_sweep_time_zero_returns_initial_mixture():
     params = ModelParams(nbar1=1.0, nbar2=1.0)
     lam = 0.3
-    rho = thermal_sweep([InitialAtomicState.mixed(lam)], params, [0.0], 8, 8)[0][0]
+    rho = thermal_sweep([InitialAtomicState("mixed", lam)], params, [0.0], 8, 8)[0][0]
     mass = (1.0 - 0.5 ** 7) ** 2  # retained thermal weight per mode at nbar=1
     expected = mass * np.diag(
         [lam ** 2, lam * (1.0 - lam), lam * (1.0 - lam), (1.0 - lam) ** 2]
@@ -192,7 +192,7 @@ def test_thermal_sweep_time_zero_returns_initial_mixture():
 
 def test_thermal_sweep_matches_closed_form():
     params = ModelParams(nbar1=1.0, nbar2=1.0)
-    initial = InitialAtomicState.pure("eg")
+    initial = InitialAtomicState("eg")
     n_max = 14
     rho = thermal_sweep([initial], params, [1.0], n_max, n_max)[0][0]
     cutoff = FockCutoff.explicit(n_max - HEADROOM, n_max - HEADROOM, 1.0, 1.0)
@@ -204,10 +204,10 @@ def test_thermal_sweep_matches_closed_form():
 def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
     params = ModelParams(nbar1=0.5, nbar2=0.8)
     initials = [
-        InitialAtomicState.pure("eg"),
-        InitialAtomicState.pure("gg"),
-        InitialAtomicState.pure("ee"),
-        InitialAtomicState.mixed(0.05),
+        InitialAtomicState("eg"),
+        InitialAtomicState("gg"),
+        InitialAtomicState("ee"),
+        InitialAtomicState("mixed", 0.05),
     ]
     gts = [0.0, 0.5, 1.5, 4.2]
     singles = [thermal_sweep([initial], params, gts, 5, 6)[0] for initial in initials]
@@ -231,7 +231,7 @@ def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
 def test_thermal_sweep_rejects_tiny_cutoffs():
     params = ModelParams(nbar1=0.1, nbar2=0.1)
     with pytest.raises(ValueError, match=">= 2"):
-        thermal_sweep([InitialAtomicState.pure("ee")], params, [1.0], 1, 4)
+        thermal_sweep([InitialAtomicState("ee")], params, [1.0], 1, 4)
 
 
 def test_build_hamiltonian_rejects_negative_cutoff():

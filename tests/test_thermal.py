@@ -57,8 +57,14 @@ def test_thermal_weight_rejects_bad_input():
     for nbar in (math.nan, math.inf):
         with pytest.raises(ValueError):
             thermal_weight(nbar, 1)
-    # numpy integers, as np.arange yields them, are Fock indices too
-    assert thermal_weight(1.0, np.int64(2)) == thermal_weight(1.0, 2)
+    # numpy integers, as np.arange yields them, are Fock indices too, down to
+    # the last bit (float ** np.int64 alone would differ at these points)
+    for nbar, n in ((1.0, 2), (0.5, 10), (2.0, 10), (0.7, 13), (0.7, 14)):
+        assert thermal_weight(nbar, np.int64(n)) == thermal_weight(nbar, n), (nbar, n)
+    # a numpy float32 nbar is computed in double precision, not in float32
+    nbar = np.float32(0.3)
+    assert thermal_weight(nbar, 5) == thermal_weight(float(nbar), 5)
+    assert mode_weights(nbar, 3).dtype == np.float64
 
 
 def test_choose_cutoff_vacuum():
