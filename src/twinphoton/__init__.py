@@ -5,7 +5,7 @@ negativity, and a brute-force truncated-space oracle for cross-validation.
 """
 
 from .dynamics import sweep, xstate_term
-from .model import InitialAtomicState, ModelParams, TimeGrid, XState
+from .model import InitialAtomicState, TimeGrid, XState
 from .negativity import negativity_general, negativity_x, partial_transpose
 from .thermal import FockCutoff, choose_cutoff, tail_mass, thermal_weight
 
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FockCutoff",
     "InitialAtomicState",
-    "ModelParams",
     "TimeGrid",
     "XState",
     "choose_cutoff",

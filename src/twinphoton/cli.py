@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import dynamics, oracle
-from .model import VARIANTS, InitialAtomicState, ModelParams, TimeGrid, XState
+from .model import VARIANTS, InitialAtomicState, TimeGrid, XState, _check_nbar
 from .negativity import negativity_general, negativity_x
 from .thermal import FockCutoff
 
@@ -181,12 +181,12 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _provenance_lines(initial, params, grid, cutoff, path_label):
+def _provenance_lines(initial, grid, cutoff, path_label):
     lam = "none" if initial.excited_weight is None else _format_float(initial.excited_weight)
     return [
         "# two-atom pair-emission entanglement sweep",
         f"# initial={initial.variant} lambda={lam}"
-        f" nbar1={_format_float(params.nbar1)} nbar2={_format_float(params.nbar2)}",
+        f" nbar1={_format_float(cutoff.nbar1)} nbar2={_format_float(cutoff.nbar2)}",
         f"# grid: gt in [0, {_format_float(grid.t_max)}],"
         f" steps={grid.steps} ({grid.steps + 1} samples)",
         f"# fock cutoff: n_max1={cutoff.n_max1} n_max2={cutoff.n_max2}"
@@ -204,20 +204,21 @@ def _emit(lines, out_path):
             fh.write(text)
 
 
-def _sweep_document(initial, params, grid, cutoff, oracle_cutoff=None):
-    """CSV lines for one sweep; oracle_cutoff switches to the brute-force path."""
+def _sweep_document(initial, grid, cutoff, use_oracle=False):
+    """CSV lines for one sweep over cutoff; use_oracle switches to the brute-force path."""
     gts = grid.points()
-    if oracle_cutoff is None:
-        rows = dynamics.sweep(initial, params, gts, cutoff).tolist()
+    if not use_oracle:
+        rows = dynamics.sweep(initial, gts, cutoff).tolist()
         eps = [negativity_x(XState(*row)) for row in rows]
         label = "closed form"
     else:
-        rhos = oracle.thermal_sweep([initial], params, gts, *oracle_cutoff)[0]
+        rhos = oracle.thermal_sweep([initial], gts, cutoff)[0]
         # (A, B, C, D, E) = rho[00], rho[11], rho[22], rho[33], Re rho[12]
         rows = rhos[:, [0, 1, 2, 3, 1], [0, 1, 2, 3, 2]].real.tolist()
         eps = [negativity_general(r) for r in rhos]
-        label = f"oracle, truncation ({oracle_cutoff[0]}, {oracle_cutoff[1]})"
-    lines = _provenance_lines(initial, params, grid, cutoff, label)
+        n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
+        label = f"oracle, truncation ({n1}, {n2})"
+    lines = _provenance_lines(initial, grid, cutoff, label)
     lines.append(CSV_HEADER)
     # repr of a Python float is its shortest round-trip form
     for gt, row, e in zip(gts.tolist(), rows, eps):
@@ -225,7 +226,7 @@ def _sweep_document(initial, params, grid, cutoff, oracle_cutoff=None):
     return lines
 
 
-def _oracle_retained_cutoff(pair, params) -> FockCutoff:
+def _oracle_retained_cutoff(pair, nbar1, nbar2) -> FockCutoff:
     """Guard an oracle truncation N1,N2; return the retained Fock set HEADROOM below it."""
     n1, n2 = pair
     if max(n1, n2) > ORACLE_MAX_CUTOFF:
@@ -235,9 +236,7 @@ def _oracle_retained_cutoff(pair, params) -> FockCutoff:
         )
     if min(n1, n2) < oracle.HEADROOM:
         raise ValueError(f"oracle truncation must be >= {oracle.HEADROOM} per mode")
-    return FockCutoff.explicit(
-        n1 - oracle.HEADROOM, n2 - oracle.HEADROOM, params.nbar1, params.nbar2
-    )
+    return FockCutoff.explicit(n1 - oracle.HEADROOM, n2 - oracle.HEADROOM, nbar1, nbar2)
 
 
 def _warn_if_large(initial, grid, cutoff):
@@ -253,24 +252,27 @@ def _warn_if_large(initial, grid, cutoff):
         )
 
 
+def _checked_nbars(args) -> tuple[float, float]:
+    """--nbar1 and --nbar2, checked before the grid and cutoffs so theirs is the error reported."""
+    return _check_nbar(args.nbar1, "nbar1"), _check_nbar(args.nbar2, "nbar2")
+
+
 def _run_sweep(args) -> int:
     initial = InitialAtomicState(args.initial, args.lam)
-    params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
+    nbars = _checked_nbars(args)
     grid = TimeGrid(args.tmax, args.steps)
 
     if args.oracle:
         if args.cutoff is None:
             raise ValueError("--oracle requires an explicit --cutoff N1,N2")
-        cutoff = _oracle_retained_cutoff(args.cutoff, params)
-        lines = _sweep_document(initial, params, grid, cutoff, oracle_cutoff=args.cutoff)
+        cutoff = _oracle_retained_cutoff(args.cutoff, *nbars)
     else:
         if args.cutoff is not None:
-            cutoff = FockCutoff.explicit(*args.cutoff, params.nbar1, params.nbar2)
+            cutoff = FockCutoff.explicit(*args.cutoff, *nbars)
         else:
-            cutoff = FockCutoff.choose(params.nbar1, params.nbar2, args.tail_tol)
+            cutoff = FockCutoff.choose(*nbars, args.tail_tol)
         _warn_if_large(initial, grid, cutoff)
-        lines = _sweep_document(initial, params, grid, cutoff)
-    _emit(lines, args.out)
+    _emit(_sweep_document(initial, grid, cutoff, use_oracle=args.oracle), args.out)
     return 0
 
 
@@ -279,10 +281,9 @@ def _run_figure(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     for variant, lam, nbar, name in FIGURE_PRESETS[args.preset]:
         initial = InitialAtomicState(variant, lam)
-        params = ModelParams(nbar1=nbar, nbar2=nbar)
-        cutoff = FockCutoff.choose(params.nbar1, params.nbar2, args.tail_tol)
+        cutoff = FockCutoff.choose(nbar, nbar, args.tail_tol)
         path = os.path.join(args.outdir, name)
-        _emit(_sweep_document(initial, params, grid, cutoff), path)
+        _emit(_sweep_document(initial, grid, cutoff), path)
         print(path)
     return 0
 
@@ -290,8 +291,7 @@ def _run_figure(args) -> int:
 def _run_check(args) -> int:
     """Run both paths on the same retained Fock set and compare everywhere."""
     n1, n2 = args.cutoff
-    params = ModelParams(nbar1=args.nbar1, nbar2=args.nbar2)
-    cutoff = _oracle_retained_cutoff(args.cutoff, params)
+    cutoff = _oracle_retained_cutoff(args.cutoff, *_checked_nbars(args))
     grid = TimeGrid(args.tmax, args.steps)
     gts = grid.points()
     variants = args.initial if args.initial else CHECK_DEFAULT_STATES
@@ -302,8 +302,8 @@ def _run_check(args) -> int:
         f" {grid.steps + 1} times in [0, {grid.t_max:g}]"
     )
     worst = 0.0
-    for initial, rhos in zip(initials, oracle.thermal_sweep(initials, params, gts, n1, n2)):
-        closed = dynamics.sweep(initial, params, gts, cutoff)
+    for initial, rhos in zip(initials, oracle.thermal_sweep(initials, gts, cutoff)):
+        closed = dynamics.sweep(initial, gts, cutoff)
         dev_elem = 0.0
         dev_eps = 0.0
         for row, rho in zip(closed, rhos):

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _core_py
-from .model import PURE_VARIANTS, InitialAtomicState, ModelParams, XState, _count
-from .thermal import FockCutoff, mode_weights
+from .model import PURE_VARIANTS, InitialAtomicState, XState, _count
+from .thermal import FockCutoff
 
 
 def active_backend() -> str:
@@ -47,11 +47,10 @@ def _check_times(gts: np.ndarray):
         raise ValueError("times gt must be finite and >= 0")
 
 
-def sweep(
-    initial: InitialAtomicState, params: ModelParams, gts, cutoff: FockCutoff
-) -> np.ndarray:
+def sweep(initial: InitialAtomicState, gts, cutoff: FockCutoff) -> np.ndarray:
     """Thermal-average X-state elements for any initial state, one row per time.
 
+    Sums the Fock pairs and thermal weights that ``cutoff`` describes.
     Returns an array of shape (len(gts), 5) with columns (A, B, C, D, E) =
     (pop_ee, pop_eg, pop_ge, pop_gg, coherence).  The row trace equals the
     retained thermal mass (1-t1)(1-t2) >= 1 - cutoff.tail_bound, and every
@@ -63,8 +62,7 @@ def sweep(
     """
     gts = np.ascontiguousarray(gts, dtype=np.float64)
     _check_times(gts)
-    w1 = mode_weights(params.nbar1, cutoff.n_max1)
-    w2 = mode_weights(params.nbar2, cutoff.n_max2)
+    w1, w2 = cutoff.weights()
     terms = (w * _core_py.thermal_sweep(v, w1, w2, gts) for v, w in initial.parts)
     # start from the first part, not from 0, which would turn its -0.0 entries into 0.0
     return sum(terms, next(terms))

@@ -39,21 +39,6 @@ def _check_nbar(value, name: str = "nbar") -> float:
 
 
 @dataclass(frozen=True)
-class ModelParams:
-    """Physical configuration: the thermal mode intensities.
-
-    ``nbar1``/``nbar2`` are the mean photon numbers of the two cavity modes.
-    """
-
-    nbar1: float = 0.0
-    nbar2: float = 0.0
-
-    def __post_init__(self):
-        _check_nbar(self.nbar1, "nbar1")
-        _check_nbar(self.nbar2, "nbar2")
-
-
-@dataclass(frozen=True)
 class InitialAtomicState:
     """Initial two-atom state: a pure product state or a thermal mixture.
 
@@ -139,7 +124,7 @@ class TimeGrid:
     def __post_init__(self):
         if not _finite(self.t_max) or self.t_max <= 0:
             raise ValueError(f"t_max must be > 0 and finite; got {self.t_max!r}")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not (_count(self.steps) and self.steps >= 1):
             raise ValueError(f"steps must be an integer >= 1; got {self.steps!r}")
 
     def points(self) -> np.ndarray:

@@ -7,9 +7,10 @@ every result comes from one path.  States are unit-basis columns |atom>|n1, n2>
 named by flat_index; Propagator.evolve_basis_batch evolves a batch of them
 through the full eigendecomposition in real arithmetic, and reduce_atoms
 traces out the field as a weighted sum over the batch's columns.  A thermal
-sweep evolves each atomic basis column it needs once per time, shared by all
-the initial states it is given; a single Fock term is a batch of one column
-with weight 1.  The closed-form path is checked against these results; this
+sweep takes the closed form's FockCutoff, truncates HEADROOM above it and
+evolves each atomic basis column it needs once per time, shared by all the
+initial states it is given; a single Fock term is a batch of one column with
+weight 1.  The closed-form path is checked against these results; this
 module is confined to tests and the explicit oracle CLI modes.
 """
 
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ATOM_INDEX, InitialAtomicState, ModelParams
-from .thermal import mode_weights
+from .model import ATOM_INDEX, InitialAtomicState
+from .thermal import FockCutoff
 
 # +2 Fock headroom per mode: pair emission from |++> raises each mode index
-# by at most 2, so initial Fock components up to n_max-2 evolve exactly
+# by at most 2, so initial Fock components up to the truncation minus 2 evolve exactly
 HEADROOM = 2
 
 
@@ -92,31 +93,27 @@ def reduce_atoms(psi, weights) -> np.ndarray:
     return (psi * weights).reshape(4, -1) @ psi.reshape(4, -1).conj().T
 
 
-def thermal_sweep(
-    initials: list[InitialAtomicState], params: ModelParams, gts, n_max1: int, n_max2: int
-) -> list[np.ndarray]:
+def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
     """Thermally averaged reduced atomic density matrices for several initial states.
 
     Returns one (len(gts), 4, 4) stack per entry of ``initials``.  Initial
-    Fock pairs run over n1 <= n_max1-2, n2 <= n_max2-2 (HEADROOM below the
-    truncation, so every retained component evolves exactly) and are weighted
-    by the thermal distribution without renormalization; the trace of each
-    output equals the retained thermal mass.
+    Fock pairs run over n1 <= cutoff.n_max1, n2 <= cutoff.n_max2, weighted by
+    cutoff.weights() without renormalization, so the trace of each output
+    equals the retained thermal mass.  The space is truncated HEADROOM above,
+    at n_max + 2 per mode, so every retained component evolves exactly.
 
     Each time takes one pass: every atomic basis state the initial states
     need is evolved with each retained Fock pair in a single batch, the field
     is traced out per atomic basis state, and each initial state is the
     weighted sum of those per-atom matrices.
     """
-    if n_max1 < HEADROOM or n_max2 < HEADROOM:
-        raise ValueError(f"cutoffs must be >= {HEADROOM}; got ({n_max1}, {n_max2})")
-    prop = Propagator(n_max1, n_max2)
+    trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
+    prop = Propagator(trunc1, trunc2)
     atoms = sorted({ATOM_INDEX[v] for initial in initials for v, _ in initial.parts})
-    k1, k2 = n_max1 - HEADROOM, n_max2 - HEADROOM  # largest retained initial Fock index
-    weights = np.outer(mode_weights(params.nbar1, k1), mode_weights(params.nbar2, k2)).ravel()
-    n1, n2 = np.arange(k1 + 1), np.arange(k2 + 1)
+    weights = np.outer(*cutoff.weights()).ravel()
+    n1, n2 = np.arange(cutoff.n_max1 + 1), np.arange(cutoff.n_max2 + 1)
     cols = np.concatenate(
-        [flat_index(atom, n1[:, None], n2, n_max1, n_max2).ravel() for atom in atoms]
+        [flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel() for atom in atoms]
     )
     pairs = len(weights)
     gts = np.atleast_1d(np.asarray(gts, dtype=float))

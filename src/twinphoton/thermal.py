@@ -46,6 +46,7 @@ def tail_mass(nbar: float, n_max: int) -> float:
     nbar = _check_nbar(nbar)
     if not _count(n_max):
         raise ValueError(f"n_max must be an integer >= 0; got {n_max!r}")
+    n_max = int(n_max)  # float ** np.int64 is numpy's power, which can differ in the last bit
     return (nbar / (1.0 + nbar)) ** (n_max + 1)
 
 
@@ -73,36 +74,46 @@ def choose_cutoff(nbar: float, tol: float) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class FockCutoff:
-    """Per-mode Fock truncation with a certified bound on the neglected mass.
+    """The summed thermal field: Fock states n <= n_max of modes with mean nbar.
 
     The thermal weights factorize, so the pair grid is the product of the two
     per-mode ranges and the neglected mass 1 - (1-t1)(1-t2) is at most the sum
-    t1 + t2 of the per-mode tails.  Each neglected Fock pair contributes its
-    weight times a unit-trace PSD X-state, whose entries are at most 1 in
+    t1 + t2 = tail_bound of the per-mode tails.  Each neglected Fock pair adds
+    its weight times a unit-trace PSD X-state, whose entries are at most 1 in
     magnitude, so tail_bound bounds the error of every thermally averaged
     element, populations and coherence alike.
     """
 
     n_max1: int
     n_max2: int
-    tail_bound: float
+    nbar1: float
+    nbar2: float
 
     def __post_init__(self):
         if not (_count(self.n_max1) and _count(self.n_max2)):
             raise ValueError(
                 f"cutoffs must be integers >= 0; got ({self.n_max1!r}, {self.n_max2!r})"
             )
-        if not 0.0 <= self.tail_bound < math.inf:
-            raise ValueError(f"tail_bound must be finite and >= 0; got {self.tail_bound!r}")
+        _check_nbar(self.nbar1, "nbar1")
+        _check_nbar(self.nbar2, "nbar2")
+
+    @property
+    def tail_bound(self) -> float:
+        """Certified bound t1 + t2 on the thermal mass the cutoffs neglect."""
+        return tail_mass(self.nbar1, self.n_max1) + tail_mass(self.nbar2, self.n_max2)
+
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Thermal weights of the summed Fock states, one vector per mode."""
+        return mode_weights(self.nbar1, self.n_max1), mode_weights(self.nbar2, self.n_max2)
 
     @classmethod
     def choose(cls, nbar1: float, nbar2: float, tol: float = 1e-10) -> "FockCutoff":
         """Smallest per-mode cutoffs whose combined tail stays below tol."""
-        n1, t1 = choose_cutoff(nbar1, tol / 2.0)
-        n2, t2 = choose_cutoff(nbar2, tol / 2.0)
-        return cls(n1, n2, t1 + t2)
+        n1, _ = choose_cutoff(_check_nbar(nbar1, "nbar1"), tol / 2.0)
+        n2, _ = choose_cutoff(_check_nbar(nbar2, "nbar2"), tol / 2.0)
+        return cls(n1, n2, nbar1, nbar2)
 
     @classmethod
     def explicit(cls, n_max1: int, n_max2: int, nbar1: float, nbar2: float) -> "FockCutoff":
-        """Cutoff fixed by hand; the tail bound is computed, not requested."""
-        return cls(n_max1, n_max2, tail_mass(nbar1, n_max1) + tail_mass(nbar2, n_max2))
+        """Cutoffs fixed by hand; the tail bound is computed, not requested."""
+        return cls(n_max1, n_max2, nbar1, nbar2)

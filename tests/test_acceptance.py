@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import record_acceptance
 from twinphoton import dynamics, oracle
-from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGrid, XState
+from twinphoton.model import ATOM_INDEX, InitialAtomicState, TimeGrid, XState
 from twinphoton.negativity import negativity_general, negativity_x
 from twinphoton.thermal import FockCutoff
 
@@ -76,9 +76,8 @@ def test_criterion_4_double_excitation_never_entangles():
     worst = 0.0
     gts = GRID.points()
     for nbar in (0.3, 1.0):
-        params = ModelParams(nbar1=nbar, nbar2=nbar)
         cutoff = FockCutoff.choose(nbar, nbar, 1e-10)
-        rows = dynamics.sweep(InitialAtomicState("ee"), params, gts, cutoff)
+        rows = dynamics.sweep(InitialAtomicState("ee"), gts, cutoff)
         worst = max(worst, max(negativity_x(XState(*row)) for row in rows))
     ok = worst < 1e-12
     record_acceptance(
@@ -89,11 +88,10 @@ def test_criterion_4_double_excitation_never_entangles():
 
 def test_criterion_5_mixture_negativity_vanishing_and_monotone():
     gts = GRID.points()
-    params = ModelParams(nbar1=1.0, nbar2=1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     maxima = {}
     for lam in (0.01, 0.05, 0.09):
-        rows = dynamics.sweep(InitialAtomicState("mixed", lam), params, gts, cutoff)
+        rows = dynamics.sweep(InitialAtomicState("mixed", lam), gts, cutoff)
         maxima[lam] = max(negativity_x(XState(*row)) for row in rows)
     vanished = maxima[0.09] < 1e-12
     positive = maxima[0.01] > 0.0 and maxima[0.05] > 0.0
@@ -119,9 +117,8 @@ def test_criterion_5_mixture_negativity_vanishing_and_monotone():
 
 def test_criterion_6_vacuum_limit_analytic_curve():
     gts = GRID.points()
-    params = ModelParams()
     cutoff = FockCutoff.explicit(0, 0, 0.0, 0.0)
-    rows = dynamics.sweep(InitialAtomicState("eg"), params, gts, cutoff)
+    rows = dynamics.sweep(InitialAtomicState("eg"), gts, cutoff)
     eps = np.array([negativity_x(XState(*row)) for row in rows])
     analytic = np.maximum(
         0.0, (math.sqrt(2.0) - 1.0) * np.sin(math.sqrt(2.0) * gts) ** 2 / 2.0

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from twinphoton import _core_py, cli, dynamics
-from twinphoton.model import VARIANTS, InitialAtomicState, ModelParams
+from twinphoton import _core_py, cli, dynamics, oracle
+from twinphoton.model import VARIANTS, InitialAtomicState
 from twinphoton.thermal import FockCutoff
 
 CMD = [sys.executable, "-m", "twinphoton.cli"]
@@ -145,6 +145,30 @@ def test_check_subcommand_passes():
         assert label in out
 
 
+def test_check_compares_both_paths_on_one_retained_set(monkeypatch, capsys):
+    # both paths get the FockCutoff object as their last argument
+    received = {"sweep": [], "thermal_sweep": []}
+
+    def record(module, name):
+        path = getattr(module, name)
+
+        def recording(*args):
+            received[name].append(args[-1])
+            return path(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(cli.dynamics, "sweep")
+    record(cli.oracle, "thermal_sweep")
+    argv = ["check", "--cutoff", "5,6", "--nbar1", "0.3", "--nbar2", "2", "--steps", "2"]
+    assert cli.main(argv) == 0
+    assert "PASS" in capsys.readouterr().out
+    cutoffs = received["sweep"] + received["thermal_sweep"]
+    assert len(received["thermal_sweep"]) == 1 and len(cutoffs) == 5
+    assert all(cutoff is cutoffs[0] for cutoff in cutoffs)
+    assert cutoffs[0] == FockCutoff(5 - oracle.HEADROOM, 6 - oracle.HEADROOM, 0.3, 2.0)
+
+
 def test_check_subcommand_detects_violation():
     res = run_cli(
         "check", "--cutoff", "6,6", "--steps", "3", "--tmax", "2", "--tol", "1e-300"
@@ -185,6 +209,10 @@ def test_usage_errors_exit_one(capsys):
         assert err  # some diagnostic lands on stderr
         if args and args[0] in ("sweep", "figure", "check"):
             assert f"usage: twinphoton {args[0]}" in err, (args, err)
+    # a bad mean photon number is named by its option
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--initial", "eg", "--nbar1", "-0.5"])
+    assert "error: nbar1 must be" in capsys.readouterr().err
     # the exit status of the real process, for an error raised past argparse
     res = run_cli("sweep", "--initial", "eg", "--oracle")
     assert res.returncode == 1, (res.stdout, res.stderr)
@@ -222,11 +250,10 @@ def test_warned_pass_count_is_the_kernel_call_count(monkeypatch):
 
     monkeypatch.setattr(_core_py, "thermal_sweep", counting)
     cutoff = FockCutoff.choose(0.2, 0.5, 1e-6)
-    params = ModelParams(nbar1=0.2, nbar2=0.5)
     for variant in VARIANTS:
         initial = InitialAtomicState(variant, 0.05 if variant == "mixed" else None)
         calls.clear()
-        dynamics.sweep(initial, params, [0.0, 1.0], cutoff)
+        dynamics.sweep(initial, [0.0, 1.0], cutoff)
         assert len(calls) == len(initial.parts), variant
 
 

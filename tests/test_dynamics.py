@@ -7,15 +7,11 @@ import pytest
 from helpers import assert_valid_xstate, trig_xstate_term
 from twinphoton import _core_py
 from twinphoton.dynamics import sweep, xstate_term
-from twinphoton.model import InitialAtomicState, ModelParams, TimeGrid, XState
+from twinphoton.model import InitialAtomicState, TimeGrid, XState
 from twinphoton.thermal import FockCutoff, thermal_weight
 
 GTS = (0.1, 0.7, 1.3, 3.1, 9.9)
 VARIANTS = ("ee", "eg", "ge", "gg")
-
-
-def params_for(nbar1, nbar2=None):
-    return ModelParams(nbar1=nbar1, nbar2=nbar1 if nbar2 is None else nbar2)
 
 
 def test_block_frequency_examples():
@@ -113,13 +109,12 @@ def test_term_rejects_bad_arguments():
 
 
 def test_sweep_trace_equals_retained_mass():
-    p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-8)
     m1 = sum(thermal_weight(1.0, n) for n in range(cutoff.n_max1 + 1))
     m2 = sum(thermal_weight(1.0, n) for n in range(cutoff.n_max2 + 1))
     gts = TimeGrid(8.0, 40).points()
     for variant in VARIANTS:
-        rows = sweep(InitialAtomicState(variant), p, gts, cutoff)
+        rows = sweep(InitialAtomicState(variant), gts, cutoff)
         traces = rows[:, :4].sum(axis=1)
         assert np.allclose(traces, m1 * m2, rtol=0, atol=1e-12)
         assert np.all(traces >= 1.0 - cutoff.tail_bound - 1e-12)
@@ -130,7 +125,6 @@ def test_sweep_trace_equals_retained_mass():
 def test_sweep_matches_exact_sum_across_row_blocks():
     # the 20,667 points of an 83x249 grid, sorted by block frequency, fill 21
     # chunks, and several frequencies straddle a chunk boundary
-    p = params_for(3.0, 10.0)
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
     n1 = np.arange(cutoff.n_max1 + 1)
     n2 = np.arange(cutoff.n_max2 + 1)
@@ -140,7 +134,7 @@ def test_sweep_matches_exact_sum_across_row_blocks():
     )
     gts = (0.7, 3.1, 9.9)
     for variant in VARIANTS:
-        rows = sweep(InitialAtomicState(variant), p, gts, cutoff)
+        rows = sweep(InitialAtomicState(variant), gts, cutoff)
         for row, gt in zip(rows, gts):
             terms = _core_py.xstate_term(variant, n1[:, None], n2, gt)
             exact = [math.fsum((weight * t).ravel()) for t in terms]
@@ -156,13 +150,12 @@ def test_sweep_error_is_within_certified_tail_bound():
         InitialAtomicState("mixed", 0.05)
     ]
     for nbar1, nbar2 in ((0.3, 0.3), (1.3, 0.4), (3.0, 10.0)):
-        p = params_for(nbar1, nbar2)
         reference = FockCutoff.choose(nbar1, nbar2, 1e-16)
-        exact = [sweep(initial, p, gts, reference) for initial in initials]
+        exact = [sweep(initial, gts, reference) for initial in initials]
         for tol in (1e-4, 1e-10):
             cutoff = FockCutoff.choose(nbar1, nbar2, tol)
             errors = [
-                np.abs(sweep(initial, p, gts, cutoff) - rows).max()
+                np.abs(sweep(initial, gts, cutoff) - rows).max()
                 for initial, rows in zip(initials, exact)
             ]
             assert max(errors) <= cutoff.tail_bound + 1e-12
@@ -225,47 +218,44 @@ def test_sweep_takes_one_sin_per_distinct_frequency_and_time(monkeypatch):
 
 def test_sweep_mode_swap_symmetry():
     cutoff = FockCutoff.choose(1.3, 0.4, 1e-10)
-    swapped = FockCutoff(cutoff.n_max2, cutoff.n_max1, cutoff.tail_bound)
+    swapped = FockCutoff(cutoff.n_max2, cutoff.n_max1, cutoff.nbar2, cutoff.nbar1)
     gts = TimeGrid(7.0, 60).points()
     for initial in [InitialAtomicState(v) for v in VARIANTS] + [
         InitialAtomicState("mixed", 0.05)
     ]:
-        a = sweep(initial, params_for(1.3, 0.4), gts, cutoff)
-        b = sweep(initial, params_for(0.4, 1.3), gts, swapped)
+        a = sweep(initial, gts, cutoff)
+        b = sweep(initial, gts, swapped)
         assert np.allclose(a, b, rtol=0, atol=1e-13)
 
 
 def test_sweep_deterministic_repeat():
-    p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     gts = TimeGrid(10.0, 100).points()
-    a = sweep(InitialAtomicState("gg"), p, gts, cutoff)
-    b = sweep(InitialAtomicState("gg"), p, gts, cutoff)
+    a = sweep(InitialAtomicState("gg"), gts, cutoff)
+    b = sweep(InitialAtomicState("gg"), gts, cutoff)
     assert np.array_equal(a, b)
 
 
 def test_mixed_is_elementwise_combination():
-    p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     gts = np.array([2.0])
     lam = 0.05
-    parts = {v: sweep(InitialAtomicState(v), p, gts, cutoff)[0] for v in VARIANTS}
+    parts = {v: sweep(InitialAtomicState(v), gts, cutoff)[0] for v in VARIANTS}
     expected = (
         0.0025 * parts["ee"]
         + 0.0475 * (parts["eg"] + parts["ge"])
         + 0.9025 * parts["gg"]
     )
-    got = sweep(InitialAtomicState("mixed", lam), p, gts, cutoff)[0]
+    got = sweep(InitialAtomicState("mixed", lam), gts, cutoff)[0]
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-16)
 
 
 def test_mixed_endpoints_reduce_to_pure():
-    p = params_for(0.6)
     cutoff = FockCutoff.choose(0.6, 0.6, 1e-10)
     gts = TimeGrid(4.0, 16).points()
     for lam, variant in ((0.0, "gg"), (1.0, "ee")):
-        mixed = sweep(InitialAtomicState("mixed", lam), p, gts, cutoff)
-        assert np.array_equal(mixed, sweep(InitialAtomicState(variant), p, gts, cutoff))
+        mixed = sweep(InitialAtomicState("mixed", lam), gts, cutoff)
+        assert np.array_equal(mixed, sweep(InitialAtomicState(variant), gts, cutoff))
 
 
 def test_mixed_rejects_lambda_outside_unit_interval():
@@ -274,18 +264,16 @@ def test_mixed_rejects_lambda_outside_unit_interval():
 
 
 def test_sweep_rejects_negative_times():
-    p = params_for(0.3)
     cutoff = FockCutoff.choose(0.3, 0.3, 1e-10)
     for gts in ([-0.5, 1.0], [math.nan], [1.0, math.inf]):
         with pytest.raises(ValueError):
-            sweep(InitialAtomicState("eg"), p, gts, cutoff)
+            sweep(InitialAtomicState("eg"), gts, cutoff)
 
 
 def test_initial_projector_at_zero_time():
-    p = params_for(1.0)
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     for variant in VARIANTS:
-        state = XState(*sweep(InitialAtomicState(variant), p, [0.0], cutoff)[0])
+        state = XState(*sweep(InitialAtomicState(variant), [0.0], cutoff)[0])
         pops = state.as_tuple()[:4]
         idx = VARIANTS.index(variant)
         for j, value in enumerate(pops):

@@ -3,30 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, TimeGrid, XState
-
-
-def test_validate_accepts_standard_configuration():
-    params = ModelParams(nbar1=1.0, nbar2=1.0)
-    initial = InitialAtomicState("eg")
-    assert (params.nbar1, params.nbar2) == (1.0, 1.0)
-    assert (initial.variant, initial.excited_weight) == ("eg", None)
-    # numpy scalars pass the same nbar rule as FockCutoff.choose and thermal_weight
-    for nbar in (np.int64(1), np.float32(1.0), np.float64(1.0)):
-        params = ModelParams(nbar1=nbar, nbar2=1.0)
-        assert params.nbar1 == 1.0
-
-
-def test_negative_nbar_rejected_by_name():
-    with pytest.raises(ValueError, match="nbar1"):
-        ModelParams(nbar1=-0.1, nbar2=1.0)
-    with pytest.raises(ValueError, match="nbar2"):
-        ModelParams(nbar1=1.0, nbar2=-2.0)
-
-
-def test_nonfinite_nbar_rejected():
-    with pytest.raises(ValueError, match="nbar1"):
-        ModelParams(nbar1=math.nan, nbar2=0.0)
+from twinphoton.model import ATOM_INDEX, InitialAtomicState, TimeGrid, XState
 
 
 def test_lambda_out_of_range_rejected():
@@ -55,6 +32,8 @@ def test_atom_index_follows_basis_order():
 
 
 def test_parts_decompose_the_initial_state():
+    initial = InitialAtomicState("eg")
+    assert (initial.variant, initial.excited_weight) == ("eg", None)
     for variant in ATOM_INDEX:
         assert InitialAtomicState(variant).parts == [(variant, 1.0)]
     lam = 0.3
@@ -68,13 +47,14 @@ def test_parts_decompose_the_initial_state():
 
 
 def test_time_grid_points():
-    grid = TimeGrid(10.0, 1000)
-    pts = grid.points()
-    assert pts.shape == (1001,)
-    assert pts[0] == 0.0
-    assert pts[-1] == 10.0
-    # uniform spacing including both endpoints (each point rounds independently)
-    assert np.allclose(np.diff(pts), 10.0 / 1000, rtol=0, atol=4e-15)
+    # a numpy integer step count is a count like any other
+    for steps in (1000, np.int64(1000)):
+        pts = TimeGrid(10.0, steps).points()
+        assert pts.shape == (1001,)
+        assert pts[0] == 0.0
+        assert pts[-1] == 10.0
+        # uniform spacing including both endpoints (each point rounds independently)
+        assert np.allclose(np.diff(pts), 10.0 / 1000, rtol=0, atol=4e-15)
 
 
 def test_time_grid_single_step():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twinphoton import dynamics
-from twinphoton.model import ATOM_INDEX, InitialAtomicState, ModelParams, XState
+from twinphoton.model import ATOM_INDEX, InitialAtomicState, XState
 from twinphoton.negativity import negativity_general
 from twinphoton.oracle import (
     HEADROOM,
@@ -172,17 +172,17 @@ def test_single_photon_pair_generates_bell_state():
 
 
 def test_thermal_sweep_vacuum_equals_single_fock_term():
-    params = ModelParams(nbar1=0.0, nbar2=0.0)
-    initial = InitialAtomicState("eg")
-    rho = thermal_sweep([initial], params, [1.9], 4, 4)[0][0]
+    # retained Fock set 2,2, truncated HEADROOM above at 4,4
+    cutoff = FockCutoff.explicit(2, 2, 0.0, 0.0)
+    rho = thermal_sweep([InitialAtomicState("eg")], [1.9], cutoff)[0][0]
     direct = reduce_atoms(evolve_term("eg", 0, 0, 4, 4, 1.9), [1.0])
     assert np.abs(rho - direct).max() < 1e-13
 
 
 def test_thermal_sweep_time_zero_returns_initial_mixture():
-    params = ModelParams(nbar1=1.0, nbar2=1.0)
+    cutoff = FockCutoff.explicit(6, 6, 1.0, 1.0)
     lam = 0.3
-    rho = thermal_sweep([InitialAtomicState("mixed", lam)], params, [0.0], 8, 8)[0][0]
+    rho = thermal_sweep([InitialAtomicState("mixed", lam)], [0.0], cutoff)[0][0]
     mass = (1.0 - 0.5 ** 7) ** 2  # retained thermal weight per mode at nbar=1
     expected = mass * np.diag(
         [lam ** 2, lam * (1.0 - lam), lam * (1.0 - lam), (1.0 - lam) ** 2]
@@ -191,18 +191,17 @@ def test_thermal_sweep_time_zero_returns_initial_mixture():
 
 
 def test_thermal_sweep_matches_closed_form():
-    params = ModelParams(nbar1=1.0, nbar2=1.0)
     initial = InitialAtomicState("eg")
     n_max = 14
-    rho = thermal_sweep([initial], params, [1.0], n_max, n_max)[0][0]
     cutoff = FockCutoff.explicit(n_max - HEADROOM, n_max - HEADROOM, 1.0, 1.0)
-    row = dynamics.sweep(initial, params, [1.0], cutoff)[0]
+    rho = thermal_sweep([initial], [1.0], cutoff)[0][0]
+    row = dynamics.sweep(initial, [1.0], cutoff)[0]
     assert np.abs(XState(*row).to_matrix() - rho).max() < 1e-10
     assert np.abs(rho.imag).max() < 1e-14
 
 
 def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
-    params = ModelParams(nbar1=0.5, nbar2=0.8)
+    cutoff = FockCutoff.explicit(3, 4, 0.5, 0.8)
     initials = [
         InitialAtomicState("eg"),
         InitialAtomicState("gg"),
@@ -210,7 +209,7 @@ def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
         InitialAtomicState("mixed", 0.05),
     ]
     gts = [0.0, 0.5, 1.5, 4.2]
-    singles = [thermal_sweep([initial], params, gts, 5, 6)[0] for initial in initials]
+    singles = [thermal_sweep([initial], gts, cutoff)[0] for initial in initials]
 
     calls = []
     batch = Propagator.evolve_basis_batch
@@ -220,18 +219,12 @@ def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
         return batch(self, flat_indices, t)
 
     monkeypatch.setattr(Propagator, "evolve_basis_batch", counting)
-    shared = thermal_sweep(initials, params, gts, 5, 6)
+    shared = thermal_sweep(initials, gts, cutoff)
     assert len(calls) == len(gts)
     assert len(shared) == len(initials)
     for one, single in zip(shared, singles):
         assert one.shape == (len(gts), 4, 4)
         assert np.abs(one - single).max() <= 1e-14
-
-
-def test_thermal_sweep_rejects_tiny_cutoffs():
-    params = ModelParams(nbar1=0.1, nbar2=0.1)
-    with pytest.raises(ValueError, match=">= 2"):
-        thermal_sweep([InitialAtomicState("ee")], params, [1.0], 1, 4)
 
 
 def test_build_hamiltonian_rejects_negative_cutoff():

@@ -8,7 +8,6 @@ PACKAGE_DIR = Path(twinphoton.__file__).parent
 PUBLIC_NAMES = {
     "FockCutoff",
     "InitialAtomicState",
-    "ModelParams",
     "TimeGrid",
     "XState",
     "choose_cutoff",
@@ -22,8 +21,8 @@ PUBLIC_NAMES = {
 }
 
 
-def test_public_surface_is_the_thirteen_names():
-    assert len(twinphoton.__all__) == len(PUBLIC_NAMES) == 13
+def test_public_surface_is_the_twelve_names():
+    assert len(twinphoton.__all__) == len(PUBLIC_NAMES) == 12
     assert set(twinphoton.__all__) == PUBLIC_NAMES
     for name in twinphoton.__all__:
         assert callable(getattr(twinphoton, name)), name

@@ -113,7 +113,11 @@ def test_choose_cutoff_rejects_bad_input():
     for nbar, n_max in bad:
         with pytest.raises(ValueError):
             tail_mass(nbar, n_max)
-    assert tail_mass(1.0, np.int64(2)) == tail_mass(1.0, 2)
+    # a numpy integer cutoff gives the same Python float, down to the last bit
+    # (float ** np.int64 alone would differ at the last three points)
+    for nbar, n_max in ((1.0, 2), (0.5, 9), (0.7, 13), (0.3, 15)):
+        tail = tail_mass(nbar, np.int64(n_max))
+        assert type(tail) is float and tail == tail_mass(nbar, n_max), (nbar, n_max)
 
 
 def test_choose_cutoff_large_nbar_is_minimal():
@@ -130,32 +134,38 @@ def test_tail_mass_matches_brute_force():
 
 
 def test_fock_cutoff_choose_respects_tolerance():
-    for tol in (1e-6, 1e-10):
-        cutoff = FockCutoff.choose(1.0, 0.3, tol)
-        assert cutoff.tail_bound < tol
-        # per-mode tails are certified independently and add up
-        assert brute_tail(1.0, cutoff.n_max1) + brute_tail(0.3, cutoff.n_max2) < tol
+    for nbar1, nbar2 in ((1.0, 0.3), (0.0, 2.0)):
+        for tol in (1e-6, 1e-10):
+            cutoff = FockCutoff.choose(nbar1, nbar2, tol)
+            assert (cutoff.nbar1, cutoff.nbar2) == (nbar1, nbar2)
+            assert cutoff.tail_bound < tol
+            # per-mode tails are certified independently and add up
+            assert brute_tail(nbar1, cutoff.n_max1) + brute_tail(nbar2, cutoff.n_max2) < tol
+            # the bound derived from the stored field is the chosen tails' sum, bit for bit
+            (_, t1), (_, t2) = choose_cutoff(nbar1, tol / 2), choose_cutoff(nbar2, tol / 2)
+            assert cutoff.tail_bound == t1 + t2
 
 
 def test_fock_cutoff_vacuum_is_exact():
-    assert FockCutoff.choose(0.0, 0.0, 1e-12) == FockCutoff(0, 0, 0.0)
+    assert FockCutoff.choose(0.0, 0.0, 1e-12) == FockCutoff(0, 0, 0.0, 0.0)
 
 
 def test_fock_cutoff_rejects_bad_fields():
     # a negative or fractional cutoff would sum an empty or undefined grid
     # under a bound that certifies nothing
-    for n_max1, n_max2, tail in (
-        (-1, 3, 0.0),
-        (3, -1, 0.0),
-        (3.5, 3, 0.0),
-        (3, 3.0, 0.0),
-        (3, 3, -1e-3),
-        (3, 3, math.nan),
-        (3, 3, math.inf),
-    ):
-        with pytest.raises(ValueError):
-            FockCutoff(n_max1, n_max2, tail)
-    assert FockCutoff(0, 0, 0.0).tail_bound == 0.0
+    for n_max1, n_max2 in ((-1, 3), (3, -1), (3.5, 3), (3, 3.0)):
+        with pytest.raises(ValueError, match="cutoffs"):
+            FockCutoff(n_max1, n_max2, 1.0, 1.0)
+    # a bad mean photon number is reported under its own name, by every constructor
+    for nbar in (-0.1, math.nan, math.inf):
+        for name, nbars in (("nbar1", (nbar, 1.0)), ("nbar2", (1.0, nbar))):
+            with pytest.raises(ValueError, match=name):
+                FockCutoff(3, 3, *nbars)
+            with pytest.raises(ValueError, match=name):
+                FockCutoff.explicit(3, 3, *nbars)
+            with pytest.raises(ValueError, match=name):
+                FockCutoff.choose(*nbars)
+    assert FockCutoff(0, 0, 0.0, 0.0).tail_bound == 0.0
 
 
 def test_fock_cutoff_explicit_reports_computed_tail():
@@ -163,4 +173,11 @@ def test_fock_cutoff_explicit_reports_computed_tail():
     expected = brute_tail(1.0, 10) + brute_tail(1.0, 12)
     assert cutoff.n_max1 == 10 and cutoff.n_max2 == 12
     assert cutoff.tail_bound == pytest.approx(expected, rel=1e-10)
+    w1, w2 = cutoff.weights()
+    assert np.array_equal(w1, mode_weights(1.0, 10)) and np.array_equal(w2, mode_weights(1.0, 12))
+    # numpy scalars pass the nbar rule and give the same field, to the last bit
+    for nbar in (np.int64(1), np.float32(1.0), np.float64(1.0)):
+        same = FockCutoff.explicit(np.int64(10), 12, nbar, 1.0)
+        assert same.tail_bound == cutoff.tail_bound
+        assert all(map(np.array_equal, same.weights(), cutoff.weights()))
 
