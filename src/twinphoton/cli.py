@@ -24,7 +24,8 @@ from .model import VARIANTS, InitialAtomicState, TimeGrid, XState, _check_nbar
 from .negativity import negativity_general, negativity_x
 from .thermal import FockCutoff
 
-# refuse the dense diagonalization above this per-mode truncation
+# refuse oracle truncations above this per-mode cutoff: the dense Hamiltonian
+# the oracle assembles grows as the square of the joint dimension
 ORACLE_MAX_CUTOFF = 14
 
 # a closed-form sweep summing more terms than this warns on stderr before it runs
@@ -133,7 +134,7 @@ def build_parser() -> _Parser:
     sweep.add_argument(
         "--oracle",
         action="store_true",
-        help="use the brute-force truncated-space propagator (requires --cutoff, "
+        help="use the brute-force truncated-space oracle (requires --cutoff, "
         f"N <= {ORACLE_MAX_CUTOFF})",
     )
     sweep.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
@@ -231,7 +232,7 @@ def _oracle_retained_cutoff(pair, nbar1, nbar2) -> FockCutoff:
     n1, n2 = pair
     if max(n1, n2) > ORACLE_MAX_CUTOFF:
         raise ValueError(
-            f"oracle truncation {n1},{n2} too large; the dense propagator is "
+            f"oracle truncation {n1},{n2} too large; the oracle is "
             f"capped at {ORACLE_MAX_CUTOFF} per mode"
         )
     if min(n1, n2) < oracle.HEADROOM:

@@ -3,14 +3,16 @@
 Everything here is deliberately independent of the closed-form dynamics: the
 pair-coupling Hamiltonian is assembled from truncated ladder operators as one
 dense real symmetric matrix (time in units of 1/g, so the coupling is 1), and
-every result comes from one path.  States are unit-basis columns |atom>|n1, n2>
-named by flat_index; Propagator.evolve_basis_batch evolves a batch of them
-through the full eigendecomposition in real arithmetic, and reduce_atoms
-traces out the field as a weighted sum over the batch's columns.  A thermal
-sweep takes the closed form's FockCutoff, truncates HEADROOM above it and
-evolves each atomic basis column it needs once per time, shared by all the
-initial states it is given; a single Fock term is a batch of one column with
-weight 1.  The closed-form path is checked against these results; this
+every result comes from one path.  The propagator reads nothing of the model
+but the nonzero pattern of that matrix: its connected components are exact
+invariant subspaces, each diagonalized on its own.  States are unit-basis
+columns |atom>|n1, n2> named by flat_index; Propagator.evolve_basis_batch
+evolves a batch of them, each inside its own block in real arithmetic, and
+reduce_atoms traces out the field as a weighted sum over the batch's columns.
+A thermal sweep takes the closed form's FockCutoff, truncates HEADROOM above
+it and evolves each atomic basis column it needs once per time, shared by all
+the initial states it is given; a single Fock term is a batch of one column
+with weight 1.  The closed-form path is checked against these results; this
 module is confined to tests and the explicit oracle CLI modes.
 """
 
@@ -62,25 +64,72 @@ def build_hamiltonian(n_max1: int, n_max2: int) -> np.ndarray:
     return emit + emit.T
 
 
+def _components(coupled: np.ndarray) -> np.ndarray:
+    """Connected-component label of every state of a symmetric coupling pattern.
+
+    Each state starts as its own label and takes the smallest label among its
+    coupled neighbours until nothing changes, so every state ends with the
+    smallest index of its component.
+    """
+    rows, cols = np.nonzero(coupled)
+    labels = np.arange(coupled.shape[0])
+    while True:
+        spread = labels.copy()
+        np.minimum.at(spread, rows, labels[cols])
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
+
+
 class Propagator:
-    """Unitary evolution; the Hamiltonian is diagonalized once and reused."""
+    """Unitary evolution inside the exact invariant blocks of the Hamiltonian.
+
+    The blocks are the connected components of the nonzero pattern of H, so
+    H is exactly block diagonal on them and exp(-iHt) never mixes two blocks.
+    Blocks of equal size are diagonalized together once and reused.
+    """
 
     def __init__(self, n_max1: int, n_max2: int):
         self.hamiltonian = build_hamiltonian(n_max1, n_max2)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.hamiltonian)
+        _, component, sizes = np.unique(
+            _components(self.hamiltonian != 0), return_inverse=True, return_counts=True
+        )
+        # states grouped by component, each component in increasing index order
+        by_component = np.argsort(component, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        dim = self.hamiltonian.shape[0]
+        # per state: its size group, its block within the group, its place in the block
+        self._group, self._block, self._place = (np.empty(dim, dtype=int) for _ in range(3))
+        self._blocks = []
+        for g, size in enumerate(np.unique(sizes)):
+            first = starts[sizes == size]
+            members = by_component[first[:, None] + np.arange(size)]
+            energies, vectors = np.linalg.eigh(
+                self.hamiltonian[members[:, :, None], members[:, None, :]]
+            )
+            self._blocks.append((members, energies, vectors))
+            self._group[members] = g
+            self._block[members] = np.arange(len(first))[:, None]
+            self._place[members] = np.arange(size)
 
     def evolve_basis_batch(self, flat_indices, t: float) -> np.ndarray:
         """Evolved vectors for many unit-basis initial states, one per column.
 
-        The eigenvectors V are real, so exp(-iHt) = V cos(Et) V^T - i V sin(Et) V^T
-        and both parts are real matrix products.
+        Each column is evolved inside its own block.  The block eigenvectors V
+        are real, so exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p,
+        and V^T e_p is row p of V; every other entry of the column is zero.
         """
-        v = self.eigenvectors
-        rows = v[flat_indices, :].T
-        et = self.eigenvalues * t
-        out = np.empty(rows.shape, dtype=complex)
-        out.real = v @ (np.cos(et)[:, None] * rows)
-        out.imag = v @ (-np.sin(et)[:, None] * rows)
+        flat = np.asarray(flat_indices)
+        out = np.zeros((self.hamiltonian.shape[0], flat.shape[0]), dtype=complex)
+        for g, (members, energies, vectors) in enumerate(self._blocks):
+            cols = np.flatnonzero(self._group[flat] == g)
+            block, place = self._block[flat[cols]], self._place[flat[cols]]
+            v = vectors[block]
+            rows = v[np.arange(len(cols)), place]
+            et = energies[block] * t
+            where = (members[block], cols[:, None])
+            out.real[where] = np.einsum("kij,kj->ki", v, np.cos(et) * rows)
+            out.imag[where] = np.einsum("kij,kj->ki", v, -np.sin(et) * rows)
         return out
 
 

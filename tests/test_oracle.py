@@ -9,6 +9,7 @@ from twinphoton.negativity import negativity_general
 from twinphoton.oracle import (
     HEADROOM,
     Propagator,
+    _components,
     annihilation,
     build_hamiltonian,
     flat_index,
@@ -122,7 +123,7 @@ def test_excitation_swaps_between_atoms():
 def test_basis_batch_matches_individual_columns():
     prop = Propagator(3, 4)
     idx = [flat_index(0, 1, 2, 3, 4), flat_index(3, 0, 0, 3, 4), flat_index(2, 3, 1, 3, 4)]
-    v, energies = prop.eigenvectors, prop.eigenvalues
+    energies, v = np.linalg.eigh(prop.hamiltonian)
     # the large time is where the rounding of the phases E*t is worst
     for t in (1.7, 37.3):
         batch = prop.evolve_basis_batch(np.array(idx), t)
@@ -130,6 +131,37 @@ def test_basis_batch_matches_individual_columns():
             # complex reference exp(-iHt) e_flat = V exp(-iEt) V^T e_flat
             evolved = v @ (np.exp(-1j * energies * t) * v[flat, :])
             assert np.abs(batch[:, k] - evolved).max() < 1e-13
+
+
+def connected_partition(coupled):
+    """Components of a symmetric coupling pattern by breadth-first search."""
+    unseen = set(range(coupled.shape[0]))
+    parts = set()
+    while unseen:
+        frontier = [unseen.pop()]
+        part = set(frontier)
+        while frontier:
+            new = set(np.flatnonzero(coupled[frontier].any(axis=0)).tolist()) - part
+            part |= new
+            frontier = list(new)
+        unseen -= part
+        parts.add(frozenset(part))
+    return parts
+
+
+def test_propagator_stays_inside_the_connected_blocks_of_h():
+    prop = Propagator(5, 4)
+    coupled = prop.hamiltonian != 0
+    labels = _components(coupled)
+    rows, cols = np.nonzero(coupled)
+    assert np.array_equal(labels[rows], labels[cols])
+    blocks = {frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels)}
+    assert blocks == connected_partition(coupled)
+
+    dim = coupled.shape[0]
+    evolved = prop.evolve_basis_batch(np.arange(dim), 37.3)
+    assert not evolved[labels[:, None] != labels[None, :]].any()
+    assert np.abs(evolved.conj().T @ evolved - np.eye(dim)).max() < 1e-13
 
 
 def test_reduce_atoms_product_state():
@@ -198,6 +230,20 @@ def test_thermal_sweep_matches_closed_form():
     row = dynamics.sweep(initial, [1.0], cutoff)[0]
     assert np.abs(XState(*row).to_matrix() - rho).max() < 1e-10
     assert np.abs(rho.imag).max() < 1e-14
+
+
+def test_thermal_sweep_matches_closed_form_at_long_times():
+    cutoff = FockCutoff.explicit(10, 10, 1.0, 1.0)
+    initials = [
+        InitialAtomicState("eg"),
+        InitialAtomicState("gg"),
+        InitialAtomicState("ee"),
+        InitialAtomicState("mixed", 0.05),
+    ]
+    gts = [0.37, 5.0, 49.3]
+    for initial, rhos in zip(initials, thermal_sweep(initials, gts, cutoff)):
+        for row, rho in zip(dynamics.sweep(initial, gts, cutoff), rhos):
+            assert np.abs(XState(*row).to_matrix() - rho).max() < 1e-13, initial.variant
 
 
 def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
