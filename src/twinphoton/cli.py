@@ -24,8 +24,9 @@ from .model import VARIANTS, InitialAtomicState, TimeGrid, XState, _check_nbar
 from .negativity import negativity_general, negativity_x
 from .thermal import FockCutoff
 
-# refuse oracle truncations above this per-mode cutoff: the dense Hamiltonian
-# the oracle assembles grows as the square of the joint dimension
+# refuse oracle truncations above this per-mode cutoff: the oracle still
+# assembles H densely and reads its nonzero pattern, both growing as the square
+# of the joint dimension; its evolution and partial trace work in block coordinates
 ORACLE_MAX_CUTOFF = 14
 
 # a closed-form sweep summing more terms than this warns on stderr before it runs
@@ -216,7 +217,7 @@ def _sweep_document(initial, grid, cutoff, use_oracle=False):
         rhos = oracle.thermal_sweep([initial], gts, cutoff)[0]
         # (A, B, C, D, E) = rho[00], rho[11], rho[22], rho[33], Re rho[12]
         rows = rhos[:, [0, 1, 2, 3, 1], [0, 1, 2, 3, 2]].real.tolist()
-        eps = [negativity_general(r) for r in rhos]
+        eps = negativity_general(rhos).tolist()
         n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
         label = f"oracle, truncation ({n1}, {n2})"
     lines = _provenance_lines(initial, grid, cutoff, label)
@@ -302,18 +303,20 @@ def _run_check(args) -> int:
         f"closed form vs oracle: truncation ({n1}, {n2}), nbar=({args.nbar1:g}, {args.nbar2:g}),"
         f" {grid.steps + 1} times in [0, {grid.t_max:g}]"
     )
-    worst = 0.0
+    devs = []
     for initial, rhos in zip(initials, oracle.thermal_sweep(initials, gts, cutoff)):
-        closed = dynamics.sweep(initial, gts, cutoff)
-        dev_elem = 0.0
-        dev_eps = 0.0
-        for row, rho in zip(closed, rhos):
-            state = XState(*row)
-            dev_elem = max(dev_elem, float(np.abs(state.to_matrix() - rho).max()))
-            dev_eps = max(dev_eps, abs(negativity_x(state) - negativity_general(rho)))
+        states = [XState(*row) for row in dynamics.sweep(initial, gts, cutoff)]
+        dev_elem = np.abs(np.array([state.to_matrix() for state in states]) - rhos).max()
+        try:
+            eps = negativity_general(rhos)
+        except ValueError:  # a non-finite or non-Hermitian oracle output fails the check
+            eps = math.nan
+        dev_eps = np.abs(np.array([negativity_x(state) for state in states]) - eps).max()
         label = initial.variant if initial.variant != "mixed" else f"mixed(lambda={args.lam:g})"
         print(f"  {label}: max |element| dev {dev_elem:.3e}, max |epsilon| dev {dev_eps:.3e}")
-        worst = max(worst, dev_elem, dev_eps)
+        devs += [dev_elem, dev_eps]
+    # np.max keeps a NaN deviation, and NaN < tol is False: a NaN fails the check
+    worst = float(np.max(devs))
     ok = worst < args.tol
     print(f"overall max deviation {worst:.3e} {'<' if ok else '>='} tol {args.tol:g}: "
           f"{'PASS' if ok else 'FAIL'}")

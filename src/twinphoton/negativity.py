@@ -34,23 +34,27 @@ def negativity_x(state: XState) -> float:
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Transpose the second atom's indices of a 4x4 two-qubit matrix."""
-    return np.asarray(rho).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    """Transpose the second atom's indices of a 4x4 two-qubit matrix, or of each in a stack."""
+    rho = np.asarray(rho)
+    return rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(rho.shape)
 
 
-def negativity_general(rho: np.ndarray) -> float:
-    """Negativity of an arbitrary two-qubit density matrix.
+def negativity_general(rho: np.ndarray):
+    """Negativity of an arbitrary two-qubit density matrix, or of each in a stack.
 
     Partial-transposes the second atom, diagonalizes, and returns -2 times
     the sum of the negative eigenvalues (the first atom's partial transpose
-    is its transpose, with the same spectrum).  Rejects non-Hermitian input.
+    is its transpose, with the same spectrum).  A (4, 4) input gives a
+    float, a (..., 4, 4) stack an array of its leading shape from one
+    batched eigensolve.  Rejects non-finite and non-Hermitian input.
     """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix; got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix must be finite")
+    if np.abs(rho - rho.conj().swapaxes(-2, -1)).max() > HERMITICITY_TOL:
         raise ValueError("density matrix must be Hermitian")
     eigs = np.linalg.eigvalsh(partial_transpose(rho))
-    negative = eigs[eigs < -ZERO_EIGENVALUE_TOL]
-    return float(-2.0 * negative.sum())
-
+    negativity = -2.0 * np.where(eigs < -ZERO_EIGENVALUE_TOL, eigs, 0.0).sum(axis=-1)
+    return float(negativity) if rho.ndim == 2 else negativity

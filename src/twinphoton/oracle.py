@@ -8,7 +8,10 @@ but the nonzero pattern of that matrix: its connected components are exact
 invariant subspaces, each diagonalized on its own.  States are unit-basis
 columns |atom>|n1, n2> named by flat_index; Propagator.evolve_basis_batch
 evolves a batch of them, each inside its own block in real arithmetic, and
-reduce_atoms traces out the field as a weighted sum over the batch's columns.
+returns them in block coordinates: the states of each column's block and
+their amplitudes.  reduce_atoms traces out the field from that form as a
+weighted sum over the columns, adding only the products of states that share
+a field index, so no array the size of the whole space is built per column.
 A thermal sweep takes the closed form's FockCutoff, truncates HEADROOM above
 it and evolves each atomic basis column it needs once per time, shared by all
 the initial states it is given; a single Fock term is a batch of one column
@@ -112,34 +115,55 @@ class Propagator:
             self._block[members] = np.arange(len(first))[:, None]
             self._place[members] = np.arange(size)
 
-    def evolve_basis_batch(self, flat_indices, t: float) -> np.ndarray:
-        """Evolved vectors for many unit-basis initial states, one per column.
+    def evolve_basis_batch(self, flat_indices, t: float):
+        """Evolved unit-basis initial states in block coordinates.
 
-        Each column is evolved inside its own block.  The block eigenvectors V
-        are real, so exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p,
-        and V^T e_p is row p of V; every other entry of the column is zero.
+        Returns (states, amplitudes, dim).  Row k of the two (K, S) arrays
+        lists the basis states of the block of flat_indices[k] and their
+        amplitudes after time t; S is the largest block size, and the row of
+        a smaller block is padded with state 0 at amplitude 0.  States outside
+        the block are not listed: their amplitude is exactly zero.  dim is the
+        size of the truncated space.  The block eigenvectors V are real, so
+        exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p
+        is row p of V.
         """
         flat = np.asarray(flat_indices)
-        out = np.zeros((self.hamiltonian.shape[0], flat.shape[0]), dtype=complex)
+        width = self._blocks[-1][0].shape[1]  # the size groups are in increasing size
+        states = np.zeros((flat.shape[0], width), dtype=int)
+        amplitudes = np.zeros((flat.shape[0], width), dtype=complex)
         for g, (members, energies, vectors) in enumerate(self._blocks):
             cols = np.flatnonzero(self._group[flat] == g)
             block, place = self._block[flat[cols]], self._place[flat[cols]]
             v = vectors[block]
             rows = v[np.arange(len(cols)), place]
             et = energies[block] * t
-            where = (members[block], cols[:, None])
-            out.real[where] = np.einsum("kij,kj->ki", v, np.cos(et) * rows)
-            out.imag[where] = np.einsum("kij,kj->ki", v, -np.sin(et) * rows)
-        return out
+            size = members.shape[1]
+            states[cols, :size] = members[block]
+            amplitudes.real[cols, :size] = np.einsum("kij,kj->ki", v, np.cos(et) * rows)
+            amplitudes.imag[cols, :size] = np.einsum("kij,kj->ki", v, -np.sin(et) * rows)
+        return states, amplitudes, self.hamiltonian.shape[0]
 
 
-def reduce_atoms(psi, weights) -> np.ndarray:
+def reduce_atoms(batch, weights) -> np.ndarray:
     """Weighted reduced two-atom density matrix sum_k w_k Tr_field |psi_k><psi_k|.
 
-    ``psi`` holds one joint state per column, shape (4 F, K) with F the field
-    dimension (flat_index order), and ``weights`` the K column weights.
+    ``batch`` is (states, amplitudes, dim) as returned by
+    Propagator.evolve_basis_batch: column k is sum_s amplitudes[k, s]
+    |states[k, s]>, with distinct states per row, on a space of size dim in
+    flat_index order, so a state is atom state // F and field state % F with
+    F = dim / 4.  ``weights`` are the K column weights.  Only pairs of states
+    that share a field index contribute, w_k a_i conj(a_j) to rho[atom_i,
+    atom_j].
     """
-    return (psi * weights).reshape(4, -1) @ psi.reshape(4, -1).conj().T
+    states, amplitudes, dim = batch
+    atom, field = np.divmod(states, dim // 4)
+    weighted = amplitudes * np.asarray(weights, dtype=float)[:, None]
+    terms = weighted[:, :, None] * amplitudes[:, None, :].conj()
+    shared = field[:, :, None] == field[:, None, :]
+    pair = (4 * atom[:, :, None] + atom[:, None, :])[shared]
+    terms = terms[shared]
+    rho = np.bincount(pair, terms.real, 16) + 1j * np.bincount(pair, terms.imag, 16)
+    return rho.reshape(4, 4)
 
 
 def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
@@ -154,7 +178,9 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     Each time takes one pass: every atomic basis state the initial states
     need is evolved with each retained Fock pair in a single batch, the field
     is traced out per atomic basis state, and each initial state is the
-    weighted sum of those per-atom matrices.
+    weighted sum of those per-atom matrices.  The batch is in block
+    coordinates, so the memory of a pass is set by the number of columns
+    times the largest block size, whatever the number of times.
     """
     trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
     prop = Propagator(trunc1, trunc2)
@@ -164,14 +190,14 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     cols = np.concatenate(
         [flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel() for atom in atoms]
     )
-    pairs = len(weights)
+    by_atom = (len(atoms), len(weights), -1)
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for i, gt in enumerate(gts):
-        psi = prop.evolve_basis_batch(cols, gt)
+        states, amplitudes, dim = prop.evolve_basis_batch(cols, gt)
         per_atom = {
-            atom: reduce_atoms(psi[:, j * pairs : (j + 1) * pairs], weights)
-            for j, atom in enumerate(atoms)
+            atom: reduce_atoms((s, a, dim), weights)
+            for atom, s, a in zip(atoms, states.reshape(by_atom), amplitudes.reshape(by_atom))
         }
         for stack, initial in zip(out, initials):
             stack[i] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)

@@ -82,3 +82,24 @@ def trig_xstate_term(variant, n1, n2, gt):
     if variant == "eg":
         return (u * sf, cos4, sin4, v * sf, e)
     return (u * sf, sin4, cos4, v * sf, e)
+
+
+def dense_columns(batch):
+    """The (dim, K) complex array of a block-coordinate batch, one evolved state per column.
+
+    ``batch`` is (states, amplitudes, dim) as returned by
+    Propagator.evolve_basis_batch; padded entries add amplitude 0.
+    """
+    states, amplitudes, dim = batch
+    psi = np.zeros((dim, states.shape[0]), dtype=complex)
+    np.add.at(psi, (states, np.arange(states.shape[0])[:, None]), amplitudes)
+    return psi
+
+
+def dense_reduce_atoms(psi, weights):
+    """Weighted reduced two-atom density matrix sum_k w_k Tr_field |psi_k><psi_k|, densely.
+
+    ``psi`` holds one joint state per column, shape (4 F, K) with F the field
+    dimension (flat_index order), and ``weights`` the K column weights.
+    """
+    return (psi * weights).reshape(4, -1) @ psi.reshape(4, -1).conj().T

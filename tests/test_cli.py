@@ -177,6 +177,21 @@ def test_check_subcommand_detects_violation():
     assert "FAIL" in res.stdout.decode()
 
 
+def test_check_fails_when_the_oracle_returns_nan(monkeypatch, capsys):
+    thermal_sweep = oracle.thermal_sweep
+
+    def one_nan(initials, gts, cutoff):
+        out = thermal_sweep(initials, gts, cutoff)
+        out[0][3][1, 2] = math.nan
+        return out
+
+    monkeypatch.setattr(cli.oracle, "thermal_sweep", one_nan)
+    assert cli.main(["check", "--cutoff", "6,6", "--steps", "5"]) == 2
+    out = capsys.readouterr().out
+    assert "eg: max |element| dev nan" in out
+    assert "overall max deviation nan" in out and "FAIL" in out
+
+
 def test_usage_errors_exit_one(capsys):
     bad_calls = [
         (),

@@ -112,6 +112,35 @@ def test_negativity_general_rejects_wrong_shape():
         negativity_general(np.eye(3) / 3.0)
 
 
+def test_negativity_general_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        rho = np.eye(4) / 4.0
+        rho[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            negativity_general(rho)
+        with pytest.raises(ValueError, match="finite"):
+            negativity_general(np.stack([np.eye(4) / 4.0, rho]))
+
+
+def random_density_matrix(rng):
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_negativity_general_stack_matches_each_matrix_exactly():
+    rng = np.random.default_rng(7)
+    matrices = [random_xstate(rng).to_matrix() + 0j for _ in range(12)]
+    matrices += [random_density_matrix(rng) for _ in range(12)]
+    matrices += [BELL_SYM + 0j, np.eye(4) / 4.0 + 0j]
+    stack = np.array(matrices).reshape(2, 13, 4, 4)
+    batched = negativity_general(stack)
+    assert batched.shape == (2, 13)
+    single = np.array([negativity_general(rho) for rho in matrices]).reshape(2, 13)
+    assert np.array_equal(batched, single)
+    assert single.max() > 0.5 and (single == 0.0).any()
+
+
 def test_eigenvalue_noise_does_not_create_entanglement():
     # E^2 == A*D exactly: the borderline eigenvalue must be treated as zero
     state = XState(0.25, 0.25, 0.25, 0.25, 0.25)

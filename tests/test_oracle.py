@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import dense_columns, dense_reduce_atoms
 from twinphoton import dynamics
 from twinphoton.model import ATOM_INDEX, InitialAtomicState, XState
 from twinphoton.negativity import negativity_general
@@ -20,7 +22,7 @@ from twinphoton.thermal import FockCutoff
 
 
 def evolve_term(variant, n1, n2, n_max1, n_max2, t):
-    """|variant>|n1, n2> evolved for time t, as a one-column batch."""
+    """|variant>|n1, n2> evolved for time t, as a one-column batch in block coordinates."""
     column = [flat_index(ATOM_INDEX[variant], n1, n2, n_max1, n_max2)]
     return Propagator(n_max1, n_max2).evolve_basis_batch(column, t)
 
@@ -102,7 +104,7 @@ def test_conserved_quantities_commute_with_hamiltonian():
 
 
 def test_evolve_at_time_zero_is_identity():
-    out = evolve_term("eg", 2, 1, 4, 4, 0.0)
+    out = dense_columns(evolve_term("eg", 2, 1, 4, 4, 0.0))
     unit = np.zeros(out.shape)
     unit[flat_index(ATOM_INDEX["eg"], 2, 1, 4, 4), 0] = 1.0
     assert np.abs(out - unit).max() < 1e-12
@@ -110,8 +112,8 @@ def test_evolve_at_time_zero_is_identity():
 
 def test_propagation_preserves_norm():
     for t in (0.3, 1.1, 4.7, 12.9):
-        evolved = evolve_term("ee", 1, 2, 5, 5, t)
-        assert np.linalg.norm(evolved) == pytest.approx(1.0, abs=1e-12)
+        _, amplitudes, _ = evolve_term("ee", 1, 2, 5, 5, t)
+        assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_excitation_swaps_between_atoms():
@@ -126,7 +128,7 @@ def test_basis_batch_matches_individual_columns():
     energies, v = np.linalg.eigh(prop.hamiltonian)
     # the large time is where the rounding of the phases E*t is worst
     for t in (1.7, 37.3):
-        batch = prop.evolve_basis_batch(np.array(idx), t)
+        batch = dense_columns(prop.evolve_basis_batch(np.array(idx), t))
         for k, flat in enumerate(idx):
             # complex reference exp(-iHt) e_flat = V exp(-iEt) V^T e_flat
             evolved = v @ (np.exp(-1j * energies * t) * v[flat, :])
@@ -158,9 +160,16 @@ def test_propagator_stays_inside_the_connected_blocks_of_h():
     blocks = {frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels)}
     assert blocks == connected_partition(coupled)
 
+    # each column lists exactly the states of its own block, padded with amplitude 0
     dim = coupled.shape[0]
-    evolved = prop.evolve_basis_batch(np.arange(dim), 37.3)
-    assert not evolved[labels[:, None] != labels[None, :]].any()
+    batch = prop.evolve_basis_batch(np.arange(dim), 37.3)
+    states, amplitudes, size = batch
+    assert size == dim
+    for flat in range(dim):
+        block = np.flatnonzero(labels == labels[flat])
+        assert np.array_equal(np.sort(states[flat, : len(block)]), block)
+        assert not amplitudes[flat, len(block) :].any()
+    evolved = dense_columns(batch)
     assert np.abs(evolved.conj().T @ evolved - np.eye(dim)).max() < 1e-13
 
 
@@ -169,17 +178,20 @@ def test_reduce_atoms_product_state():
     field[1, 2] = 0.6
     field[0, 0] = 0.8
     atom = np.array([0.5, 0.5, 0.5, 0.5])
-    psi = np.kron(atom, field.ravel())[:, None]
-    rho = reduce_atoms(psi, [1.0])
+    psi = np.kron(atom, field.ravel())
+    # one column listing the 8 nonzero entries of the product state
+    states = np.flatnonzero(psi)
+    rho = reduce_atoms((states[None, :], psi[states][None, :] + 0j, psi.shape[0]), [1.0])
     assert np.abs(rho - np.outer(atom, atom)).max() < 1e-14
 
 
 def test_reduce_atoms_vector_and_density_paths_agree():
-    psi = evolve_term("ee", 1, 1, 4, 4, 2.4)[:, 0]
+    batch = evolve_term("ee", 1, 1, 4, 4, 2.4)
+    psi = dense_columns(batch)[:, 0]
     # partial trace of the joint density matrix |psi><psi| over both modes
     f = psi.shape[0] // 4
     rho_full = np.outer(psi, psi.conj()).reshape(4, f, 4, f)
-    rho = reduce_atoms(psi[:, None], [1.0])
+    rho = reduce_atoms(batch, [1.0])
     assert np.abs(rho - np.einsum("afbf->ab", rho_full)).max() < 1e-13
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
@@ -187,10 +199,48 @@ def test_reduce_atoms_vector_and_density_paths_agree():
 def test_reduce_atoms_is_the_weighted_sum_over_columns():
     prop = Propagator(4, 3)
     idx = [flat_index(0, 1, 0, 4, 3), flat_index(1, 2, 1, 4, 3), flat_index(3, 2, 1, 4, 3)]
-    batch = prop.evolve_basis_batch(idx, 1.3)
+    states, amplitudes, dim = prop.evolve_basis_batch(idx, 1.3)
     weights = [0.5, 0.3, 0.2]
-    expected = sum(w * reduce_atoms(batch[:, [k]], [1.0]) for k, w in enumerate(weights))
-    assert np.abs(reduce_atoms(batch, weights) - expected).max() < 1e-14
+    expected = sum(
+        w * reduce_atoms((states[[k]], amplitudes[[k]], dim), [1.0])
+        for k, w in enumerate(weights)
+    )
+    assert np.abs(reduce_atoms((states, amplitudes, dim), weights) - expected).max() < 1e-14
+
+
+def test_block_trace_matches_dense_reference():
+    # every atom's columns weighted as in a thermal sweep, against the dense
+    # eigendecomposition of H and the dense partial trace
+    cutoff = FockCutoff.explicit(8, 7, 1.0, 0.5)
+    trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
+    prop = Propagator(trunc1, trunc2)
+    weights = np.outer(*cutoff.weights()).ravel()
+    energies, v = np.linalg.eigh(prop.hamiltonian)
+    n1, n2 = np.arange(cutoff.n_max1 + 1), np.arange(cutoff.n_max2 + 1)
+    for atom in range(4):
+        cols = flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel()
+        for gt in (0.37, 5.0, 49.3):
+            rho = reduce_atoms(prop.evolve_basis_batch(cols, gt), weights)
+            psi = v @ (np.exp(-1j * energies * gt)[:, None] * v[cols].T)
+            assert np.abs(rho - dense_reduce_atoms(psi, weights)).max() <= 1e-13, (atom, gt)
+
+
+def test_block_batch_temporaries_are_bounded():
+    # one pass over all 900 basis columns at truncation 14,14, traced per atom as
+    # thermal_sweep does; a dense (900, 900) complex batch would hold 13 MB
+    prop = Propagator(14, 14)
+    field = 15 * 15
+    weights = np.full(field, 1.0 / field)
+    tracemalloc.start()
+    try:
+        states, amplitudes, dim = prop.evolve_basis_batch(np.arange(4 * field), 3.7)
+        for atom in range(4):
+            part = slice(atom * field, (atom + 1) * field)
+            reduce_atoms((states[part], amplitudes[part], dim), weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_single_photon_pair_generates_bell_state():
