@@ -206,15 +206,26 @@ def _emit(lines, out_path):
             fh.write(text)
 
 
+def _require_finite(gts, values):
+    """Raise FloatingPointError naming the first time whose sweep values are not all finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        gt = float(gts[np.argmin(finite.reshape(len(gts), -1).all(axis=1))])
+        raise FloatingPointError(f"the state at gt={gt!r} is not finite; nothing was written")
+
+
 def _sweep_document(initial, grid, cutoff, use_oracle=False):
     """CSV lines for one sweep over cutoff; use_oracle switches to the brute-force path."""
     gts = grid.points()
     if not use_oracle:
-        rows = dynamics.sweep(initial, gts, cutoff).tolist()
+        values = dynamics.sweep(initial, gts, cutoff)
+        _require_finite(gts, values)
+        rows = values.tolist()
         eps = [negativity_x(XState(*row)) for row in rows]
         label = "closed form"
     else:
         rhos = oracle.thermal_sweep([initial], gts, cutoff)[0]
+        _require_finite(gts, rhos)
         # (A, B, C, D, E) = rho[00], rho[11], rho[22], rho[33], Re rho[12]
         rows = rhos[:, [0, 1, 2, 3, 1], [0, 1, 2, 3, 2]].real.tolist()
         eps = negativity_general(rhos).tolist()
@@ -332,6 +343,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"twinphoton: error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:  # a numerical-validation failure, such as a NaN row
+        print(f"twinphoton: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

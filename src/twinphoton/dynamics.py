@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _core_py
-from .model import PURE_VARIANTS, InitialAtomicState, XState, _count
+from .model import PURE_VARIANTS, InitialAtomicState, XState, _check_times, _count
 from .thermal import FockCutoff
 
 
@@ -40,11 +40,6 @@ def xstate_term(variant: str, n1: int, n2: int, gt: float) -> XState:
         raise ValueError(f"Fock indices must be integers >= 0; got ({n1!r}, {n2!r})")
     _check_times(np.ascontiguousarray(gt, dtype=np.float64))
     return XState(*map(float, _core_py.xstate_term(variant, n1, n2, gt)))
-
-
-def _check_times(gts: np.ndarray):
-    if gts.size and not (np.isfinite(gts).all() and gts.min() >= 0):
-        raise ValueError("times gt must be finite and >= 0")
 
 
 def sweep(initial: InitialAtomicState, gts, cutoff: FockCutoff) -> np.ndarray:

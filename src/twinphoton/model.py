@@ -11,6 +11,7 @@ Conventions fixed here and used everywhere:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ def _check_nbar(value, name: str = "nbar") -> float:
     if not _finite(value) or value < 0:
         raise ValueError(f"{name} must be >= 0 and finite; got {value!r}")
     return float(value)
+
+
+def _check_times(gts: np.ndarray):
+    """Reject times gt that are not all finite and >= 0; both paths apply this one rule."""
+    if gts.size and not (np.isfinite(gts).all() and gts.min() >= 0):
+        raise ValueError("times gt must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,12 @@ class TimeGrid:
             raise ValueError(f"t_max must be > 0 and finite; got {self.t_max!r}")
         if not (_count(self.steps) and self.steps >= 1):
             raise ValueError(f"steps must be an integer >= 1; got {self.steps!r}")
+        # points() forms t_max*k before dividing by steps, so that product must not
+        # overflow; an int compares exactly with a float, whatever its size
+        if self.steps > sys.float_info.max / self.t_max:
+            raise ValueError(
+                f"t_max * steps must be finite; got {self.t_max!r} * {self.steps!r}"
+            )
 
     def points(self) -> np.ndarray:
         return np.array([self.t_max * k / self.steps for k in range(self.steps + 1)])

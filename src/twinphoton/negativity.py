@@ -25,12 +25,19 @@ def negativity_x(state: XState) -> float:
 
     The partial transpose moves the coherence into the (|++>, |-->) block, so
     at most one eigenvalue can turn negative, and it does so exactly when the
-    squared coherence exceeds pop_ee * pop_gg.
+    squared coherence exceeds pop_ee * pop_gg.  A state with a NaN or
+    infinite element gives NaN or inf, never a finite negativity: NaN > x is
+    False, so the comparison alone would read such a state as separable.
     """
     a, d, e = state.pop_ee, state.pop_gg, state.coherence
-    if e * e > a * d:
+    # a NaN a, d or e fails the comparison and an infinite one makes the value
+    # infinite or NaN; pop_eg and pop_ge are not in the formula, so check them
+    if e * e > a * d and math.isfinite(state.pop_eg + state.pop_ge):
         return math.sqrt((d - a) * (d - a) + 4.0 * e * e) - d - a
-    return 0.0
+    # finite exactly when every element is, short of elements near the float limit
+    if math.isfinite(a + state.pop_eg + state.pop_ge + d + e):
+        return 0.0
+    return math.nan
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

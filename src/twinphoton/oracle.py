@@ -7,28 +7,34 @@ every result comes from one path.  The propagator reads nothing of the model
 but the nonzero pattern of that matrix: its connected components are exact
 invariant subspaces, each diagonalized on its own.  States are unit-basis
 columns |atom>|n1, n2> named by flat_index; Propagator.evolve_basis_batch
-evolves a batch of them, each inside its own block in real arithmetic, and
-returns them in block coordinates: the states of each column's block and
-their amplitudes.  reduce_atoms traces out the field from that form as a
-weighted sum over the columns, adding only the products of states that share
-a field index, so no array the size of the whole space is built per column.
-A thermal sweep takes the closed form's FockCutoff, truncates HEADROOM above
-it and evolves each atomic basis column it needs once per time, shared by all
-the initial states it is given; a single Fock term is a batch of one column
-with weight 1.  The closed-form path is checked against these results; this
-module is confined to tests and the explicit oracle CLI modes.
+evolves a batch of them at one time or at a stack of times, each inside its
+own block in real arithmetic, and returns them in block coordinates: the
+states of each column's block and their amplitudes.  reduce_atoms traces out
+the field from that form as a weighted sum over the columns, adding only the
+products of states that share a field index, so no array the size of the
+whole space is built per column.  A thermal sweep takes the closed form's
+FockCutoff, truncates HEADROOM above it and evolves each atomic basis column
+it needs once per block of times, shared by all the initial states it is
+given; a single Fock term is a batch of one column with weight 1.  The
+closed-form path is checked against these results; this module is confined
+to tests and the explicit oracle CLI modes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ATOM_INDEX, InitialAtomicState
+from .model import ATOM_INDEX, InitialAtomicState, _check_times
 from .thermal import FockCutoff
 
 # +2 Fock headroom per mode: pair emission from |++> raises each mode index
 # by at most 2, so initial Fock components up to the truncation minus 2 evolve exactly
 HEADROOM = 2
+
+# evolved columns x times per evolve_basis_batch call in thermal_sweep: bounds
+# the temporaries of a pass whatever the number of times, small enough that
+# they stay below the memory peak of building the Propagator
+BATCH_ELEMENTS = 2048
 
 
 def flat_index(atom: int, n1: int, n2: int, n_max1: int, n_max2: int) -> int:
@@ -115,32 +121,40 @@ class Propagator:
             self._block[members] = np.arange(len(first))[:, None]
             self._place[members] = np.arange(size)
 
-    def evolve_basis_batch(self, flat_indices, t: float):
-        """Evolved unit-basis initial states in block coordinates.
+    def evolve_basis_batch(self, flat_indices, t):
+        """Evolved unit-basis initial states in block coordinates, at one time or a stack.
 
-        Returns (states, amplitudes, dim).  Row k of the two (K, S) arrays
-        lists the basis states of the block of flat_indices[k] and their
-        amplitudes after time t; S is the largest block size, and the row of
-        a smaller block is padded with state 0 at amplitude 0.  States outside
-        the block are not listed: their amplitude is exactly zero.  dim is the
-        size of the truncated space.  The block eigenvectors V are real, so
-        exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p
-        is row p of V.
+        Returns (states, amplitudes, dim).  Row k of the (K, S) array states
+        lists the basis states of the block of flat_indices[k]; S is the
+        largest block size, and the row of a smaller block is padded with
+        state 0 at amplitude 0.  amplitudes has shape t.shape + (K, S): the
+        amplitudes of those states after each time in t, so a scalar t gives
+        (K, S).  States outside the block are not listed: their amplitude is
+        exactly zero.  dim is the size of the truncated space.  The block
+        eigenvectors V are real, so exp(-iHt) e_p = V cos(Et) V^T e_p
+        - i V sin(Et) V^T e_p, and V^T e_p is row p of V.  The lookups and
+        gathers are made once per call and the phases once per block
+        eigenvalue and time.
         """
         flat = np.asarray(flat_indices)
+        t = np.asarray(t, dtype=float)
         width = self._blocks[-1][0].shape[1]  # the size groups are in increasing size
         states = np.zeros((flat.shape[0], width), dtype=int)
-        amplitudes = np.zeros((flat.shape[0], width), dtype=complex)
+        amplitudes = np.zeros(t.shape + (flat.shape[0], width), dtype=complex)
         for g, (members, energies, vectors) in enumerate(self._blocks):
             cols = np.flatnonzero(self._group[flat] == g)
             block, place = self._block[flat[cols]], self._place[flat[cols]]
             v = vectors[block]
             rows = v[np.arange(len(cols)), place]
-            et = energies[block] * t
+            et = energies * t[..., None, None]
             size = members.shape[1]
             states[cols, :size] = members[block]
-            amplitudes.real[cols, :size] = np.einsum("kij,kj->ki", v, np.cos(et) * rows)
-            amplitudes.imag[cols, :size] = np.einsum("kij,kj->ki", v, -np.sin(et) * rows)
+            amplitudes.real[..., cols, :size] = np.einsum(
+                "kij,...kj->...ki", v, np.take(np.cos(et), block, axis=-2) * rows
+            )
+            amplitudes.imag[..., cols, :size] = np.einsum(
+                "kij,...kj->...ki", v, np.take(-np.sin(et), block, axis=-2) * rows
+            )
         return states, amplitudes, self.hamiltonian.shape[0]
 
 
@@ -148,22 +162,28 @@ def reduce_atoms(batch, weights) -> np.ndarray:
     """Weighted reduced two-atom density matrix sum_k w_k Tr_field |psi_k><psi_k|.
 
     ``batch`` is (states, amplitudes, dim) as returned by
-    Propagator.evolve_basis_batch: column k is sum_s amplitudes[k, s]
+    Propagator.evolve_basis_batch: column k is sum_s amplitudes[..., k, s]
     |states[k, s]>, with distinct states per row, on a space of size dim in
     flat_index order, so a state is atom state // F and field state % F with
     F = dim / 4.  ``weights`` are the K column weights.  Only pairs of states
     that share a field index contribute, w_k a_i conj(a_j) to rho[atom_i,
-    atom_j].
+    atom_j].  Amplitudes of shape (..., K, S), one (K, S) batch per time,
+    give a (..., 4, 4) stack: the pairs are found once, and one bincount
+    over the index 16 * time + pair adds each time's terms in the same order
+    as a call on that time alone.
     """
     states, amplitudes, dim = batch
     atom, field = np.divmod(states, dim // 4)
-    weighted = amplitudes * np.asarray(weights, dtype=float)[:, None]
-    terms = weighted[:, :, None] * amplitudes[:, None, :].conj()
     shared = field[:, :, None] == field[:, None, :]
     pair = (4 * atom[:, :, None] + atom[:, None, :])[shared]
-    terms = terms[shared]
-    rho = np.bincount(pair, terms.real, 16) + 1j * np.bincount(pair, terms.imag, 16)
-    return rho.reshape(4, 4)
+    weighted = amplitudes * np.asarray(weights, dtype=float)[:, None]
+    terms = (weighted[..., :, :, None] * amplitudes[..., None, :].conj())[..., shared]
+    lead = amplitudes.shape[:-2]
+    bins = 16 * int(np.prod(lead, dtype=int))
+    index = (np.arange(0, bins, 16)[:, None] + pair).ravel()
+    terms = terms.ravel()
+    rho = np.bincount(index, terms.real, bins) + 1j * np.bincount(index, terms.imag, bins)
+    return rho.reshape(lead + (4, 4))
 
 
 def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
@@ -175,12 +195,13 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     equals the retained thermal mass.  The space is truncated HEADROOM above,
     at n_max + 2 per mode, so every retained component evolves exactly.
 
-    Each time takes one pass: every atomic basis state the initial states
-    need is evolved with each retained Fock pair in a single batch, the field
-    is traced out per atomic basis state, and each initial state is the
-    weighted sum of those per-atom matrices.  The batch is in block
-    coordinates, so the memory of a pass is set by the number of columns
-    times the largest block size, whatever the number of times.
+    Each block of times takes one pass: every atomic basis state the initial
+    states need is evolved with each retained Fock pair at all the block's
+    times in a single batch, the field is traced out per atomic basis state,
+    and each initial state is the weighted sum of those per-atom matrices.
+    The batch is in block coordinates and a block holds about BATCH_ELEMENTS
+    columns x times, so the memory of a pass does not grow with the number
+    of times.
     """
     trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
     prop = Propagator(trunc1, trunc2)
@@ -191,14 +212,21 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
         [flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel() for atom in atoms]
     )
     by_atom = (len(atoms), len(weights), -1)
+    # checked after the propagator is built: numpy's first reductions in a process
+    # allocate memory that, made before the build, adds to its peak
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
+    _check_times(gts)
+    per_call = max(1, BATCH_ELEMENTS // len(cols))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
-    for i, gt in enumerate(gts):
-        states, amplitudes, dim = prop.evolve_basis_batch(cols, gt)
+    for start in range(0, gts.shape[0], per_call):
+        times = slice(start, start + per_call)
+        states, amplitudes, dim = prop.evolve_basis_batch(cols, gts[times])
+        # (times, atoms, K, S) -> one (times, K, S) stack per atom
+        amplitudes = amplitudes.reshape(len(amplitudes), *by_atom).swapaxes(0, 1)
         per_atom = {
             atom: reduce_atoms((s, a, dim), weights)
-            for atom, s, a in zip(atoms, states.reshape(by_atom), amplitudes.reshape(by_atom))
+            for atom, s, a in zip(atoms, states.reshape(by_atom), amplitudes)
         }
         for stack, initial in zip(out, initials):
-            stack[i] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)
+            stack[times] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)
     return out

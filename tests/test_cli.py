@@ -192,6 +192,18 @@ def test_check_fails_when_the_oracle_returns_nan(monkeypatch, capsys):
     assert "overall max deviation nan" in out and "FAIL" in out
 
 
+def test_sweep_refuses_a_non_finite_row(tmp_path):
+    # gt * Omega / 2 overflows in the kernel at gt = 1e307, so the row is NaN
+    out = tmp_path / "overflow.csv"
+    res = run_cli(
+        "sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1", "--tmax", "1e307",
+        "--steps", "1", "--out", str(out),
+    )
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert b"gt=1e+307" in res.stderr, res.stderr
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(capsys):
     bad_calls = [
         (),
@@ -207,6 +219,7 @@ def test_usage_errors_exit_one(capsys):
         ("sweep", "--initial", "eg", "--nbar1", "-0.5"),
         ("sweep", "--initial", "eg", "--nbar1", "1e17"),
         ("sweep", "--initial", "eg", "--steps", "0"),
+        ("sweep", "--initial", "eg", "--tmax", "1e308", "--steps", "2"),
         ("sweep", "--initial", "eg", "--tail-tol", "0"),
         ("sweep", "--initial", "eg", "--cutoff", "3,3", "--tail-tol", "nan"),
         ("sweep", "--initial", "eg", "--tail-tol", "inf"),

@@ -68,6 +68,10 @@ def test_invalid_grid_rejected():
     for steps in (0, -3, 2.5):
         with pytest.raises(ValueError, match="steps"):
             TimeGrid(1.0, steps)
+    # points() would form t_max * steps = inf; a huge int must not raise OverflowError
+    for t_max, steps in ((1e308, 2), (1.0, 10**400)):
+        with pytest.raises(ValueError, match=r"t_max \* steps"):
+            TimeGrid(t_max, steps)
 
 
 def test_xstate_accessors():

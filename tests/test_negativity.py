@@ -122,6 +122,18 @@ def test_negativity_general_rejects_non_finite():
             negativity_general(np.stack([np.eye(4) / 4.0, rho]))
 
 
+def test_negativity_x_of_a_non_finite_state_is_not_finite():
+    # the overflowed sweep row of `--tmax 1e307`: every element NaN
+    assert math.isnan(negativity_x(XState(*[math.nan] * 5)))
+    # one bad element in a separable and in an entangled (Bell) state
+    for base in ([0.2, 0.3, 0.3, 0.2, 0.0], [0.0, 0.5, 0.5, 0.0, 0.5]):
+        for k in range(5):
+            for bad in (math.nan, math.inf, -math.inf):
+                elements = list(base)
+                elements[k] = bad
+                assert not math.isfinite(negativity_x(XState(*elements))), (base, k, bad)
+
+
 def random_density_matrix(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m @ m.conj().T

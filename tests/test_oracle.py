@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_columns, dense_reduce_atoms
-from twinphoton import dynamics
+from twinphoton import dynamics, oracle
 from twinphoton.model import ATOM_INDEX, InitialAtomicState, XState
 from twinphoton.negativity import negativity_general
 from twinphoton.oracle import (
@@ -296,7 +296,7 @@ def test_thermal_sweep_matches_closed_form_at_long_times():
             assert np.abs(XState(*row).to_matrix() - rho).max() < 1e-13, initial.variant
 
 
-def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
+def test_thermal_sweep_shares_one_pass_per_block_of_times(monkeypatch):
     cutoff = FockCutoff.explicit(3, 4, 0.5, 0.8)
     initials = [
         InitialAtomicState("eg"),
@@ -304,7 +304,7 @@ def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
         InitialAtomicState("ee"),
         InitialAtomicState("mixed", 0.05),
     ]
-    gts = [0.0, 0.5, 1.5, 4.2]
+    gts = [0.0, 0.5, 1.5, 4.2, 7.7]
     singles = [thermal_sweep([initial], gts, cutoff)[0] for initial in initials]
 
     calls = []
@@ -315,12 +315,58 @@ def test_thermal_sweep_shares_one_pass_per_time(monkeypatch):
         return batch(self, flat_indices, t)
 
     monkeypatch.setattr(Propagator, "evolve_basis_batch", counting)
+    # 4 atoms x 4 x 5 Fock pairs = 80 columns, so 2 times per call of 160 elements
+    monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 160)
     shared = thermal_sweep(initials, gts, cutoff)
-    assert len(calls) == len(gts)
+    assert [len(t) for t in calls] == [2, 2, 1]
+    assert np.array_equal(np.concatenate(calls), gts)
     assert len(shared) == len(initials)
     for one, single in zip(shared, singles):
         assert one.shape == (len(gts), 4, 4)
         assert np.abs(one - single).max() <= 1e-14
+
+
+def test_stacked_times_equal_the_per_time_calls():
+    prop = Propagator(6, 5)
+    cols = np.arange(prop.hamiltonian.shape[0])
+    weights = np.linspace(0.1, 1.0, cols.size)
+    ts = np.array([0.0, 0.3, 4.7, 37.3])
+    states, amplitudes, dim = prop.evolve_basis_batch(cols, ts)
+    assert amplitudes.shape == ts.shape + states.shape
+    stacked = reduce_atoms((states, amplitudes, dim), weights)
+    assert stacked.shape == (len(ts), 4, 4)
+    for i, t in enumerate(ts):
+        one = prop.evolve_basis_batch(cols, t)
+        assert one[1].shape == states.shape
+        assert np.array_equal(one[0], states)
+        assert np.array_equal(one[1], amplitudes[i])
+        assert np.array_equal(reduce_atoms(one, weights), stacked[i])
+
+
+def test_thermal_sweep_temporaries_are_bounded_in_the_number_of_times():
+    # the times go through in blocks of BATCH_ELEMENTS columns x times; all 1001
+    # times of the 484 columns in one batch would hold 31 MB of amplitudes alone
+    cutoff = FockCutoff.explicit(10, 10, 1.0, 1.0)
+    initials = [InitialAtomicState(v) for v in ATOM_INDEX]
+    peaks = {}
+    for steps in (11, 1001):
+        gts = np.linspace(0.0, 10.0, steps)
+        tracemalloc.start()
+        try:
+            thermal_sweep(initials, gts, cutoff)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1001] < 2 * peaks[11], peaks
+
+
+def test_thermal_sweep_rejects_the_times_the_closed_form_rejects():
+    cutoff = FockCutoff.explicit(2, 2, 0.5, 0.5)
+    for gts in ([math.nan, -1.0], [-0.5, 1.0], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            thermal_sweep([InitialAtomicState("eg")], gts, cutoff)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            dynamics.sweep(InitialAtomicState("eg"), gts, cutoff)
 
 
 def test_build_hamiltonian_rejects_negative_cutoff():
