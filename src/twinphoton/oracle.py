@@ -1,10 +1,11 @@
 """Brute-force verifier on the truncated joint atom-field Hilbert space.
 
 Everything here is deliberately independent of the closed-form dynamics: the
-pair-coupling Hamiltonian is assembled from truncated ladder operators as one
-dense real symmetric matrix (time in units of 1/g, so the coupling is 1), and
-every result comes from one path.  The propagator reads nothing of the model
-but the nonzero pattern of that matrix: its connected components are exact
+pair-coupling Hamiltonian is built from the matrix elements of truncated
+ladder operators as the list of its nonzero entries, a real symmetric matrix
+never formed densely (time in units of 1/g, so the coupling is 1), and every
+result comes from one path.  The propagator reads nothing of the model but
+that list: the connected components of its nonzero pattern are exact
 invariant subspaces, each diagonalized on its own.  States are unit-basis
 columns |atom>|n1, n2> named by flat_index; Propagator.evolve_basis_batch
 evolves a batch of them at one time or at a stack of times, each inside its
@@ -22,6 +23,8 @@ to tests and the explicit oracle CLI modes.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .model import ATOM_INDEX, InitialAtomicState, _check_times
@@ -32,9 +35,9 @@ from .thermal import FockCutoff
 HEADROOM = 2
 
 # evolved columns x times per evolve_basis_batch call in thermal_sweep: bounds
-# the temporaries of a pass whatever the number of times, small enough that
-# they stay below the memory peak of building the Propagator
-BATCH_ELEMENTS = 2048
+# the temporaries of a pass (about 0.2 kB per element) whatever the number of
+# times; larger calls save little more time and only raise the memory peak
+BATCH_ELEMENTS = 8192
 
 
 def flat_index(atom: int, n1: int, n2: int, n_max1: int, n_max2: int) -> int:
@@ -57,31 +60,57 @@ def _collective_lowering() -> np.ndarray:
     return low
 
 
-def build_hamiltonian(n_max1: int, n_max2: int) -> np.ndarray:
+class SparseMatrix(NamedTuple):
+    """A square matrix as its nonzero entries: values[k] at (rows[k], cols[k]), each once."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+
+def build_hamiltonian(n_max1: int, n_max2: int) -> SparseMatrix:
     """Pair-coupling interaction Hamiltonian (over hbar g) on the truncated space.
 
     a1+ a2+ (R1- + R2-)  +  (R1+ + R2+) a1 a2 with the ladder operators
     truncated at the cutoffs; matrix elements that would leave the truncated
-    space are dropped.  Time is measured as g*t, so the coupling is 1.  Real
-    and symmetric by construction.
+    space are dropped.  Time is measured as g*t, so the coupling is 1.
+    Returned as its nonzero entries, each listed once: every nonzero L[i, j]
+    of the collective lowering and every pair of creation elements give the
+    emission entry at row |i>|n1+1, n2+1>, column |j>|n1, n2>, valued
+    L[i, j] * (<n1+1|a1+|n1> <n2+1|a2+|n2>) as a Kronecker product forms it,
+    and its transpose is the absorption entry: real and symmetric by
+    construction.
     """
     if n_max1 < 0 or n_max2 < 0:
         raise ValueError(f"cutoffs must be >= 0; got ({n_max1}, {n_max2})")
-    a1 = annihilation(n_max1)
-    a2 = annihilation(n_max2)
-    emit = np.kron(_collective_lowering(), np.kron(a1.T, a2.T))
-    return emit + emit.T
+    low = _collective_lowering()
+    i, j = (k[:, None, None] for k in np.nonzero(low))
+    # <n+1|a+|n> = sqrt(n + 1), the first superdiagonal of the annihilation operator
+    up1 = np.diagonal(annihilation(n_max1), 1)[:, None]
+    up2 = np.diagonal(annihilation(n_max2), 1)
+    n1, n2 = np.arange(n_max1)[:, None], np.arange(n_max2)
+    emit_rows = flat_index(i, n1 + 1, n2 + 1, n_max1, n_max2).ravel()
+    emit_cols = flat_index(j, n1, n2, n_max1, n_max2).ravel()
+    emit = (low[i, j] * (up1 * up2)).ravel()
+    dim = len(low) * (n_max1 + 1) * (n_max2 + 1)
+    return SparseMatrix(
+        np.concatenate([emit_rows, emit_cols]),
+        np.concatenate([emit_cols, emit_rows]),
+        np.concatenate([emit, emit]),
+        (dim, dim),
+    )
 
 
-def _components(coupled: np.ndarray) -> np.ndarray:
+def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
     """Connected-component label of every state of a symmetric coupling pattern.
 
-    Each state starts as its own label and takes the smallest label among its
-    coupled neighbours until nothing changes, so every state ends with the
-    smallest index of its component.
+    The pattern couples rows[k] with cols[k] on dim states.  Each state starts
+    as its own label and takes the smallest label among its coupled
+    neighbours until nothing changes, so every state ends with the smallest
+    index of its component.
     """
-    rows, cols = np.nonzero(coupled)
-    labels = np.arange(coupled.shape[0])
+    labels = np.arange(dim)
     while True:
         spread = labels.copy()
         np.minimum.at(spread, rows, labels[cols])
@@ -95,31 +124,37 @@ class Propagator:
 
     The blocks are the connected components of the nonzero pattern of H, so
     H is exactly block diagonal on them and exp(-iHt) never mixes two blocks.
-    Blocks of equal size are diagonalized together once and reused.
+    The nonzero entries of H are scattered into one matrix per block, and
+    blocks of equal size are diagonalized together once and reused.
+    hamiltonian is H as build_hamiltonian returns it, its nonzero entries.
     """
 
     def __init__(self, n_max1: int, n_max2: int):
-        self.hamiltonian = build_hamiltonian(n_max1, n_max2)
+        h = self.hamiltonian = build_hamiltonian(n_max1, n_max2)
+        dim = h.shape[0]
         _, component, sizes = np.unique(
-            _components(self.hamiltonian != 0), return_inverse=True, return_counts=True
+            _components(h.rows, h.cols, dim), return_inverse=True, return_counts=True
         )
         # states grouped by component, each component in increasing index order
         by_component = np.argsort(component, kind="stable")
         starts = np.cumsum(sizes) - sizes
-        dim = self.hamiltonian.shape[0]
+        entry_size = sizes[component[h.rows]]  # the size of the block holding each entry
         # per state: its size group, its block within the group, its place in the block
         self._group, self._block, self._place = (np.empty(dim, dtype=int) for _ in range(3))
         self._blocks = []
         for g, size in enumerate(np.unique(sizes)):
             first = starts[sizes == size]
             members = by_component[first[:, None] + np.arange(size)]
-            energies, vectors = np.linalg.eigh(
-                self.hamiltonian[members[:, :, None], members[:, None, :]]
-            )
-            self._blocks.append((members, energies, vectors))
             self._group[members] = g
             self._block[members] = np.arange(len(first))[:, None]
             self._place[members] = np.arange(size)
+            # the entries of H inside this group's blocks, scattered into one matrix per block
+            mine = entry_size == size
+            rows, cols = h.rows[mine], h.cols[mine]
+            matrices = np.zeros((len(first), size, size))
+            matrices[self._block[rows], self._place[rows], self._place[cols]] = h.values[mine]
+            energies, vectors = np.linalg.eigh(matrices)
+            self._blocks.append((members, energies, vectors))
 
     def evolve_basis_batch(self, flat_indices, t):
         """Evolved unit-basis initial states in block coordinates, at one time or a stack.
@@ -203,6 +238,8 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     columns x times, so the memory of a pass does not grow with the number
     of times.
     """
+    gts = np.atleast_1d(np.asarray(gts, dtype=float))
+    _check_times(gts)
     trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
     prop = Propagator(trunc1, trunc2)
     atoms = sorted({ATOM_INDEX[v] for initial in initials for v, _ in initial.parts})
@@ -212,10 +249,6 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
         [flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel() for atom in atoms]
     )
     by_atom = (len(atoms), len(weights), -1)
-    # checked after the propagator is built: numpy's first reductions in a process
-    # allocate memory that, made before the build, adds to its peak
-    gts = np.atleast_1d(np.asarray(gts, dtype=float))
-    _check_times(gts)
     per_call = max(1, BATCH_ELEMENTS // len(cols))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for start in range(0, gts.shape[0], per_call):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from twinphoton.oracle import _collective_lowering, annihilation
+
 POP_TOL = 1e-12
 COHERENCE_TOL = 1e-10
 
@@ -103,3 +105,22 @@ def dense_reduce_atoms(psi, weights):
     dimension (flat_index order), and ``weights`` the K column weights.
     """
     return (psi * weights).reshape(4, -1) @ psi.reshape(4, -1).conj().T
+
+
+def dense_hamiltonian(n_max1, n_max2):
+    """The oracle's pair-coupling Hamiltonian as one dense matrix, from Kronecker products.
+
+    a1+ a2+ (R1- + R2-) + h.c. on the space truncated at n_max1, n_max2 in
+    flat_index order, the reference for the oracle's list of nonzero entries.
+    """
+    a1 = annihilation(n_max1)
+    a2 = annihilation(n_max2)
+    emit = np.kron(_collective_lowering(), np.kron(a1.T, a2.T))
+    return emit + emit.T
+
+
+def dense_matrix(sparse):
+    """The dense array of a matrix given as its nonzero entries (oracle.SparseMatrix)."""
+    dense = np.zeros(sparse.shape)
+    np.add.at(dense, (sparse.rows, sparse.cols), sparse.values)
+    return dense

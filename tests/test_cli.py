@@ -214,7 +214,6 @@ def test_usage_errors_exit_one(capsys):
         ("sweep", "--initial", "eg", "--lambda", "0.3"),
         ("sweep", "--initial", "mixed", "--lambda", "1.5"),
         ("sweep", "--initial", "eg", "--oracle"),
-        ("sweep", "--initial", "eg", "--oracle", "--cutoff", "15,15"),
         ("sweep", "--initial", "eg", "--cutoff", "banana"),
         ("sweep", "--initial", "eg", "--nbar1", "-0.5"),
         ("sweep", "--initial", "eg", "--nbar1", "1e17"),
@@ -265,6 +264,39 @@ def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{terms:.3g} terms" in err[0], err
     assert (tmp_path / "mixed.csv").read_bytes() == quiet
+
+
+def test_check_passes_at_a_production_cutoff(capsys):
+    # truncation 36,36 retains the 35 x 35 Fock set a sweep at nbar 1 sums
+    assert FockCutoff.choose(1.0, 1.0, cli.DEFAULT_TAIL_TOL).n_max1 == 34
+    assert cli.main(["check", "--cutoff", "36,36", "--tol", "1e-13"]) == 0
+    out, err = capsys.readouterr()
+    assert "truncation (36, 36)" in out and "PASS" in out, out
+    assert err == ""
+
+
+def test_large_oracle_run_warns_before_running(monkeypatch, capsys, tmp_path):
+    # truncation 5,6 holds 4 x 6 x 7 = 168 states, evolved at 5 times
+    work = 168 * 5
+    sweep = ["sweep", "--initial", "eg", "--nbar1", "1", "--oracle", "--cutoff", "5,6",
+             "--steps", "4", "--out", str(tmp_path / "eg.csv")]
+    check = ["check", "--cutoff", "5,6", "--steps", "4"]
+    monkeypatch.setattr(cli, "WARN_ORACLE_STATE_TIMES", work)
+    outputs = {}
+    for argv in (sweep, check):
+        assert cli.main(argv) == 0
+        outputs[argv[0]] = capsys.readouterr()
+        assert outputs[argv[0]].err == ""
+    quiet = (tmp_path / "eg.csv").read_bytes()
+
+    monkeypatch.setattr(cli, "WARN_ORACLE_STATE_TIMES", work - 1)
+    for argv in (sweep, check):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert len(err) == 1 and f"{work:.3g} state-times" in err[0], err
+        assert out == outputs[argv[0]].out
+    assert (tmp_path / "eg.csv").read_bytes() == quiet
 
 
 def test_warned_pass_count_is_the_kernel_call_count(monkeypatch):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dense_columns, dense_reduce_atoms
+from helpers import dense_columns, dense_hamiltonian, dense_matrix, dense_reduce_atoms
 from twinphoton import dynamics, oracle
 from twinphoton.model import ATOM_INDEX, InitialAtomicState, XState
 from twinphoton.negativity import negativity_general
@@ -61,20 +61,32 @@ def test_flat_index_enumerates_every_state_once():
 
 
 def test_hamiltonian_pair_emission_element():
-    h = build_hamiltonian(2, 2)
+    h = dense_matrix(build_hamiltonian(2, 2))
     row = flat_index(3, 1, 1, 2, 2)  # |--,1,1>
     col = flat_index(1, 0, 0, 2, 2)  # |+-,0,0>
     assert h[row, col] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_hamiltonian_is_exactly_symmetric_and_real():
-    h = build_hamiltonian(4, 3)
+    sparse = build_hamiltonian(4, 3)
+    h = dense_matrix(sparse)
     assert np.array_equal(h, h.T)
-    assert h.dtype == np.float64
+    assert sparse.values.dtype == np.float64
+
+
+def test_nonzeros_are_the_kronecker_product_hamiltonian():
+    # bit for bit the dense H of the ladder operators' Kronecker products, each
+    # nonzero listed once
+    for n_max1, n_max2 in ((12, 12), (14, 14), (8, 11), (0, 3)):
+        h = build_hamiltonian(n_max1, n_max2)
+        reference = dense_hamiltonian(n_max1, n_max2)
+        assert h.shape == reference.shape
+        assert np.array_equal(dense_matrix(h), reference), (n_max1, n_max2)
+        assert len(h.values) == np.count_nonzero(reference), (n_max1, n_max2)
 
 
 def test_ground_state_with_empty_mode_is_stationary():
-    h = build_hamiltonian(5, 5)
+    h = dense_matrix(build_hamiltonian(5, 5))
     for n in range(6):
         assert not h[:, flat_index(3, n, 0, 5, 5)].any()
         assert not h[:, flat_index(3, 0, n, 5, 5)].any()
@@ -82,7 +94,7 @@ def test_ground_state_with_empty_mode_is_stationary():
 
 def test_antisymmetric_atomic_state_is_dark():
     n_max = 6
-    h = build_hamiltonian(n_max, n_max)
+    h = dense_matrix(build_hamiltonian(n_max, n_max))
     for n1, n2 in ((0, 0), (1, 3), (4, 4), (2, 0)):
         psi = np.zeros(h.shape[0])
         psi[flat_index(1, n1, n2, n_max, n_max)] = 1.0 / math.sqrt(2.0)
@@ -92,7 +104,7 @@ def test_antisymmetric_atomic_state_is_dark():
 
 def test_conserved_quantities_commute_with_hamiltonian():
     # each de-excitation adds one photon to each mode: N1 + N2 + 2 n_exc is fixed
-    h = build_hamiltonian(4, 5)
+    h = dense_matrix(build_hamiltonian(4, 5))
     mode_diff = number_operator(4, 5, 1) - number_operator(4, 5, 2)
     total = (
         number_operator(4, 5, 1)
@@ -125,7 +137,7 @@ def test_excitation_swaps_between_atoms():
 def test_basis_batch_matches_individual_columns():
     prop = Propagator(3, 4)
     idx = [flat_index(0, 1, 2, 3, 4), flat_index(3, 0, 0, 3, 4), flat_index(2, 3, 1, 3, 4)]
-    energies, v = np.linalg.eigh(prop.hamiltonian)
+    energies, v = np.linalg.eigh(dense_hamiltonian(3, 4))
     # the large time is where the rounding of the phases E*t is worst
     for t in (1.7, 37.3):
         batch = dense_columns(prop.evolve_basis_batch(np.array(idx), t))
@@ -153,8 +165,9 @@ def connected_partition(coupled):
 
 def test_propagator_stays_inside_the_connected_blocks_of_h():
     prop = Propagator(5, 4)
-    coupled = prop.hamiltonian != 0
-    labels = _components(coupled)
+    coupled = dense_hamiltonian(5, 4) != 0
+    h = prop.hamiltonian
+    labels = _components(h.rows, h.cols, h.shape[0])
     rows, cols = np.nonzero(coupled)
     assert np.array_equal(labels[rows], labels[cols])
     blocks = {frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels)}
@@ -215,7 +228,7 @@ def test_block_trace_matches_dense_reference():
     trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
     prop = Propagator(trunc1, trunc2)
     weights = np.outer(*cutoff.weights()).ravel()
-    energies, v = np.linalg.eigh(prop.hamiltonian)
+    energies, v = np.linalg.eigh(dense_hamiltonian(trunc1, trunc2))
     n1, n2 = np.arange(cutoff.n_max1 + 1), np.arange(cutoff.n_max2 + 1)
     for atom in range(4):
         cols = flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel()
@@ -241,6 +254,32 @@ def test_block_batch_temporaries_are_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_building_the_propagator_never_forms_the_dense_hamiltonian():
+    # the dense 900 x 900 H at truncation 14,14 alone would hold 6.5 MB; a
+    # first build outside the trace takes numpy's one-time allocations
+    Propagator(2, 2)
+    tracemalloc.start()
+    try:
+        Propagator(14, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_block_matrices_are_the_dense_blocks_of_h():
+    # the nonzeros scattered into each block give the eigendecomposition of the
+    # dense H's block, bit for bit
+    for n_max1, n_max2 in ((12, 12), (8, 11), (3, 4)):
+        h = dense_hamiltonian(n_max1, n_max2)
+        for members, energies, vectors in Propagator(n_max1, n_max2)._blocks:
+            dense_energies, dense_vectors = np.linalg.eigh(
+                h[members[:, :, None], members[:, None, :]]
+            )
+            assert np.array_equal(energies, dense_energies), (n_max1, n_max2)
+            assert np.array_equal(vectors, dense_vectors), (n_max1, n_max2)
 
 
 def test_single_photon_pair_generates_bell_state():
@@ -353,10 +392,13 @@ def test_thermal_sweep_temporaries_are_bounded_in_the_number_of_times():
         gts = np.linspace(0.0, 10.0, steps)
         tracemalloc.start()
         try:
-            thermal_sweep(initials, gts, cutoff)
-            peaks[steps] = tracemalloc.get_traced_memory()[1]
+            out = thermal_sweep(initials, gts, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # the returned (steps, 4, 4) stacks are held from the start and must grow
+        # with the number of times; everything else must not
+        peaks[steps] = peak - sum(stack.nbytes for stack in out)
     assert peaks[1001] < 2 * peaks[11], peaks
 
 
