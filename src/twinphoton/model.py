@@ -22,6 +22,13 @@ VARIANTS = PURE_VARIANTS + ("mixed",)
 # two-atom basis index of each pure initial state, used by the oracle
 ATOM_INDEX = {"ee": 0, "eg": 1, "ge": 2, "gg": 3}
 
+# the X pattern of a reduced two-atom matrix in that basis: entry
+# (X_ROWS[m], X_COLS[m]) holds element X_ELEMENTS[m] of an X state's (A, B, C, D, E)
+# (the populations of ee, eg, ge, gg and the eg-ge coherence); every other entry is 0
+X_ROWS = (0, 1, 2, 3, 1, 2)
+X_COLS = (0, 1, 2, 3, 2, 1)
+X_ELEMENTS = (0, 1, 2, 3, 4, 4)
+
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
@@ -113,11 +120,7 @@ class XState:
     def to_matrix(self) -> np.ndarray:
         """Embed into the full 4x4 density matrix (basis |++>,|+->,|-+>,|-->)."""
         rho = np.zeros((4, 4))
-        rho[0, 0] = self.pop_ee
-        rho[1, 1] = self.pop_eg
-        rho[2, 2] = self.pop_ge
-        rho[3, 3] = self.pop_gg
-        rho[1, 2] = rho[2, 1] = self.coherence
+        rho[X_ROWS, X_COLS] = [self.as_tuple()[m] for m in X_ELEMENTS]
         return rho
 
 

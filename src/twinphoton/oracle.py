@@ -10,15 +10,16 @@ invariant subspaces, each diagonalized on its own.  States are unit-basis
 columns |atom>|n1, n2> named by flat_index; Propagator.evolve_basis_batch
 evolves a batch of them at one time or at a stack of times, each inside its
 own block in real arithmetic, and returns them in block coordinates: the
-states of each column's block and their amplitudes.  reduce_atoms traces out
-the field from that form as a weighted sum over the columns, adding only the
-products of states that share a field index, so no array the size of the
-whole space is built per column.  A thermal sweep takes the closed form's
-FockCutoff, truncates HEADROOM above it and evolves each atomic basis column
-it needs once per block of times, shared by all the initial states it is
-given; a single Fock term is a batch of one column with weight 1.  The
-closed-form path is checked against these results; this module is confined
-to tests and the explicit oracle CLI modes.
+states of each column's block and their amplitudes, laid out with time as
+the last, contiguous axis.  reduce_atoms traces out the field from that form
+as a weighted sum over the columns, gathering only the pairs of listed
+states that share a field index, so no array the size of the whole space is
+built per column and no product is formed only to be masked.  A thermal
+sweep takes the closed form's FockCutoff, truncates HEADROOM above it and
+evolves each atomic basis column it needs once per block of times, shared by
+all the initial states it is given; a single Fock term is a batch of one
+column with weight 1.  The closed-form path is checked against these
+results; this module is confined to tests and the explicit oracle CLI modes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .thermal import FockCutoff
 HEADROOM = 2
 
 # evolved columns x times per evolve_basis_batch call in thermal_sweep: bounds
-# the temporaries of a pass (about 0.2 kB per element) whatever the number of
+# the temporaries of a pass (about 0.15 kB per element) whatever the number of
 # times; larger calls save little more time and only raise the memory peak
 BATCH_ELEMENTS = 8192
 
@@ -164,33 +165,53 @@ class Propagator:
         largest block size, and the row of a smaller block is padded with
         state 0 at amplitude 0.  amplitudes has shape t.shape + (K, S): the
         amplitudes of those states after each time in t, so a scalar t gives
-        (K, S).  States outside the block are not listed: their amplitude is
-        exactly zero.  dim is the size of the truncated space.  The block
-        eigenvectors V are real, so exp(-iHt) e_p = V cos(Et) V^T e_p
-        - i V sin(Et) V^T e_p, and V^T e_p is row p of V.  The lookups and
-        gathers are made once per call and the phases once per block
-        eigenvalue and time.
+        (K, S).  It is a view of a (K, S, T) array, time the last and
+        contiguous axis, so each listed state's amplitudes over the times
+        are one contiguous run.  States outside the block are not listed:
+        their amplitude is exactly zero.  dim is the size of the truncated
+        space.  The block eigenvectors V are real, so exp(-iHt) e_p =
+        V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p is row p of V:
+        amplitude i is sum_j coef[i, j] (cos(E_j t) - i sin(E_j t)) with
+        coef[i, j] = V[i, j] V[p, j].  The coefficients are formed once per
+        call and the phases once per block eigenvalue and time; the sum over
+        j is an elementwise multiply-add in increasing j, so a time's
+        amplitudes are bit-identical whatever other times share the call.
         """
         flat = np.asarray(flat_indices)
         t = np.asarray(t, dtype=float)
+        times = t.ravel()
         width = self._blocks[-1][0].shape[1]  # the size groups are in increasing size
         states = np.zeros((flat.shape[0], width), dtype=int)
-        amplitudes = np.zeros(t.shape + (flat.shape[0], width), dtype=complex)
+        amplitudes = np.zeros((flat.shape[0], width, times.size), dtype=complex)
+        group = self._group[flat]
         for g, (members, energies, vectors) in enumerate(self._blocks):
-            cols = np.flatnonzero(self._group[flat] == g)
+            cols = np.flatnonzero(group == g)
             block, place = self._block[flat[cols]], self._place[flat[cols]]
-            v = vectors[block]
-            rows = v[np.arange(len(cols)), place]
-            et = energies * t[..., None, None]
             size = members.shape[1]
             states[cols, :size] = members[block]
-            amplitudes.real[..., cols, :size] = np.einsum(
-                "kij,...kj->...ki", v, np.take(np.cos(et), block, axis=-2) * rows
-            )
-            amplitudes.imag[..., cols, :size] = np.einsum(
-                "kij,...kj->...ki", v, np.take(-np.sin(et), block, axis=-2) * rows
-            )
+            # coef[i, j, k] = V[i, j] V[p, j] of column k, the columns last
+            coef = np.take(vectors.transpose(1, 2, 0), block, axis=-1) * vectors[block, place].T
+            et = energies.T[:, None, :] * times[:, None]  # (size, T, blocks)
+            for part, trig, sign in ((amplitudes.real, np.cos, 1), (amplitudes.imag, np.sin, -1)):
+                _contract_into(part, cols, sign * coef, np.take(trig(et), block, axis=-1))
+        amplitudes = np.moveaxis(amplitudes, -1, 0).reshape(t.shape + states.shape)
         return states, amplitudes, self.hamiltonian.shape[0]
+
+
+def _contract_into(out, cols, coef, phase):
+    """out[cols[k], i, t] = sum_j coef[i, j, k] phase[j, t, k], adding j in increasing order.
+
+    The sum runs on (T, columns) planes with the columns as the contiguous
+    axis, one plane of out at a time, so the temporaries are two planes and
+    each output element is the same elementwise multiply-add whatever the
+    number of times or columns.
+    """
+    total, term = np.empty((2,) + phase.shape[1:])
+    for i in range(coef.shape[0]):
+        np.multiply(coef[i, 0], phase[0], out=total)
+        for j in range(1, coef.shape[1]):
+            total += np.multiply(coef[i, j], phase[j], out=term)
+        out[cols, i] = total.T
 
 
 def reduce_atoms(batch, weights) -> np.ndarray:
@@ -198,27 +219,63 @@ def reduce_atoms(batch, weights) -> np.ndarray:
 
     ``batch`` is (states, amplitudes, dim) as returned by
     Propagator.evolve_basis_batch: column k is sum_s amplitudes[..., k, s]
-    |states[k, s]>, with distinct states per row, on a space of size dim in
-    flat_index order, so a state is atom state // F and field state % F with
-    F = dim / 4.  ``weights`` are the K column weights.  Only pairs of states
-    that share a field index contribute, w_k a_i conj(a_j) to rho[atom_i,
-    atom_j].  Amplitudes of shape (..., K, S), one (K, S) batch per time,
-    give a (..., 4, 4) stack: the pairs are found once, and one bincount
-    over the index 16 * time + pair adds each time's terms in the same order
-    as a call on that time alone.
+    |states[k, s]>, with distinct states per row (padding aside), on a space
+    of size dim in flat_index order, so a state is atom state // F and field
+    state % F with F = dim / 4.  ``weights`` are the K column weights; any
+    other number of them is a ValueError.  Only pairs of states that share a
+    field index contribute, w_k a_i conj(a_j) to rho[atom_i, atom_j], and a
+    slot whose amplitude is exactly zero at every time (the padding of a
+    smaller block) adds only exact zeros and is left out.  Amplitudes of
+    shape (..., K, S), one (K, S) batch per time, give a (..., 4, 4) stack:
+    the pairs (k, i, j) are found once, in increasing order, their
+    amplitudes gathered as (pairs, times) rows, time last as
+    evolve_basis_batch lays it out, and one bincount over the index
+    16 * time + pair adds each time's terms in the same order as a call on
+    that time alone.
     """
     states, amplitudes, dim = batch
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != states.shape[:1]:
+        raise ValueError(f"{weights.size} weights for a batch of {states.shape[0]} columns")
+    lead, size = amplitudes.shape[:-2], states.shape[1]
+    # one row of amplitudes over the times per slot k * size + s, time last
+    a = np.moveaxis(amplitudes.reshape(-1, states.size), 0, -1)
     atom, field = np.divmod(states, dim // 4)
-    shared = field[:, :, None] == field[:, None, :]
-    pair = (4 * atom[:, :, None] + atom[:, None, :])[shared]
-    weighted = amplitudes * np.asarray(weights, dtype=float)[:, None]
-    terms = (weighted[..., :, :, None] * amplitudes[..., None, :].conj())[..., shared]
-    lead = amplitudes.shape[:-2]
-    bins = 16 * int(np.prod(lead, dtype=int))
-    index = (np.arange(0, bins, 16)[:, None] + pair).ravel()
+    # shared[i, j, k]: slots i and j of column k are listed and share a field index
+    field = field.T.copy()
+    listed = a.any(axis=-1).reshape(states.shape).T.copy()
+    shared = field[:, None] == field
+    shared &= listed[:, None]
+    shared &= listed
+    # the pairs in increasing (k, i, j), as flat slots k * size + i and k * size + j
+    pairs = np.flatnonzero(shared.transpose(2, 0, 1))
+    k, slot_i = pairs // (size * size), pairs // size
+    slot_j = size * k + pairs % size
+    terms = a.take(slot_i, axis=0) * weights.take(k)[:, None]
+    terms *= np.conjugate(a.take(slot_j, axis=0))
+    times = terms.shape[1]
+    pair = 4 * atom.ravel()[slot_i] + atom.ravel()[slot_j]
+    index = (pair[:, None] + np.arange(0, 16 * times, 16)).ravel()
     terms = terms.ravel()
+    bins = 16 * times
     rho = np.bincount(index, terms.real, bins) + 1j * np.bincount(index, terms.imag, bins)
     return rho.reshape(lead + (4, 4))
+
+
+def _trace_per_atom(batch, atoms, weights) -> dict[int, np.ndarray]:
+    """reduce_atoms of each atom's share of a batch whose columns run atom by atom.
+
+    Each atom holds len(weights) consecutive columns; the batch is released
+    when this returns, before the next one is evolved.
+    """
+    states, amplitudes, dim = batch
+    by_atom = (len(atoms), len(weights), -1)
+    # (times, atoms, K, S) -> one (times, K, S) stack per atom
+    amplitudes = amplitudes.reshape(len(amplitudes), *by_atom).swapaxes(0, 1)
+    return {
+        atom: reduce_atoms((s, a, dim), weights)
+        for atom, s, a in zip(atoms, states.reshape(by_atom), amplitudes)
+    }
 
 
 def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
@@ -234,9 +291,9 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     states need is evolved with each retained Fock pair at all the block's
     times in a single batch, the field is traced out per atomic basis state,
     and each initial state is the weighted sum of those per-atom matrices.
-    The batch is in block coordinates and a block holds about BATCH_ELEMENTS
-    columns x times, so the memory of a pass does not grow with the number
-    of times.
+    The batch is in block coordinates, a block holds about BATCH_ELEMENTS
+    columns x times, and each batch is released before the next is evolved,
+    so the memory of a pass does not grow with the number of times.
     """
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     _check_times(gts)
@@ -248,18 +305,11 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     cols = np.concatenate(
         [flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel() for atom in atoms]
     )
-    by_atom = (len(atoms), len(weights), -1)
     per_call = max(1, BATCH_ELEMENTS // len(cols))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for start in range(0, gts.shape[0], per_call):
         times = slice(start, start + per_call)
-        states, amplitudes, dim = prop.evolve_basis_batch(cols, gts[times])
-        # (times, atoms, K, S) -> one (times, K, S) stack per atom
-        amplitudes = amplitudes.reshape(len(amplitudes), *by_atom).swapaxes(0, 1)
-        per_atom = {
-            atom: reduce_atoms((s, a, dim), weights)
-            for atom, s, a in zip(atoms, states.reshape(by_atom), amplitudes)
-        }
+        per_atom = _trace_per_atom(prop.evolve_basis_batch(cols, gts[times]), atoms, weights)
         for stack, initial in zip(out, initials):
             stack[times] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)
     return out

@@ -107,6 +107,28 @@ def dense_reduce_atoms(psi, weights):
     return (psi * weights).reshape(4, -1) @ psi.reshape(4, -1).conj().T
 
 
+def masked_reduce_atoms(batch, weights):
+    """reduce_atoms by the full product of each column's amplitudes, masked afterwards.
+
+    Forms w_k a_i conj(a_j) for every pair of slots of every column and time,
+    keeps the pairs whose states share a field index, and adds them with one
+    bincount in (time, k, i, j) order: the reference for the terms and the
+    order of reduce_atoms, which gathers only those pairs.
+    """
+    states, amplitudes, dim = batch
+    atom, field = np.divmod(states, dim // 4)
+    shared = field[:, :, None] == field[:, None, :]
+    pair = (4 * atom[:, :, None] + atom[:, None, :])[shared]
+    weighted = amplitudes * np.asarray(weights, dtype=float)[:, None]
+    terms = (weighted[..., :, :, None] * amplitudes[..., None, :].conj())[..., shared]
+    lead = amplitudes.shape[:-2]
+    bins = 16 * int(np.prod(lead, dtype=int))
+    index = (np.arange(0, bins, 16)[:, None] + pair).ravel()
+    terms = terms.ravel()
+    rho = np.bincount(index, terms.real, bins) + 1j * np.bincount(index, terms.imag, bins)
+    return rho.reshape(lead + (4, 4))
+
+
 def dense_hamiltonian(n_max1, n_max2):
     """The oracle's pair-coupling Hamiltonian as one dense matrix, from Kronecker products.
 

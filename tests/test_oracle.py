@@ -4,9 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dense_columns, dense_hamiltonian, dense_matrix, dense_reduce_atoms
+from helpers import (
+    dense_columns,
+    dense_hamiltonian,
+    dense_matrix,
+    dense_reduce_atoms,
+    masked_reduce_atoms,
+)
 from twinphoton import dynamics, oracle
-from twinphoton.model import ATOM_INDEX, InitialAtomicState, XState
+from twinphoton.cli import CHECK_DEFAULT_STATES
+from twinphoton.model import ATOM_INDEX, InitialAtomicState, TimeGrid, XState
 from twinphoton.negativity import negativity_general
 from twinphoton.oracle import (
     HEADROOM,
@@ -163,6 +170,29 @@ def connected_partition(coupled):
     return parts
 
 
+def test_evolution_matches_the_dense_blocks_at_long_times():
+    # every column of an asymmetric truncation with blocks of 1, 3 and 4 states,
+    # evolved at a stack of times up to gt = 1e3, against exp(-iHt) = V exp(-iEt) V^T
+    # from the eigendecomposition of each connected block of the dense H; the
+    # whole dense H's eigh cannot serve at gt = 1e3: its eigenvalues differ from
+    # the blocks' by ~1e-15, so its phases there differ by ~1e-12
+    n_max1, n_max2 = 4, 2
+    prop = Propagator(n_max1, n_max2)
+    assert [members.shape[1] for members, _, _ in prop._blocks] == [1, 3, 4]
+    h = dense_hamiltonian(n_max1, n_max2)
+    dim = h.shape[0]
+    ts = np.array([0.0, 0.37, 37.3, 1e3])
+    states, amplitudes, _ = prop.evolve_basis_batch(np.arange(dim), ts)
+    blocks = [sorted(part) for part in connected_partition(h != 0)]
+    eigen = [np.linalg.eigh(h[np.ix_(block, block)]) for block in blocks]
+    for n, t in enumerate(ts):
+        reference = np.zeros((dim, dim), dtype=complex)
+        for block, (energies, v) in zip(blocks, eigen):
+            reference[np.ix_(block, block)] = (v * np.exp(-1j * energies * t)) @ v.T
+        evolved = dense_columns((states, amplitudes[n], dim))
+        assert np.abs(evolved - reference).max() <= 1e-13, t
+
+
 def test_propagator_stays_inside_the_connected_blocks_of_h():
     prop = Propagator(5, 4)
     coupled = dense_hamiltonian(5, 4) != 0
@@ -219,6 +249,27 @@ def test_reduce_atoms_is_the_weighted_sum_over_columns():
         for k, w in enumerate(weights)
     )
     assert np.abs(reduce_atoms((states, amplitudes, dim), weights) - expected).max() < 1e-14
+
+
+def test_reduce_atoms_adds_the_masked_product_terms_in_order():
+    # gathering only the shared-field pairs of listed slots adds the same nonzero
+    # terms as the full product masked afterwards, in the same order, so the
+    # sums are identical; the padding of the 1- and 3-state blocks adds exact zeros
+    for n_max1, n_max2 in ((12, 12), (4, 2), (2, 0)):
+        prop = Propagator(n_max1, n_max2)
+        cols = np.arange(prop.hamiltonian.shape[0])
+        weights = np.linspace(0.1, 1.0, cols.size)
+        for t in (0.0, 1.3, [0.0, 0.3, 4.7, 37.3, 1e3]):
+            batch = prop.evolve_basis_batch(cols, t)
+            expected = masked_reduce_atoms(batch, weights)
+            assert np.array_equal(reduce_atoms(batch, weights), expected), (n_max1, n_max2, t)
+
+
+def test_reduce_atoms_rejects_a_weight_count_other_than_the_columns():
+    batch = Propagator(3, 3).evolve_basis_batch(np.arange(10), [0.5, 1.5])
+    for weights in ([1.0], np.ones(11), np.ones((10, 1))):
+        with pytest.raises(ValueError, match=f"{np.size(weights)} weights .* 10 columns"):
+            reduce_atoms(batch, weights)
 
 
 def test_block_trace_matches_dense_reference():
@@ -400,6 +451,28 @@ def test_thermal_sweep_temporaries_are_bounded_in_the_number_of_times():
         # with the number of times; everything else must not
         peaks[steps] = peak - sum(stack.nbytes for stack in out)
     assert peaks[1001] < 2 * peaks[11], peaks
+
+
+def test_default_check_sweep_memory_peak():
+    # the oracle sweep of a default `twinphoton check`: four states, 50 times,
+    # truncation 12,12, 16 times per pass, 1.26 MB measured; a pass holds
+    # 0.5 MB of amplitudes, and a (K, S, S, T) product before the contraction,
+    # a partial trace that forms every (T, K, S, S) product before masking it,
+    # or a batch kept alive while the next one is evolved each take the peak
+    # to 1.7-2.0 MB
+    initials = [
+        InitialAtomicState(v, 0.05 if v == "mixed" else None) for v in CHECK_DEFAULT_STATES
+    ]
+    gts = TimeGrid(5.0, 49).points()
+    cutoff = FockCutoff.explicit(10, 10, 1.0, 1.0)
+    thermal_sweep(initials, gts, cutoff)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        thermal_sweep(initials, gts, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, peak
 
 
 def test_thermal_sweep_rejects_the_times_the_closed_form_rejects():
