@@ -1,9 +1,13 @@
 """Command-line front end: sweeps, figure presets, and the oracle cross-check.
 
 Output is CSV with a fixed header ``gt,A,B,C,D,E,epsilon`` and ``#`` comment
-lines carrying the full parameter provenance.  Floats are written with their
-shortest round-trip representation and the summation order inside the kernels
-is fixed, so repeated runs with identical flags are byte-identical.  The
+lines carrying the full parameter provenance.  ``--cutoff N1,N2`` always names
+the summed Fock set n1 <= N1, n2 <= N2, on either path; without it a sweep sums
+the smallest set whose neglected thermal mass is below ``--tail-tol``.  The
+oracle (``--oracle``, ``check``) truncates its space oracle.HEADROOM above
+that set, so every summed component evolves exactly.  Floats are written with
+their shortest round-trip representation and the summation order inside the
+kernels is fixed, so repeated runs with identical flags are byte-identical.  The
 closed form uses no BLAS and is identical at any BLAS thread count; oracle
 output (``--oracle``, ``check``) is identical only at a fixed thread count.
 
@@ -141,12 +145,12 @@ def build_parser() -> _Parser:
         type=_cutoff_pair,
         default=None,
         metavar="N1,N2",
-        help="explicit per-mode Fock cutoffs (overrides --tail-tol)",
+        help="explicit per-mode Fock cutoffs of the summed set (overrides --tail-tol)",
     )
     sweep.add_argument(
         "--oracle",
         action="store_true",
-        help="use the brute-force truncated-space oracle (requires --cutoff)",
+        help=f"use the brute-force oracle, truncated {oracle.HEADROOM} above the summed Fock set",
     )
     sweep.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
     sweep.set_defaults(func=_run_sweep, parser=sweep)
@@ -174,9 +178,9 @@ def build_parser() -> _Parser:
     check.add_argument(
         "--cutoff",
         type=_cutoff_pair,
-        default=(12, 12),
+        default=(10, 10),
         metavar="N1,N2",
-        help="oracle truncation per mode",
+        help=f"per-mode Fock cutoffs both paths sum (the oracle truncates {oracle.HEADROOM} above)",
     )
     check.add_argument(
         "--tol",
@@ -236,8 +240,8 @@ def _sweep_document(initial, grid, cutoff, use_oracle=False):
     else:
         rhos = oracle.thermal_sweep([initial], gts, cutoff)[0]
         _require_finite(gts, rhos)
-        # (A, B, C, D, E) = rho[00], rho[11], rho[22], rho[33], Re rho[12]
-        rows = rhos[:, [0, 1, 2, 3, 1], [0, 1, 2, 3, 2]].real.tolist()
+        # the first five X entries hold (A, B, C, D, E) in order
+        rows = rhos[:, X_ROWS[:5], X_COLS[:5]].real.tolist()
         eps = negativity_general(rhos).tolist()
         n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
         label = f"oracle, truncation ({n1}, {n2})"
@@ -247,14 +251,6 @@ def _sweep_document(initial, grid, cutoff, use_oracle=False):
     for gt, row, e in zip(gts.tolist(), rows, eps):
         lines.append(",".join(map(repr, (gt, *row, e))))
     return lines
-
-
-def _oracle_retained_cutoff(pair, nbar1, nbar2) -> FockCutoff:
-    """Check an oracle truncation N1,N2; return the retained Fock set HEADROOM below it."""
-    n1, n2 = pair
-    if min(n1, n2) < oracle.HEADROOM:
-        raise ValueError(f"oracle truncation must be >= {oracle.HEADROOM} per mode")
-    return FockCutoff.explicit(n1 - oracle.HEADROOM, n2 - oracle.HEADROOM, nbar1, nbar2)
 
 
 def _warn_if_large(initial, grid, cutoff):
@@ -270,9 +266,9 @@ def _warn_if_large(initial, grid, cutoff):
         )
 
 
-def _warn_if_large_oracle(truncation, grid):
+def _warn_if_large_oracle(cutoff, grid):
     """One stderr line when the oracle will evolve more than WARN_ORACLE_STATE_TIMES state-times."""
-    n1, n2 = truncation
+    n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
     states = 4 * (n1 + 1) * (n2 + 1)  # two atoms x the truncated two-mode field
     work = states * (grid.steps + 1)
     if work > WARN_ORACLE_STATE_TIMES:
@@ -293,16 +289,13 @@ def _run_sweep(args) -> int:
     nbars = _checked_nbars(args)
     grid = TimeGrid(args.tmax, args.steps)
 
-    if args.oracle:
-        if args.cutoff is None:
-            raise ValueError("--oracle requires an explicit --cutoff N1,N2")
-        cutoff = _oracle_retained_cutoff(args.cutoff, *nbars)
-        _warn_if_large_oracle(args.cutoff, grid)
+    if args.cutoff is not None:
+        cutoff = FockCutoff.explicit(*args.cutoff, *nbars)
     else:
-        if args.cutoff is not None:
-            cutoff = FockCutoff.explicit(*args.cutoff, *nbars)
-        else:
-            cutoff = FockCutoff.choose(*nbars, args.tail_tol)
+        cutoff = FockCutoff.choose(*nbars, args.tail_tol)
+    if args.oracle:
+        _warn_if_large_oracle(cutoff, grid)
+    else:
         _warn_if_large(initial, grid, cutoff)
     _emit(_sweep_document(initial, grid, cutoff, use_oracle=args.oracle), args.out)
     return 0
@@ -321,11 +314,11 @@ def _run_figure(args) -> int:
 
 
 def _run_check(args) -> int:
-    """Run both paths on the same retained Fock set and compare everywhere."""
-    n1, n2 = args.cutoff
-    cutoff = _oracle_retained_cutoff(args.cutoff, *_checked_nbars(args))
+    """Run both paths on the same summed Fock set and compare everywhere."""
+    cutoff = FockCutoff.explicit(*args.cutoff, *_checked_nbars(args))
     grid = TimeGrid(args.tmax, args.steps)
-    _warn_if_large_oracle(args.cutoff, grid)
+    _warn_if_large_oracle(cutoff, grid)
+    n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
     gts = grid.points()
     variants = args.initial if args.initial else CHECK_DEFAULT_STATES
     initials = [InitialAtomicState(v, args.lam if v == "mixed" else None) for v in variants]

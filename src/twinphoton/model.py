@@ -31,12 +31,14 @@ X_ELEMENTS = (0, 1, 2, 3, 4, 4)
 
 
 def _finite(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
+    """True for a finite real number (Python or numpy, not bool)."""
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return real and math.isfinite(x)
 
 
 def _count(x) -> bool:
-    """True for a non-negative integer (Python or numpy), such as a Fock index."""
-    return isinstance(x, (int, np.integer)) and x >= 0
+    """True for a non-negative integer (Python or numpy, not bool), such as a Fock index."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
 
 
 def _check_nbar(value, name: str = "nbar") -> float:

@@ -15,11 +15,13 @@ the last, contiguous axis.  reduce_atoms traces out the field from that form
 as a weighted sum over the columns, gathering only the pairs of listed
 states that share a field index, so no array the size of the whole space is
 built per column and no product is formed only to be masked.  A thermal
-sweep takes the closed form's FockCutoff, truncates HEADROOM above it and
-evolves each atomic basis column it needs once per block of times, shared by
-all the initial states it is given; a single Fock term is a batch of one
-column with weight 1.  The closed-form path is checked against these
-results; this module is confined to tests and the explicit oracle CLI modes.
+sweep takes the Fock set the closed form sums, the same FockCutoff, and
+truncates its space HEADROOM above that set, so the callers never convert
+between a summed set and a truncation.  It evolves each atomic basis column
+it needs once per block of times, shared by all the initial states it is
+given; a single Fock term is a batch of one column with weight 1.  The
+closed-form path is checked against these results; this module is confined
+to tests and the explicit oracle CLI modes.
 """
 
 from __future__ import annotations
@@ -133,26 +135,22 @@ class Propagator:
     def __init__(self, n_max1: int, n_max2: int):
         h = self.hamiltonian = build_hamiltonian(n_max1, n_max2)
         dim = h.shape[0]
-        _, component, sizes = np.unique(
-            _components(h.rows, h.cols, dim), return_inverse=True, return_counts=True
-        )
-        # states grouped by component, each component in increasing index order
-        by_component = np.argsort(component, kind="stable")
-        starts = np.cumsum(sizes) - sizes
-        entry_size = sizes[component[h.rows]]  # the size of the block holding each entry
+        labels = _components(h.rows, h.cols, dim)
+        sizes = np.bincount(labels, minlength=dim)[labels]  # the size of each state's block
+        # states by block size, then by block, each block in increasing index order
+        order = np.lexsort((labels, sizes))
         # per state: its size group, its block within the group, its place in the block
         self._group, self._block, self._place = (np.empty(dim, dtype=int) for _ in range(3))
         self._blocks = []
         for g, size in enumerate(np.unique(sizes)):
-            first = starts[sizes == size]
-            members = by_component[first[:, None] + np.arange(size)]
+            members = order[sizes[order] == size].reshape(-1, size)
             self._group[members] = g
-            self._block[members] = np.arange(len(first))[:, None]
+            self._block[members] = np.arange(len(members))[:, None]
             self._place[members] = np.arange(size)
             # the entries of H inside this group's blocks, scattered into one matrix per block
-            mine = entry_size == size
+            mine = sizes[h.rows] == size
             rows, cols = h.rows[mine], h.cols[mine]
-            matrices = np.zeros((len(first), size, size))
+            matrices = np.zeros((len(members), size, size))
             matrices[self._block[rows], self._place[rows], self._place[cols]] = h.values[mine]
             energies, vectors = np.linalg.eigh(matrices)
             self._blocks.append((members, energies, vectors))
@@ -262,35 +260,20 @@ def reduce_atoms(batch, weights) -> np.ndarray:
     return rho.reshape(lead + (4, 4))
 
 
-def _trace_per_atom(batch, atoms, weights) -> dict[int, np.ndarray]:
-    """reduce_atoms of each atom's share of a batch whose columns run atom by atom.
-
-    Each atom holds len(weights) consecutive columns; the batch is released
-    when this returns, before the next one is evolved.
-    """
-    states, amplitudes, dim = batch
-    by_atom = (len(atoms), len(weights), -1)
-    # (times, atoms, K, S) -> one (times, K, S) stack per atom
-    amplitudes = amplitudes.reshape(len(amplitudes), *by_atom).swapaxes(0, 1)
-    return {
-        atom: reduce_atoms((s, a, dim), weights)
-        for atom, s, a in zip(atoms, states.reshape(by_atom), amplitudes)
-    }
-
-
 def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
     """Thermally averaged reduced atomic density matrices for several initial states.
 
     Returns one (len(gts), 4, 4) stack per entry of ``initials``.  Initial
     Fock pairs run over n1 <= cutoff.n_max1, n2 <= cutoff.n_max2, weighted by
     cutoff.weights() without renormalization, so the trace of each output
-    equals the retained thermal mass.  The space is truncated HEADROOM above,
-    at n_max + 2 per mode, so every retained component evolves exactly.
+    equals the summed thermal mass.  The space is truncated HEADROOM above,
+    at n_max + 2 per mode, so every summed component evolves exactly.
 
     Each block of times takes one pass: every atomic basis state the initial
-    states need is evolved with each retained Fock pair at all the block's
-    times in a single batch, the field is traced out per atomic basis state,
-    and each initial state is the weighted sum of those per-atom matrices.
+    states need is evolved with each summed Fock pair at all the block's
+    times in a single batch, the field is traced out from each atomic basis
+    state's run of columns, and each initial state is the weighted sum of
+    those per-atom matrices.
     The batch is in block coordinates, a block holds about BATCH_ELEMENTS
     columns x times, and each batch is released before the next is evolved,
     so the memory of a pass does not grow with the number of times.
@@ -309,7 +292,12 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for start in range(0, gts.shape[0], per_call):
         times = slice(start, start + per_call)
-        per_atom = _trace_per_atom(prop.evolve_basis_batch(cols, gts[times]), atoms, weights)
+        states, amplitudes, dim = prop.evolve_basis_batch(cols, gts[times])
+        per_atom = {}
+        for a, atom in enumerate(atoms):  # each atom's weights.size columns, in turn
+            part = slice(a * weights.size, (a + 1) * weights.size)
+            per_atom[atom] = reduce_atoms((states[part], amplitudes[:, part], dim), weights)
+        del states, amplitudes  # release the batch before the next one is evolved
         for stack, initial in zip(out, initials):
             stack[times] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)
     return out

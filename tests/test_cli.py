@@ -110,6 +110,24 @@ def test_sweep_oracle_path_matches_closed_form():
         assert max(abs(a - b) for a, b in zip(rc, ro)) < 1e-10
 
 
+def test_sweep_cutoff_names_one_summed_set_on_both_paths():
+    # --cutoff is the Fock set summed, with or without --oracle
+    base = ("sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1", "--cutoff", "6,7",
+            "--tmax", "3", "--steps", "6")
+    closed = run_cli(*base)
+    brute = run_cli(*base, "--oracle")
+    assert closed.returncode == brute.returncode == 0, (closed.stderr, brute.stderr)
+    comments_c, rows_c = parse_csv(closed.stdout.decode())
+    comments_o, rows_o = parse_csv(brute.stdout.decode())
+    cutoff_c = [c for c in comments_c if c.startswith("# fock cutoff")]
+    cutoff_o = [c for c in comments_o if c.startswith("# fock cutoff")]
+    assert cutoff_c == cutoff_o and "n_max1=6 n_max2=7" in cutoff_c[0], (cutoff_c, cutoff_o)
+    assert "# path: oracle, truncation (8, 9)" in comments_o
+    assert len(rows_c) == len(rows_o) == 7
+    for rc, ro in zip(rows_c, rows_o):
+        assert max(abs(a - b) for a, b in zip(rc, ro)) <= 1e-13
+
+
 def test_figure_preset3_mixture_never_entangles(tmp_path):
     outdir = tmp_path / "figs"
     res = run_cli("figure", "--preset", "3", "--outdir", str(outdir), "--tail-tol", "1e-8")
@@ -166,7 +184,7 @@ def test_check_compares_both_paths_on_one_retained_set(monkeypatch, capsys):
     cutoffs = received["sweep"] + received["thermal_sweep"]
     assert len(received["thermal_sweep"]) == 1 and len(cutoffs) == 5
     assert all(cutoff is cutoffs[0] for cutoff in cutoffs)
-    assert cutoffs[0] == FockCutoff(5 - oracle.HEADROOM, 6 - oracle.HEADROOM, 0.3, 2.0)
+    assert cutoffs[0] == FockCutoff(5, 6, 0.3, 2.0)
 
 
 def test_check_subcommand_detects_violation():
@@ -213,7 +231,6 @@ def test_usage_errors_exit_one(capsys):
         ("sweep", "--initial", "mixed"),
         ("sweep", "--initial", "eg", "--lambda", "0.3"),
         ("sweep", "--initial", "mixed", "--lambda", "1.5"),
-        ("sweep", "--initial", "eg", "--oracle"),
         ("sweep", "--initial", "eg", "--cutoff", "banana"),
         ("sweep", "--initial", "eg", "--nbar1", "-0.5"),
         ("sweep", "--initial", "eg", "--nbar1", "1e17"),
@@ -224,7 +241,6 @@ def test_usage_errors_exit_one(capsys):
         ("sweep", "--initial", "eg", "--tail-tol", "inf"),
         ("figure",),
         ("figure", "--preset", "1", "--tail-tol", "0"),
-        ("check", "--cutoff", "1,1"),
         ("check", "--tol", "nan"),
         ("check", "--tol", "inf"),
     ]
@@ -241,7 +257,7 @@ def test_usage_errors_exit_one(capsys):
         cli.main(["sweep", "--initial", "eg", "--nbar1", "-0.5"])
     assert "error: nbar1 must be" in capsys.readouterr().err
     # the exit status of the real process, for an error raised past argparse
-    res = run_cli("sweep", "--initial", "eg", "--oracle")
+    res = run_cli("sweep", "--initial", "eg", "--nbar1", "-0.5")
     assert res.returncode == 1, (res.stdout, res.stderr)
     assert b"usage: twinphoton sweep" in res.stderr, res.stderr
 
@@ -267,20 +283,20 @@ def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):
 
 
 def test_check_passes_at_a_production_cutoff(capsys):
-    # truncation 36,36 retains the 35 x 35 Fock set a sweep at nbar 1 sums
+    # the 35 x 35 Fock set a sweep at nbar 1 sums, on an oracle truncated at 36,36
     assert FockCutoff.choose(1.0, 1.0, cli.DEFAULT_TAIL_TOL).n_max1 == 34
-    assert cli.main(["check", "--cutoff", "36,36", "--tol", "1e-13"]) == 0
+    assert cli.main(["check", "--cutoff", "34,34", "--tol", "1e-13"]) == 0
     out, err = capsys.readouterr()
     assert "truncation (36, 36)" in out and "PASS" in out, out
     assert err == ""
 
 
 def test_large_oracle_run_warns_before_running(monkeypatch, capsys, tmp_path):
-    # truncation 5,6 holds 4 x 6 x 7 = 168 states, evolved at 5 times
+    # cutoff 3,4 is truncated at 5,6: 4 x 6 x 7 = 168 states, evolved at 5 times
     work = 168 * 5
-    sweep = ["sweep", "--initial", "eg", "--nbar1", "1", "--oracle", "--cutoff", "5,6",
+    sweep = ["sweep", "--initial", "eg", "--nbar1", "1", "--oracle", "--cutoff", "3,4",
              "--steps", "4", "--out", str(tmp_path / "eg.csv")]
-    check = ["check", "--cutoff", "5,6", "--steps", "4"]
+    check = ["check", "--cutoff", "3,4", "--steps", "4"]
     monkeypatch.setattr(cli, "WARN_ORACLE_STATE_TIMES", work)
     outputs = {}
     for argv in (sweep, check):

@@ -94,7 +94,7 @@ def test_term_rejects_bad_arguments():
         xstate_term("mixed", 0, 0, 1.0)
     with pytest.raises(ValueError):
         xstate_term("eg", -1, 0, 1.0)
-    # the times sweep rejects, and Fock indices that are not integers
+    # the times sweep rejects, and Fock indices that are not integers (a bool is none)
     for n1, n2, gt in (
         (0, 0, math.nan),
         (0, 0, math.inf),
@@ -103,6 +103,8 @@ def test_term_rejects_bad_arguments():
         (0, math.nan, 1.0),
         (0.5, 0, 1.0),
         (0, 2.0, 1.0),
+        (True, False, 1.0),
+        (0, True, 1.0),
     ):
         with pytest.raises(ValueError):
             xstate_term("eg", n1, n2, gt)

@@ -7,7 +7,8 @@ from twinphoton.model import ATOM_INDEX, InitialAtomicState, TimeGrid, XState
 
 
 def test_lambda_out_of_range_rejected():
-    for lam in (1.5, -0.1, math.nan):
+    # a bool is an int, but no weight
+    for lam in (1.5, -0.1, math.nan, True, False):
         with pytest.raises(ValueError, match="lambda must be in"):
             InitialAtomicState("mixed", lam)
 
@@ -62,10 +63,10 @@ def test_time_grid_single_step():
 
 
 def test_invalid_grid_rejected():
-    for t_max in (0.0, -1.0, math.inf):
+    for t_max in (0.0, -1.0, math.inf, True):
         with pytest.raises(ValueError, match="t_max"):
             TimeGrid(t_max, 10)
-    for steps in (0, -3, 2.5):
+    for steps in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="steps"):
             TimeGrid(1.0, steps)
     # points() would form t_max * steps = inf; a huge int must not raise OverflowError

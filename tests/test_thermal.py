@@ -51,10 +51,10 @@ def test_thermal_weight_rejects_bad_input():
         thermal_weight(-0.5, 0)
     with pytest.raises(ValueError):
         mode_weights(-0.5, 3)
-    for n in (-1, 0.5, 2.5, math.nan):
+    for n in (-1, 0.5, 2.5, math.nan, True):
         with pytest.raises(ValueError):
             thermal_weight(1.0, n)
-    for nbar in (math.nan, math.inf):
+    for nbar in (math.nan, math.inf, True):
         with pytest.raises(ValueError):
             thermal_weight(nbar, 1)
     # numpy integers, as np.arange yields them, are Fock indices too, down to
@@ -153,11 +153,12 @@ def test_fock_cutoff_vacuum_is_exact():
 def test_fock_cutoff_rejects_bad_fields():
     # a negative or fractional cutoff would sum an empty or undefined grid
     # under a bound that certifies nothing
-    for n_max1, n_max2 in ((-1, 3), (3, -1), (3.5, 3), (3, 3.0)):
+    # nor does a bool, an int that would print as n_max1=True
+    for n_max1, n_max2 in ((-1, 3), (3, -1), (3.5, 3), (3, 3.0), (True, 2), (3, False)):
         with pytest.raises(ValueError, match="cutoffs"):
             FockCutoff(n_max1, n_max2, 1.0, 1.0)
     # a bad mean photon number is reported under its own name, by every constructor
-    for nbar in (-0.1, math.nan, math.inf):
+    for nbar in (-0.1, math.nan, math.inf, True):
         for name, nbars in (("nbar1", (nbar, 1.0)), ("nbar2", (1.0, nbar))):
             with pytest.raises(ValueError, match=name):
                 FockCutoff(3, 3, *nbars)
