@@ -12,13 +12,18 @@ frequency.  Each function takes a pure initial state by its variant name
 ("ee", "eg", "ge", "gg").  term_coefficients writes the physics once;
 xstate_term evaluates it at one point, and thermal_sweep sums the thermally
 weighted coefficients of all grid points that share a block frequency before
-the time loop, needs one sin per distinct block frequency and time, and
-returns one row per time; at gt = 0 (x = 0) that row is the constant terms.
+the time loop and returns one row per time; at gt = 0 (x = 0) that row is the
+constant terms.  It takes one sin per distinct block frequency and time, or,
+on a uniform grid of enough times from 0, builds those sines by angle
+addition from the sin and cos at R offsets and at every R-th time: about
+2 sqrt(T) trig evaluations per frequency instead of T.
 
 Reductions use np.sum, np.bincount and np.einsum (no BLAS) in a fixed order,
 so the output does not depend on the BLAS thread count and reruns give
 identical output.
 """
+
+import math
 
 import numpy as np
 
@@ -121,14 +126,68 @@ def _odd_factors(variant, size):
     return 2 * _block_index(variant, np.arange(size)) + 1
 
 
-def _add_chunk(variant, n1, n2, keys, weight, gts, out):
+def _offset_count(gts):
+    """Number R of offsets for the angle-addition path over ``gts``, or 0 for the direct path.
+
+    The angle-addition path needs every time to split as
+    gts[k] = gts[R (k // R)] + gts[k % R], an anchor plus an offset, to within
+    2 eps gts[k], as on a uniform grid that starts at 0 (TimeGrid.points(),
+    np.linspace(0, ...)).  It takes 2 (ceil(T / R) + R) sin and cos evaluations
+    per frequency instead of T sines, and is used only where that at least
+    halves them.  R <= TRIG_ELEMENTS // BLOCK_ELEMENTS, so the R times of one
+    anchor fit one trig block even for a chunk of distinct frequencies.
+    """
+    size = len(gts)
+    split = min(TRIG_ELEMENTS // BLOCK_ELEMENTS, math.isqrt(size))
+    if split == 0 or 4 * (-(-size // split) + split) > size:
+        return 0
+    k = np.arange(size)
+    offset = k % split
+    error = np.abs(gts[k - offset] + gts[offset] - gts)
+    return split if (error <= 2.0 * np.finfo(float).eps * gts).all() else 0
+
+
+def _sines(half, gts, split):
+    """Yield (t0, sin(gts[t0 : t0 + n] x half)) for consecutive blocks of times.
+
+    Each block holds about TRIG_ELEMENTS times x frequencies.  With split = 0
+    each element is one np.sin.  With split = R (see _offset_count) the sines
+    are sin(A + B) = sin A cos B + cos A sin B, from the sin and cos of
+    half x the R offsets gts[:R], taken once, and of half x the anchors
+    gts[::R], taken per block of anchors.
+    """
+    if not split:
+        step = max(1, TRIG_ELEMENTS // half.size)
+        for t0 in range(0, len(gts), step):
+            x = np.multiply.outer(gts[t0 : t0 + step], half)
+            np.sin(x, out=x)
+            yield t0, x
+        return
+    cos_b = np.multiply.outer(gts[:split], half)
+    sin_b = np.sin(cos_b)
+    np.cos(cos_b, out=cos_b)
+    anchors = gts[::split]
+    step = max(1, TRIG_ELEMENTS // (split * half.size))
+    # buffers reused by every block: the caller still holds the last block
+    # while the next one is formed, so fresh arrays would double the peak
+    x, product = np.empty((2, min(step, anchors.size), split, half.size))
+    for a0 in range(0, anchors.size, step):
+        angle = np.multiply.outer(anchors[a0 : a0 + step], half)[:, None]
+        block, terms = x[: len(angle)], product[: len(angle)]
+        np.multiply(np.sin(angle), cos_b, out=block)
+        block += np.multiply(np.cos(angle), sin_b, out=terms)
+        t0 = a0 * split
+        yield t0, block.reshape(-1, half.size)[: len(gts) - t0]
+
+
+def _add_chunk(variant, n1, n2, keys, weight, gts, split, out):
     """Add the weighted sum over one chunk of grid points to every row of ``out``.
 
     The points come in ascending order of their frequency keys.  Points that
     share a key are summed into one x- and one x^2-coefficient per element
-    before the time loop, so each time takes one sin per distinct key.  A
-    function of its own so that one chunk's arrays are freed before the next
-    chunk's are built.
+    before the time loop, so the sines (see _sines, with ``split`` from
+    _offset_count) are taken per distinct key.  A function of its own so that
+    one chunk's arrays are freed before the next chunk's are built.
     """
     half, coef = term_coefficients(variant, n1, n2)
     coef *= weight
@@ -139,18 +198,14 @@ def _add_chunk(variant, n1, n2, keys, weight, gts, out):
     group = np.cumsum(first) - 1
     # np.bincount adds in index order: deterministic, and no BLAS
     sums = np.array([[np.bincount(group, c) for c in element[1:]] for element in coef])
-    half = half[first]
-    step = max(1, TRIG_ELEMENTS // half.size)
-    for t0 in range(0, len(gts), step):
-        x = np.multiply.outer(gts[t0 : t0 + step], half)
-        np.sin(x, out=x)
+    for t0, x in _sines(half[first], gts, split):
         np.square(x, out=x)
         x *= 2.0
         rows = np.einsum("tp,kp->tk", x, sums[:, 0])
         np.square(x, out=x)
         rows += np.einsum("tp,kp->tk", x, sums[:, 1])
         rows += const
-        out[t0 : t0 + step] += rows
+        out[t0 : t0 + len(x)] += rows
 
 
 def thermal_sweep(variant, w1, w2, gts):
@@ -162,15 +217,21 @@ def thermal_sweep(variant, w1, w2, gts):
     cut into chunks of BLOCK_ELEMENTS points; per chunk the weighted
     coefficients of all points that share a frequency are summed once, and
     for each block of times (about TRIG_ELEMENTS frequencies x times)
-    x = 2 sin^2(Omega gt / 2) is evaluated once per distinct block frequency
-    and time.  A chunk adds two np.einsum reductions, over x and over x^2,
-    plus its constant terms to the rows; the chunks are added in ascending
-    frequency order.
+    x = 2 sin^2(Omega gt / 2) is formed once per distinct block frequency and
+    time.  The sines come from one np.sin each, or, where _offset_count
+    finds that ``gts`` splits into R offsets and anchors (a uniform grid
+    from 0 of about 64 times or more), from sin(A + B) = sin A cos B +
+    cos A sin B, with 2 (ceil(T / R) + R) sin and cos evaluations per
+    frequency instead of T; any other ``gts`` takes one np.sin per
+    frequency and time.  A chunk adds two np.einsum reductions, over x and
+    over x^2, plus its constant terms to the rows; the chunks are added in
+    ascending frequency order.
     """
     odd1, odd2 = _odd_factors(variant, len(w1)), _odd_factors(variant, len(w2))
     order = np.argsort(np.multiply.outer(odd1, odd2).ravel(), kind="stable")
     out = np.zeros((len(gts), 5))
+    split = _offset_count(gts)
     for lo in range(0, order.size, BLOCK_ELEMENTS):
         n1, n2 = np.divmod(order[lo : lo + BLOCK_ELEMENTS], len(w2))
-        _add_chunk(variant, n1, n2, odd1[n1] * odd2[n2], w1[n1] * w2[n2], gts, out)
+        _add_chunk(variant, n1, n2, odd1[n1] * odd2[n2], w1[n1] * w2[n2], gts, split, out)
     return out

@@ -38,7 +38,8 @@ def xstate_term(variant: str, n1: int, n2: int, gt: float) -> XState:
         raise ValueError(f"variant must be one of {PURE_VARIANTS}; got {variant!r}")
     if not (_count(n1) and _count(n2)):
         raise ValueError(f"Fock indices must be integers >= 0; got ({n1!r}, {n2!r})")
-    _check_times(np.ascontiguousarray(gt, dtype=np.float64))
+    # one time: any array gt becomes 2-D here and is rejected
+    _check_times(np.array([gt], dtype=np.float64))
     return XState(*map(float, _core_py.xstate_term(variant, n1, n2, gt)))
 
 

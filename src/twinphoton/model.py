@@ -49,7 +49,9 @@ def _check_nbar(value, name: str = "nbar") -> float:
 
 
 def _check_times(gts: np.ndarray):
-    """Reject times gt that are not all finite and >= 0; both paths apply this one rule."""
+    """Reject times gt that are not a 1-D array of finite values >= 0; both paths apply this one rule."""
+    if gts.ndim != 1:
+        raise ValueError(f"times gt must be a 1-D array; got shape {gts.shape}")
     if gts.size and not (np.isfinite(gts).all() and gts.min() >= 0):
         raise ValueError("times gt must be finite and >= 0")
 

@@ -63,5 +63,6 @@ def negativity_general(rho: np.ndarray):
     if np.abs(rho - rho.conj().swapaxes(-2, -1)).max() > HERMITICITY_TOL:
         raise ValueError("density matrix must be Hermitian")
     eigs = np.linalg.eigvalsh(partial_transpose(rho))
-    negativity = -2.0 * np.where(eigs < -ZERO_EIGENVALUE_TOL, eigs, 0.0).sum(axis=-1)
+    # + 0.0 turns the -0.0 of a separable state into 0.0, as negativity_x returns
+    negativity = -2.0 * np.where(eigs < -ZERO_EIGENVALUE_TOL, eigs, 0.0).sum(axis=-1) + 0.0
     return float(negativity) if rho.ndim == 2 else negativity

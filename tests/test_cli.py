@@ -110,6 +110,17 @@ def test_sweep_oracle_path_matches_closed_form():
         assert max(abs(a - b) for a, b in zip(rc, ro)) < 1e-10
 
 
+def test_separable_sweep_rows_end_alike_on_both_paths(capsys):
+    # a separable state's negativity is 0.0 on both paths, never -0.0
+    argv = ["sweep", "--initial", "gg", "--nbar1", "0.5", "--steps", "3"]
+    ends = []
+    for extra in ([], ["--oracle"]):
+        assert cli.main(argv + extra) == 0
+        body = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        ends.append([line.rsplit(",", 1)[1] for line in body[1:]])
+    assert ends[0] == ends[1] == ["0.0"] * 4, ends
+
+
 def test_sweep_cutoff_names_one_summed_set_on_both_paths():
     # --cutoff is the Fock set summed, with or without --oracle
     base = ("sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1", "--cutoff", "6,7",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_valid_xstate, trig_xstate_term
-from twinphoton import _core_py
+from twinphoton import _core_py, oracle
 from twinphoton.dynamics import sweep, xstate_term
 from twinphoton.model import InitialAtomicState, TimeGrid, XState
 from twinphoton.thermal import FockCutoff, thermal_weight
@@ -134,13 +134,15 @@ def test_sweep_matches_exact_sum_across_row_blocks():
     weight = np.outer(
         [thermal_weight(3.0, n) for n in n1], [thermal_weight(10.0, n) for n in n2]
     )
-    gts = (0.7, 3.1, 9.9)
-    for variant in VARIANTS:
-        rows = sweep(InitialAtomicState(variant), gts, cutoff)
-        for row, gt in zip(rows, gts):
-            terms = _core_py.xstate_term(variant, n1[:, None], n2, gt)
-            exact = [math.fsum((weight * t).ravel()) for t in terms]
-            assert np.allclose(row, exact, rtol=0, atol=1e-14)
+    # three times on the direct path, and three rows of a grid that takes angle addition
+    grid = TimeGrid(10.0, 1000).points()
+    for gts, picked in (((0.7, 3.1, 9.9), (0, 1, 2)), (grid, (7, 503, 1000))):
+        for variant in VARIANTS:
+            rows = sweep(InitialAtomicState(variant), gts, cutoff)
+            for k in picked:
+                terms = _core_py.xstate_term(variant, n1[:, None], n2, gts[k])
+                exact = [math.fsum((weight * t).ravel()) for t in terms]
+                assert np.allclose(rows[k], exact, rtol=0, atol=1e-14), (variant, k)
 
 
 def test_sweep_error_is_within_certified_tail_bound():
@@ -183,8 +185,8 @@ def test_sweep_temporaries_are_bounded_in_the_number_of_times():
     assert peaks[1001] < 2 * peaks[11], peaks
 
 
-class _SinCounter:
-    """Stands in for numpy in the kernel module and counts the elements passed to sin."""
+class _TrigCounter:
+    """Stands in for numpy in the kernel module and counts the elements passed to sin and cos."""
 
     def __init__(self):
         self.elements = 0
@@ -196,26 +198,91 @@ class _SinCounter:
         self.elements += np.size(x)
         return np.sin(x, *args, **kwargs)
 
+    def cos(self, x, *args, **kwargs):
+        self.elements += np.size(x)
+        return np.cos(x, *args, **kwargs)
+
+
+def _weights_and_distinct(variant, nbar1, nbar2):
+    """Thermal weights of the cutoff choose() picks at tail 1e-10, and the grid's distinct frequencies."""
+    cutoff = FockCutoff.choose(nbar1, nbar2, 1e-10)
+    w1, w2 = cutoff.weights()
+    block_shift = {"ee": 1, "eg": 0, "ge": 0, "gg": -1}
+    m1 = np.maximum(np.arange(w1.size) + block_shift[variant], 0)
+    m2 = np.maximum(np.arange(w2.size) + block_shift[variant], 0)
+    return w1, w2, np.unique(_core_py.block_frequency(m1[:, None], m2)).size
+
+
+def _direct(monkeypatch, variant, w1, w2, gts):
+    """The kernel's output with every time on the direct path, one sin per frequency and time."""
+    monkeypatch.setattr(_core_py, "_offset_count", lambda gts: 0)
+    try:
+        return _core_py.thermal_sweep(variant, w1, w2, gts)
+    finally:
+        monkeypatch.undo()
+
 
 def test_sweep_takes_one_sin_per_distinct_frequency_and_time(monkeypatch):
     # grid points with the same (2 m1 + 1)(2 m2 + 1) share a block frequency;
     # one sin per grid point and time would be ~1.8x this bound on 83x249
-    cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
-    w1 = np.array([thermal_weight(3.0, n) for n in range(cutoff.n_max1 + 1)])
-    w2 = np.array([thermal_weight(10.0, n) for n in range(cutoff.n_max2 + 1)])
     gts = np.linspace(0.0, 10.0, 21)
-    chunks = -(-w1.size * w2.size // _core_py.BLOCK_ELEMENTS)
-    block_shift = {"ee": 1, "eg": 0, "ge": 0, "gg": -1}
     for variant in VARIANTS:
-        m1 = np.maximum(np.arange(w1.size) + block_shift[variant], 0)
-        m2 = np.maximum(np.arange(w2.size) + block_shift[variant], 0)
-        distinct = np.unique(_core_py.block_frequency(m1[:, None], m2)).size
+        w1, w2, distinct = _weights_and_distinct(variant, 3.0, 10.0)
+        chunks = -(-w1.size * w2.size // _core_py.BLOCK_ELEMENTS)
         assert distinct < 0.6 * w1.size * w2.size
-        counter = _SinCounter()
+        counter = _TrigCounter()
         monkeypatch.setattr(_core_py, "np", counter)
         _core_py.thermal_sweep(variant, w1, w2, gts)
         monkeypatch.undo()
         assert distinct * gts.size <= counter.elements <= (distinct + chunks) * gts.size
+
+
+def test_uniform_grid_takes_angle_addition_trig(monkeypatch):
+    # sin(A + B) from the sin and cos of R offsets and ceil(T/R) anchors per frequency
+    gts = TimeGrid(10.0, 1000).points()
+    split = _core_py._offset_count(gts)
+    assert split > 0
+    for variant in VARIANTS:
+        w1, w2, distinct = _weights_and_distinct(variant, 3.0, 10.0)
+        chunks = -(-w1.size * w2.size // _core_py.BLOCK_ELEMENTS)
+        counter = _TrigCounter()
+        monkeypatch.setattr(_core_py, "np", counter)
+        _core_py.thermal_sweep(variant, w1, w2, gts)
+        monkeypatch.undo()
+        per_frequency = 2 * (-(-gts.size // split) + split)
+        assert counter.elements <= per_frequency * (distinct + chunks)
+        assert counter.elements < distinct * gts.size / 4
+
+
+def test_offset_count_takes_only_grids_from_zero_where_it_pays():
+    assert _core_py._offset_count(np.linspace(0.0, 10.0, 1001)) > 0
+    assert _core_py._offset_count(TimeGrid(200.0, 2000).points()) > 0
+    # too few times to halve the trig work, or times that do not split
+    for gts in (
+        TimeGrid(10.0, 10).points(),
+        TimeGrid(5.0, 49).points(),
+        np.array([0.7, 3.1, 9.9]),
+        TimeGrid(10.0, 1000).points() + 0.5,
+        TimeGrid(10.0, 1000).points() ** 2,
+        np.array([]),
+    ):
+        assert _core_py._offset_count(gts) == 0, gts.size
+
+
+def test_grid_path_agrees_with_direct_path_at_long_times(monkeypatch):
+    gts = TimeGrid(200.0, 2000).points()
+    for variant in VARIANTS:
+        w1, w2, _ = _weights_and_distinct(variant, 1.0, 1.0)
+        grid = _core_py.thermal_sweep(variant, w1, w2, gts)
+        assert np.abs(grid - _direct(monkeypatch, variant, w1, w2, gts)).max() <= 1e-13
+
+
+def test_off_grid_times_take_the_direct_path(monkeypatch):
+    gts = TimeGrid(10.0, 1000).points()
+    gts[400] += 1e-9
+    w1, w2, _ = _weights_and_distinct("eg", 3.0, 10.0)
+    rows = _core_py.thermal_sweep("eg", w1, w2, gts)
+    assert np.array_equal(rows, _direct(monkeypatch, "eg", w1, w2, gts))
 
 
 def test_sweep_mode_swap_symmetry():
@@ -270,6 +337,14 @@ def test_sweep_rejects_negative_times():
     for gts in ([-0.5, 1.0], [math.nan], [1.0, math.inf]):
         with pytest.raises(ValueError):
             sweep(InitialAtomicState("eg"), gts, cutoff)
+
+
+def test_sweep_rejects_times_that_are_not_one_dimensional():
+    cutoff = FockCutoff(3, 3, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"1-D.*\(1, 2\)"):
+        sweep(InitialAtomicState("eg"), [[1.0, 2.0]], cutoff)
+    with pytest.raises(ValueError, match=r"1-D.*\(2, 2\)"):
+        oracle.thermal_sweep([InitialAtomicState("eg")], np.ones((2, 2)), cutoff)
 
 
 def test_initial_projector_at_zero_time():
