@@ -6,17 +6,24 @@ X-state elements is therefore a quadratic polynomial in
 
     x = 1 - cos(Omega gt) = 2 sin^2(Omega gt / 2),
 
-with coefficients that depend on (n1, n2) only.  Omega^2 - 1 is the odd
-integer (2 m1 + 1)(2 m2 + 1) of the block indices, so many grid points share a
-frequency.  Each function takes a pure initial state by its variant name
-("ee", "eg", "ge", "gg").  term_coefficients writes the physics once;
-xstate_term evaluates it at one point, and thermal_sweep sums the thermally
-weighted coefficients of all grid points that share a block frequency before
-the time loop and returns one row per time; at gt = 0 (x = 0) that row is the
-constant terms.  It takes one sin per distinct block frequency and time, or,
-on a uniform grid of enough times from 0, builds those sines by angle
-addition from the sin and cos at R offsets and at every R-th time: about
-2 sqrt(T) trig evaluations per frequency instead of T.
+and each coefficient of that polynomial is itself a polynomial of degree
+<= 2 in one ratio r of the pair: r = p = u / Omega^2 for ee, eg and ge, and
+r = q = v / Omega^2 for gg, with u and v the couplings of the ladder's two
+steps (Omega^2 = 2 (u + v), so q = 1/2 - p).  COEFFICIENTS writes the
+physics once, as one table of these polynomials per variant
+("ee", "eg", "ge", "gg").  Omega^2 - 1 is the odd integer
+(2 m1 + 1)(2 m2 + 1) of the block indices, the pair's key, so many grid
+points share a frequency, and r is an integer over key + 1.
+
+xstate_term evaluates the table at one point.  thermal_sweep sums, per
+distinct key, the three moments sum w, sum w r and sum w r^2 of the thermal
+weights w before the time loop; the table maps them to the weighted sum of
+every coefficient of that block frequency.  It returns one row per time;
+at gt = 0 (x = 0) that row is the constant terms.  It takes one sin per
+distinct block frequency and time, or, on a uniform grid of enough times
+from 0, builds those sines by angle addition from the sin and cos at R
+offsets and at every R-th time: about 2 sqrt(T) trig evaluations per
+frequency instead of T.
 
 Reductions use np.sum, np.bincount and np.einsum (no BLAS) in a fixed order,
 so the output does not depend on the BLAS thread count and reruns give
@@ -27,14 +34,19 @@ import math
 
 import numpy as np
 
-# grid points per coefficient chunk, and distinct frequencies x times per trig
+# grid points per moment chunk, and distinct frequencies x times per trig
 # block: together they bound thermal_sweep's temporaries
 BLOCK_ELEMENTS = 1024
 TRIG_ELEMENTS = 16384
 
 
 def block_frequency(m1, m2):
-    """Effective block frequency sqrt(2[(m1+1)(m2+1) + m1 m2]) in units of g."""
+    """Effective block frequency sqrt(2[(m1+1)(m2+1) + m1 m2]) in units of g.
+
+    Its square is key + 1 with key = (2 m1 + 1)(2 m2 + 1), an integer, so
+    the kernel's sqrt(key + 1) gives the same float wherever the key is
+    exact in a double.
+    """
     return np.sqrt(2.0 * ((m1 + 1.0) * (m2 + 1.0) + m1 * m2))
 
 
@@ -49,59 +61,72 @@ def _block_index(variant, n):
     return np.maximum(n + {"ee": 1, "gg": -1}.get(variant, 0), 0)
 
 
-def term_coefficients(variant, n1, n2):
-    """Half block frequency and x-polynomial coefficients of each X-state element.
+def _mode_factors(variant, n):
+    """Per-mode factors (2m + 1, f) of the key and of r for Fock indices ``n`` of one mode.
 
-    Returns ``(half, coef)``.  ``coef`` has shape (5, 3, *shape), where shape
-    is the broadcast shape of ``n1`` and ``n2``: element k of (A, B, C, D, E)
-    is coef[k, 0] + coef[k, 1] x + coef[k, 2] x^2 with
-    x = 2 sin^2(half * gt).
-
-    The state starts in the ladder of block (m1, m2), whose lower step
-    |++>|m1-1, m2-1> <-> middle couples with u = m1 m2 and whose upper step
-    middle <-> |-->|m1+1, m2+1> couples with v = (m1+1)(m2+1).  With
-    p = u/Omega^2 and q = v/Omega^2 the elements are built from x(2-x)
-    (= sin^2), (1 - 2 p x)^2 and x^2.
+    A pair's key (2 m1 + 1)(2 m2 + 1) is Omega^2 - 1 and its ratio is
+    r = f1 f2 / Omega^2.  The state starts in the ladder of block (m1, m2),
+    whose lower step |++>|m1-1, m2-1> <-> middle couples with u = m1 m2 and
+    whose upper step middle <-> |-->|m1+1, m2+1> with v = (m1+1)(m2+1): f = m
+    gives r = p = u / Omega^2 (ee, eg, ge), and for gg, which starts on the
+    top rung |-->|n1, n2>, f = n gives r = q = v / Omega^2 with v = n1 n2,
+    which is 0 where m is clamped.  Keeps the dtype of ``n``.
     """
-    n1 = np.asarray(n1, dtype=np.float64)
-    n2 = np.asarray(n2, dtype=np.float64)
-    m1, m2 = _block_index(variant, n1), _block_index(variant, n2)
-    u = m1 * m2
-    # gg starts on the top rung |-->|n1, n2>, so v = n1 n2 even where m is clamped
-    v = n1 * n2 if variant == "gg" else (m1 + 1.0) * (m2 + 1.0)
-    w = block_frequency(m1, m2)
-    p = u / (w * w)
-    q = v / (w * w)
-    coef = np.zeros((5, 3) + w.shape)
+    m = _block_index(variant, n)
+    return 2 * m + 1, (n if variant == "gg" else m)
 
-    def sin_sq(k, scale):  # scale * x(2 - x)
-        coef[k, 1] = 2.0 * scale
-        coef[k, 2] = -scale
 
-    def ladder_end(k, r):  # (1 - 2 r x)^2
-        coef[k, 0] = 1.0
-        coef[k, 1] = -4.0 * r
-        coef[k, 2] = 4.0 * r * r
+# Polynomials in r, as their coefficients of (1, r, r^2).
+_ONE, _R, _R2 = np.eye(3)
+_ZERO = np.zeros(3)
 
-    if variant == "ee":
-        ladder_end(0, p)
-        for k in (1, 2, 4):
-            sin_sq(k, p)
-        coef[3, 2] = 4.0 * p * q
-    elif variant == "gg":
-        coef[0, 2] = 4.0 * p * q
-        for k in (1, 2, 4):
-            sin_sq(k, q)
-        ladder_end(3, q)
-    else:
-        # cos^4(th/2) = (1 - x/2)^2 and sin^4(th/2) = x^2/4 on the middle rung
-        stay, leave = (1, 2) if variant == "eg" else (2, 1)
-        sin_sq(0, p)
-        coef[stay, 0], coef[stay, 1], coef[stay, 2] = 1.0, -1.0, 0.25
-        coef[leave, 2] = 0.25
-        sin_sq(3, q)
-        sin_sq(4, -0.25)
-    return 0.5 * w, coef
+
+def _sin_sq(s):
+    """x-coefficients of s x (2 - x) = s sin^2(Omega gt), for a polynomial s in r."""
+    return [_ZERO, 2.0 * s, -s]
+
+
+# ee in r = p: A = (1 - 2 p x)^2, B = C = E = p sin^2, D = 4 p q x^2 with q = 1/2 - p
+_EE = np.array(
+    [
+        [_ONE, -4.0 * _R, 4.0 * _R2],
+        _sin_sq(_R),
+        _sin_sq(_R),
+        [_ZERO, _ZERO, 2.0 * _R - 4.0 * _R2],
+        _sin_sq(_R),
+    ]
+)
+# eg in r = p: A = p sin^2, D = q sin^2, E = -sin^2 / 4, and on the middle rung
+# the atom that started excited stays with cos^4(th/2) = (1 - x/2)^2 (B) and
+# leaves with sin^4(th/2) = x^2 / 4 (C)
+_EG = np.array(
+    [
+        _sin_sq(_R),
+        [_ONE, -_ONE, 0.25 * _ONE],
+        [_ZERO, _ZERO, 0.25 * _ONE],
+        _sin_sq(0.5 * _ONE - _R),
+        _sin_sq(-0.25 * _ONE),
+    ]
+)
+# COEFFICIENTS[variant][k, j, d]: the coefficient of x^j in element k of
+# (A, B, C, D, E) is sum_d COEFFICIENTS[variant][k, j, d] r^d.  gg in r = q is
+# ee in r = p with the ends of the ladder (A, D) swapped; ge is eg with B and C
+# swapped.  Writing gg in q keeps its clamped rows (q = 0, 2q - 4q^2 = 0) exact.
+COEFFICIENTS = {
+    "ee": _EE,
+    "eg": _EG,
+    "ge": _EG[[0, 2, 1, 3, 4]],
+    "gg": _EE[[3, 1, 2, 0, 4]],
+}
+
+
+def _expand(variant, moments):
+    """Coefficients (5, 3, *rest) of the table contracted with ``moments`` over the powers of r.
+
+    ``moments`` has shape (3, *rest): (1, r, r^2) at points, or
+    (sum w, sum w r, sum w r^2) over the points of one key.
+    """
+    return np.einsum("kjd,d...->kj...", COEFFICIENTS[variant], moments)
 
 
 def xstate_term(variant, n1, n2, gt):
@@ -112,18 +137,13 @@ def xstate_term(variant, n1, n2, gt):
     ``n2`` may be scalars or arrays that broadcast against each other; each
     element comes back with their broadcast shape.
     """
-    half, coef = term_coefficients(variant, n1, n2)
-    x = 2.0 * np.square(np.sin(half * gt))
+    odd1, f1 = _mode_factors(variant, np.asarray(n1, dtype=np.float64))
+    odd2, f2 = _mode_factors(variant, np.asarray(n2, dtype=np.float64))
+    omega_sq = odd1 * odd2 + 1.0
+    r = f1 * f2 / omega_sq
+    coef = _expand(variant, np.array([np.ones_like(r), r, r * r]))
+    x = 2.0 * np.square(np.sin(0.5 * np.sqrt(omega_sq) * gt))
     return tuple(coef[:, 0] + x * coef[:, 1] + (x * x) * coef[:, 2])
-
-
-def _odd_factors(variant, size):
-    """Odd factor 2m+1 of the block index m of each Fock index 0..size-1 of one mode.
-
-    Omega^2 - 1 = (2 m1 + 1)(2 m2 + 1), so the product of the two modes'
-    factors identifies a grid point's block frequency exactly.
-    """
-    return 2 * _block_index(variant, np.arange(size)) + 1
 
 
 def _offset_count(gts):
@@ -180,30 +200,40 @@ def _sines(half, gts, split):
         yield t0, block.reshape(-1, half.size)[: len(gts) - t0]
 
 
-def _add_chunk(variant, n1, n2, keys, weight, gts, split, out):
+def _add_chunk(variant, keys, ratio, weight, gts, split, out):
     """Add the weighted sum over one chunk of grid points to every row of ``out``.
 
-    The points come in ascending order of their frequency keys.  Points that
-    share a key are summed into one x- and one x^2-coefficient per element
-    before the time loop, so the sines (see _sines, with ``split`` from
-    _offset_count) are taken per distinct key.  A function of its own so that
-    one chunk's arrays are freed before the next chunk's are built.
+    The points come in ascending order of their keys, with their ratios r
+    and thermal weights.  Per distinct key the three moments sum w,
+    sum w r and sum w r^2 are taken before the time loop, and the table
+    (COEFFICIENTS) maps them to the weighted sums of the constant, x- and
+    x^2-coefficient of each element, so the sines (see _sines, with
+    ``split`` from _offset_count) are taken per distinct key.  A function of
+    its own so that one chunk's arrays are freed before the next chunk's are
+    built.
     """
-    half, coef = term_coefficients(variant, n1, n2)
-    coef *= weight
-    const = coef[:, 0].sum(axis=1)
     first = np.empty(keys.size, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     group = np.cumsum(first) - 1
+    weighted = weight * ratio
     # np.bincount adds in index order: deterministic, and no BLAS
-    sums = np.array([[np.bincount(group, c) for c in element[1:]] for element in coef])
-    for t0, x in _sines(half[first], gts, split):
+    moments = np.array(
+        [
+            np.bincount(group, weight),
+            np.bincount(group, weighted),
+            np.bincount(group, weighted * ratio),
+        ]
+    )
+    coef = _expand(variant, moments)
+    const = coef[:, 0].sum(axis=1)
+    # Omega / 2 = sqrt(key + 1) / 2, the same float as block_frequency gives
+    for t0, x in _sines(0.5 * np.sqrt(keys[first] + 1), gts, split):
         np.square(x, out=x)
         x *= 2.0
-        rows = np.einsum("tp,kp->tk", x, sums[:, 0])
+        rows = np.einsum("tp,kp->tk", x, coef[:, 1])
         np.square(x, out=x)
-        rows += np.einsum("tp,kp->tk", x, sums[:, 1])
+        rows += np.einsum("tp,kp->tk", x, coef[:, 2])
         rows += const
         out[t0 : t0 + len(x)] += rows
 
@@ -213,10 +243,13 @@ def thermal_sweep(variant, w1, w2, gts):
 
     Returns one row (A, B, C, D, E) per time, shape (len(gts), 5): the double
     sum of xstate_term(variant, n1, n2, gt) over the (n1, n2) grid weighted by
-    w1[n1]*w2[n2].  The grid points are stably sorted by block frequency and
-    cut into chunks of BLOCK_ELEMENTS points; per chunk the weighted
-    coefficients of all points that share a frequency are summed once, and
-    for each block of times (about TRIG_ELEMENTS frequencies x times)
+    w1[n1]*w2[n2].  The grid points are stably sorted by their key
+    (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1 and cut into chunks of BLOCK_ELEMENTS
+    points; per chunk each point's ratio r = f1 f2 / (key + 1) (see
+    _mode_factors) and weight are gathered, three np.bincount calls sum
+    w, w r and w r^2 per distinct key, and the coefficient table expands
+    those moments into the weighted coefficient sums of that key.  For each
+    block of times (about TRIG_ELEMENTS frequencies x times)
     x = 2 sin^2(Omega gt / 2) is formed once per distinct block frequency and
     time.  The sines come from one np.sin each, or, where _offset_count
     finds that ``gts`` splits into R offsets and anchors (a uniform grid
@@ -227,11 +260,14 @@ def thermal_sweep(variant, w1, w2, gts):
     over x^2, plus its constant terms to the rows; the chunks are added in
     ascending frequency order.
     """
-    odd1, odd2 = _odd_factors(variant, len(w1)), _odd_factors(variant, len(w2))
+    odd1, f1 = _mode_factors(variant, np.arange(len(w1)))
+    odd2, f2 = _mode_factors(variant, np.arange(len(w2)))
     order = np.argsort(np.multiply.outer(odd1, odd2).ravel(), kind="stable")
     out = np.zeros((len(gts), 5))
     split = _offset_count(gts)
     for lo in range(0, order.size, BLOCK_ELEMENTS):
         n1, n2 = np.divmod(order[lo : lo + BLOCK_ELEMENTS], len(w2))
-        _add_chunk(variant, n1, n2, odd1[n1] * odd2[n2], w1[n1] * w2[n2], gts, split, out)
+        keys = odd1[n1] * odd2[n2]
+        ratio = f1[n1] * f2[n2] / (keys + 1)
+        _add_chunk(variant, keys, ratio, w1[n1] * w2[n2], gts, split, out)
     return out

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical-validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -351,8 +352,14 @@ def _run_check(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser() once per process, on the first main() call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # a usage error: an input the CLI or the domain types reject

@@ -233,6 +233,27 @@ def test_sweep_refuses_a_non_finite_row(tmp_path):
     assert not out.exists()
 
 
+def test_calls_in_one_process_match_fresh_calls(capsys):
+    # main() reuses one parser per process; the `append` default of check's
+    # --initial must not carry the first call's states into the second
+    argvs = [
+        ["check", "--initial", "eg", "--steps", "2"],
+        ["check", "--steps", "2"],
+        ["sweep", "--initial", "gg", "--nbar1", "0.5", "--steps", "3"],
+    ]
+    parser = cli._parser()
+    reused = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        reused.append(capsys.readouterr().out)
+    assert cli._parser() is parser
+    for argv, out in zip(argvs, reused):
+        cli._parser.cache_clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out, argv
+    assert "ee:" not in reused[0] and "ee:" in reused[1]
+
+
 def test_usage_errors_exit_one(capsys):
     bad_calls = [
         (),

@@ -145,6 +145,38 @@ def test_sweep_matches_exact_sum_across_row_blocks():
                 assert np.allclose(rows[k], exact, rtol=0, atol=1e-14), (variant, k)
 
 
+def test_moment_sums_match_exact_sum_of_terms():
+    # the kernel sums w, w r and w r^2 per key and expands them through the
+    # coefficient table; against fsum over the weighted per-pair terms, also
+    # with all weight on gg's rows of an empty mode (clamped m, q = 0)
+    cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
+    w1, w2 = cutoff.weights()
+    n1, n2 = np.arange(w1.size)[:, None], np.arange(w2.size)
+    empty_mode = ((np.eye(1, w1.size)[0], w2), (w1, np.eye(1, w2.size)[0]))
+    grid = TimeGrid(10.0, 1000).points()
+    for gts, picked in ((TimeGrid(10.0, 10).points(), range(11)), (grid, (0, 7, 250, 503, 1000))):
+        for variant in VARIANTS:
+            weights = ((w1, w2),) + (empty_mode if variant == "gg" else ())
+            sweeps = [_core_py.thermal_sweep(variant, a, b, gts) for a, b in weights]
+            for k in picked:
+                terms = _core_py.xstate_term(variant, n1, n2, gts[k])
+                for (a, b), rows in zip(weights, sweeps):
+                    weight = np.outer(a, b)
+                    exact = [math.fsum((weight * t).ravel()) for t in terms]
+                    assert np.abs(rows[k] - exact).max() <= 1e-14, (variant, k)
+
+
+def test_key_gives_the_block_frequency_bit_for_bit():
+    # sqrt(key + 1) with key = (2 m1 + 1)(2 m2 + 1) is the float block_frequency
+    # gives, on grids as large as the CLI sums, so the sines are the same
+    n = np.arange(2500)
+    for variant in VARIANTS:
+        m = _core_py._block_index(variant, n)
+        odd, _ = _core_py._mode_factors(variant, n)
+        key = np.multiply.outer(odd, odd[::7])
+        assert np.array_equal(np.sqrt(key + 1), _core_py.block_frequency(m[:, None], m[::7]))
+
+
 def test_sweep_error_is_within_certified_tail_bound():
     # every per-term X-state is unit-trace PSD (entries <= 1), so the neglected
     # thermal mass bounds the truncation error of each element; at gt = 0 the
