@@ -12,8 +12,8 @@ r = q = v / Omega^2 for gg, with u and v the couplings of the ladder's two
 steps (Omega^2 = 2 (u + v), so q = 1/2 - p).  COEFFICIENTS writes the
 physics once, as one table of these polynomials per variant
 ("ee", "eg", "ge", "gg").  Omega^2 - 1 is the odd integer
-(2 m1 + 1)(2 m2 + 1) of the block indices, the pair's key, so many grid
-points share a frequency, and r is an integer over key + 1.
+(2 m1 + 1)(2 m2 + 1) of the block indices, the pair's key, so many
+Fock pairs share a frequency, and r is an integer over key + 1.
 
 xstate_term evaluates the table at one point.  thermal_sweep sums, per
 distinct key, the three moments sum w, sum w r and sum w r^2 of the thermal
@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-# grid points per moment chunk, and distinct frequencies x times per trig
+# Fock pairs per moment chunk, and distinct frequencies x times per trig
 # block: together they bound thermal_sweep's temporaries
 BLOCK_ELEMENTS = 1024
 TRIG_ELEMENTS = 16384
@@ -201,7 +201,7 @@ def _sines(half, gts, split):
 
 
 def _add_chunk(variant, keys, ratio, weight, gts, split, out):
-    """Add the weighted sum over one chunk of grid points to every row of ``out``.
+    """Add the weighted sum over one chunk of Fock pairs to every row of ``out``.
 
     The points come in ascending order of their keys, with their ratios r
     and thermal weights.  Per distinct key the three moments sum w,
@@ -238,31 +238,39 @@ def _add_chunk(variant, keys, ratio, weight, gts, split, out):
         out[t0 : t0 + len(x)] += rows
 
 
-def thermal_sweep(variant, w1, w2, gts):
+def thermal_sweep(variant, w1, w2, gts, rows=None):
     """Thermally weighted X-state elements for every time in ``gts``.
 
-    Returns one row (A, B, C, D, E) per time, shape (len(gts), 5): the double
-    sum of xstate_term(variant, n1, n2, gt) over the (n1, n2) grid weighted by
-    w1[n1]*w2[n2].  The grid points are stably sorted by their key
-    (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1 and cut into chunks of BLOCK_ELEMENTS
-    points; per chunk each point's ratio r = f1 f2 / (key + 1) (see
-    _mode_factors) and weight are gathered, three np.bincount calls sum
-    w, w r and w r^2 per distinct key, and the coefficient table expands
-    those moments into the weighted coefficient sums of that key.  For each
-    block of times (about TRIG_ELEMENTS frequencies x times)
-    x = 2 sin^2(Omega gt / 2) is formed once per distinct block frequency and
-    time.  The sines come from one np.sin each, or, where _offset_count
-    finds that ``gts`` splits into R offsets and anchors (a uniform grid
-    from 0 of about 64 times or more), from sin(A + B) = sin A cos B +
-    cos A sin B, with 2 (ceil(T / R) + R) sin and cos evaluations per
-    frequency instead of T; any other ``gts`` takes one np.sin per
-    frequency and time.  A chunk adds two np.einsum reductions, over x and
-    over x^2, plus its constant terms to the rows; the chunks are added in
-    ascending frequency order.
+    Returns one row (A, B, C, D, E) per time, shape (len(gts), 5): the sum of
+    xstate_term(variant, n1, n2, gt) weighted by w1[n1]*w2[n2] over the Fock
+    set whose row n1 holds n2 = 0..rows[n1] (rows=None: every n2 < len(w2)).
+    ``w1`` and ``w2`` are the weights over the set's extent, len(rows) and
+    max(rows) + 1 long.  The set's points, taken row by row, are stably
+    sorted by their key (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1 and cut into
+    chunks of BLOCK_ELEMENTS points; per chunk each point's ratio
+    r = f1 f2 / (key + 1) (see _mode_factors) and weight are gathered, three
+    np.bincount calls sum w, w r and w r^2 per distinct key, and the
+    coefficient table expands those moments into the weighted coefficient
+    sums of that key.  For each block of times (about TRIG_ELEMENTS
+    frequencies x times) x = 2 sin^2(Omega gt / 2) is formed once per
+    distinct block frequency and time.  The sines come from one np.sin
+    each, or, where _offset_count finds that ``gts`` splits into R offsets
+    and anchors (a uniform grid from 0 of about 64 times or more), from
+    sin(A + B) = sin A cos B + cos A sin B, with 2 (ceil(T / R) + R) sin and
+    cos evaluations per frequency instead of T; any other ``gts`` takes one
+    np.sin per frequency and time.  A chunk adds two np.einsum reductions,
+    over x and over x^2, plus its constant terms to the rows; the chunks
+    are added in ascending frequency order.
     """
     odd1, f1 = _mode_factors(variant, np.arange(len(w1)))
     odd2, f2 = _mode_factors(variant, np.arange(len(w2)))
-    order = np.argsort(np.multiply.outer(odd1, odd2).ravel(), kind="stable")
+    counts = np.full(len(w1), len(w2)) if rows is None else np.asarray(rows) + 1
+    # flat indices n1 len(w2) + n2 of the set's points, built row by row
+    flat = np.repeat(np.arange(counts.size) * len(w2) - (np.cumsum(counts) - counts), counts)
+    flat += np.arange(flat.size)
+    n1, n2 = np.divmod(flat, len(w2))
+    order = flat[np.argsort(odd1[n1] * odd2[n2], kind="stable")]
+    del flat, n1, n2  # the chunks need only the order
     out = np.zeros((len(gts), 5))
     split = _offset_count(gts)
     for lo in range(0, order.size, BLOCK_ELEMENTS):

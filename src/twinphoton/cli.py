@@ -3,13 +3,14 @@
 Output is CSV with a fixed header ``gt,A,B,C,D,E,epsilon`` and ``#`` comment
 lines carrying the full parameter provenance.  ``--cutoff N1,N2`` always names
 the summed Fock set n1 <= N1, n2 <= N2, on either path; without it a sweep sums
-the smallest set whose neglected thermal mass is below ``--tail-tol``.  The
-oracle (``--oracle``, ``check``) truncates its space oracle.HEADROOM above
-that set, so every summed component evolves exactly.  Floats are written with
-their shortest round-trip representation and the summation order inside the
-kernels is fixed, so repeated runs with identical flags are byte-identical.  The
-closed form uses no BLAS and is identical at any BLAS thread count; oracle
-output (``--oracle``, ``check``) is identical only at a fixed thread count.
+the smallest set of largest-weight Fock pairs whose neglected thermal mass is
+below ``--tail-tol``.  The oracle (``--oracle``, ``check``) truncates its space
+oracle.HEADROOM above that set's extent, so every summed component evolves
+exactly.  Floats are written with their shortest round-trip representation
+and the summation order inside the kernels is fixed, so repeated runs with
+identical flags are byte-identical.  The closed form uses no BLAS and is
+identical at any BLAS thread count; oracle output (``--oracle``, ``check``) is
+identical only at a fixed thread count.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-validation failure.
 """
@@ -139,7 +140,8 @@ def build_parser() -> _Parser:
         "--tail-tol",
         type=_positive_tol,
         default=DEFAULT_TAIL_TOL,
-        help="bound on the neglected thermal mass when choosing the Fock cutoff",
+        help="bound on the neglected thermal mass; the sweep sums the fewest"
+        " largest-weight Fock pairs that meet it",
     )
     sweep.add_argument(
         "--cutoff",
@@ -151,7 +153,8 @@ def build_parser() -> _Parser:
     sweep.add_argument(
         "--oracle",
         action="store_true",
-        help=f"use the brute-force oracle, truncated {oracle.HEADROOM} above the summed Fock set",
+        help=f"use the brute-force oracle, truncated {oracle.HEADROOM} above the extent of"
+        " the summed Fock set",
     )
     sweep.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
     sweep.set_defaults(func=_run_sweep, parser=sweep)
@@ -206,8 +209,8 @@ def _provenance_lines(initial, grid, cutoff, path_label):
         f" nbar1={_format_float(cutoff.nbar1)} nbar2={_format_float(cutoff.nbar2)}",
         f"# grid: gt in [0, {_format_float(grid.t_max)}],"
         f" steps={grid.steps} ({grid.steps + 1} samples)",
-        f"# fock cutoff: n_max1={cutoff.n_max1} n_max2={cutoff.n_max2}"
-        f" neglected_mass<={_format_float(cutoff.tail_bound)}",
+        f"# fock cutoff: points={cutoff.size} in extent n_max1={cutoff.n_max1}"
+        f" n_max2={cutoff.n_max2} neglected_mass<={_format_float(cutoff.tail_bound)}",
         f"# path: {path_label}",
     ]
 
@@ -256,13 +259,13 @@ def _sweep_document(initial, grid, cutoff, use_oracle=False):
 
 def _warn_if_large(initial, grid, cutoff):
     """One stderr line when the closed-form sweep will sum more than WARN_TERMS terms."""
-    points = (cutoff.n_max1 + 1) * (cutoff.n_max2 + 1)
     passes = len(initial.parts)  # dynamics.sweep: one per pure part
-    terms = points * (grid.steps + 1) * passes
+    terms = cutoff.size * (grid.steps + 1) * passes
     if terms > WARN_TERMS:
         print(
-            f"twinphoton: warning: this sweep sums {terms:.3g} terms: {cutoff.n_max1 + 1}x"
-            f"{cutoff.n_max2 + 1} Fock grid x {grid.steps + 1} times x {passes} kernel pass(es)",
+            f"twinphoton: warning: this sweep sums {terms:.3g} terms: a Fock set of"
+            f" {cutoff.size} pairs (extent {cutoff.n_max1 + 1}x{cutoff.n_max2 + 1})"
+            f" x {grid.steps + 1} times x {passes} kernel pass(es)",
             file=sys.stderr,
         )
 

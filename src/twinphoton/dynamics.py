@@ -46,11 +46,12 @@ def xstate_term(variant: str, n1: int, n2: int, gt: float) -> XState:
 def sweep(initial: InitialAtomicState, gts, cutoff: FockCutoff) -> np.ndarray:
     """Thermal-average X-state elements for any initial state, one row per time.
 
-    Sums the Fock pairs and thermal weights that ``cutoff`` describes.
-    Returns an array of shape (len(gts), 5) with columns (A, B, C, D, E) =
-    (pop_ee, pop_eg, pop_ge, pop_gg, coherence).  The row trace equals the
-    retained thermal mass (1-t1)(1-t2) >= 1 - cutoff.tail_bound, and every
-    element is within cutoff.tail_bound of the untruncated average.
+    Sums the Fock pairs of the set ``cutoff`` describes, row n1 holding
+    n2 <= cutoff.rows[n1], with their thermal weights.  Returns an array of
+    shape (len(gts), 5) with columns (A, B, C, D, E) = (pop_ee, pop_eg,
+    pop_ge, pop_gg, coherence).  The row trace equals the retained thermal
+    mass 1 - cutoff.tail_bound, and every element is within
+    cutoff.tail_bound of the untruncated average.
 
     The evolution is linear in the initial density operator, so the result is
     the weighted sum of one kernel pass per pure part of ``initial``
@@ -59,6 +60,7 @@ def sweep(initial: InitialAtomicState, gts, cutoff: FockCutoff) -> np.ndarray:
     gts = np.ascontiguousarray(gts, dtype=np.float64)
     _check_times(gts)
     w1, w2 = cutoff.weights()
-    terms = (w * _core_py.thermal_sweep(v, w1, w2, gts) for v, w in initial.parts)
+    rows = np.array(cutoff.rows)
+    terms = (w * _core_py.thermal_sweep(v, w1, w2, gts, rows) for v, w in initial.parts)
     # start from the first part, not from 0, which would turn its -0.0 entries into 0.0
     return sum(terms, next(terms))

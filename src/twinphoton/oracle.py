@@ -15,8 +15,8 @@ the last, contiguous axis.  reduce_atoms traces out the field from that form
 as a weighted sum over the columns, gathering only the pairs of listed
 states that share a field index, so no array the size of the whole space is
 built per column and no product is formed only to be masked.  A thermal
-sweep takes the Fock set the closed form sums, the same FockCutoff, and
-truncates its space HEADROOM above that set, so the callers never convert
+sweep evolves the Fock set the closed form sums, the same FockCutoff, and
+truncates its space HEADROOM above that set's extent, so the callers never convert
 between a summed set and a truncation.  It evolves each atomic basis column
 it needs once per block of times, shared by all the initial states it is
 given; a single Fock term is a batch of one column with weight 1.  The
@@ -264,13 +264,14 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     """Thermally averaged reduced atomic density matrices for several initial states.
 
     Returns one (len(gts), 4, 4) stack per entry of ``initials``.  Initial
-    Fock pairs run over n1 <= cutoff.n_max1, n2 <= cutoff.n_max2, weighted by
-    cutoff.weights() without renormalization, so the trace of each output
-    equals the summed thermal mass.  The space is truncated HEADROOM above,
-    at n_max + 2 per mode, so every summed component evolves exactly.
+    Fock pairs run over the set's points, cutoff.points(), weighted by
+    w1[n1] w2[n2] from cutoff.weights() without renormalization, so the trace
+    of each output equals the summed thermal mass.  The space is truncated
+    HEADROOM above the set's extent, at n_max + 2 per mode, so every summed
+    component evolves exactly.
 
     Each block of times takes one pass: every atomic basis state the initial
-    states need is evolved with each summed Fock pair at all the block's
+    states need is evolved with each of the set's Fock pairs at all the block's
     times in a single batch, the field is traced out from each atomic basis
     state's run of columns, and each initial state is the weighted sum of
     those per-atom matrices.
@@ -283,11 +284,10 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
     prop = Propagator(trunc1, trunc2)
     atoms = sorted({ATOM_INDEX[v] for initial in initials for v, _ in initial.parts})
-    weights = np.outer(*cutoff.weights()).ravel()
-    n1, n2 = np.arange(cutoff.n_max1 + 1), np.arange(cutoff.n_max2 + 1)
-    cols = np.concatenate(
-        [flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel() for atom in atoms]
-    )
+    n1, n2 = cutoff.points()
+    w1, w2 = cutoff.weights()
+    weights = w1[n1] * w2[n2]
+    cols = np.concatenate([flat_index(atom, n1, n2, trunc1, trunc2) for atom in atoms])
     per_call = max(1, BATCH_ELEMENTS // len(cols))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for start in range(0, gts.shape[0], per_call):

@@ -139,6 +139,25 @@ def test_sweep_cutoff_names_one_summed_set_on_both_paths():
         assert max(abs(a - b) for a, b in zip(rc, ro)) <= 1e-13
 
 
+def test_automatic_set_is_summed_on_both_paths():
+    # without --cutoff both paths sum the joint-weight set, not its extent's rectangle
+    base = ("sweep", "--initial", "mixed", "--lambda", "0.3", "--nbar1", "1", "--nbar2", "0.6",
+            "--steps", "5")
+    closed = run_cli(*base)
+    brute = run_cli(*base, "--oracle")
+    assert closed.returncode == brute.returncode == 0, (closed.stderr, brute.stderr)
+    comments_c, rows_c = parse_csv(closed.stdout.decode())
+    comments_o, rows_o = parse_csv(brute.stdout.decode())
+    cutoff = FockCutoff.choose(1.0, 0.6, cli.DEFAULT_TAIL_TOL)
+    line = (f"# fock cutoff: points={cutoff.size} in extent n_max1={cutoff.n_max1}"
+            f" n_max2={cutoff.n_max2} neglected_mass<={cutoff.tail_bound!r}")
+    assert [c for c in comments_c if c.startswith("# fock cutoff")] == [line], comments_c
+    assert [c for c in comments_o if c.startswith("# fock cutoff")] == [line], comments_o
+    assert len(rows_c) == len(rows_o) == 6
+    for rc, ro in zip(rows_c, rows_o):
+        assert max(abs(a - b) for a, b in zip(rc, ro)) <= 1e-13
+
+
 def test_figure_preset3_mixture_never_entangles(tmp_path):
     outdir = tmp_path / "figs"
     res = run_cli("figure", "--preset", "3", "--outdir", str(outdir), "--tail-tol", "1e-8")
@@ -295,9 +314,10 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):
-    # mixed runs four kernel passes over the grid at every time sample
+    # mixed runs four kernel passes over the set's pairs at every time sample
     cutoff = FockCutoff.choose(0.2, 0.5, cli.DEFAULT_TAIL_TOL)
-    terms = (cutoff.n_max1 + 1) * (cutoff.n_max2 + 1) * 5 * 4
+    terms = cutoff.size * 5 * 4
+    assert cutoff.size < (cutoff.n_max1 + 1) * (cutoff.n_max2 + 1)
     argv = [
         "sweep", "--initial", "mixed", "--lambda", "0.05", "--nbar1", "0.2", "--nbar2", "0.5",
         "--steps", "4", "--out", str(tmp_path / "mixed.csv"),
@@ -311,15 +331,18 @@ def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):
     assert cli.main(argv) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{terms:.3g} terms" in err[0], err
+    extent = f"extent {cutoff.n_max1 + 1}x{cutoff.n_max2 + 1}"
+    assert f"Fock set of {cutoff.size} pairs ({extent})" in err[0], err
     assert (tmp_path / "mixed.csv").read_bytes() == quiet
 
 
 def test_check_passes_at_a_production_cutoff(capsys):
-    # the 35 x 35 Fock set a sweep at nbar 1 sums, on an oracle truncated at 36,36
-    assert FockCutoff.choose(1.0, 1.0, cli.DEFAULT_TAIL_TOL).n_max1 == 34
-    assert cli.main(["check", "--cutoff", "34,34", "--tol", "1e-13"]) == 0
+    # the extent 38 x 38 of the Fock set a sweep at nbar 1 sums, on an oracle truncated at 39,39
+    cutoff = FockCutoff.choose(1.0, 1.0, cli.DEFAULT_TAIL_TOL)
+    assert (cutoff.n_max1, cutoff.n_max2) == (37, 37)
+    assert cli.main(["check", "--cutoff", "37,37", "--tol", "1e-13"]) == 0
     out, err = capsys.readouterr()
-    assert "truncation (36, 36)" in out and "PASS" in out, out
+    assert "truncation (39, 39)" in out and "PASS" in out, out
     assert err == ""
 
 

@@ -110,38 +110,43 @@ def test_term_rejects_bad_arguments():
             xstate_term("eg", n1, n2, gt)
 
 
+def set_weights(cutoff):
+    """Fock indices (n1, n2) of the set's pairs and their thermal weights w1[n1] w2[n2]."""
+    n1, n2 = cutoff.points()
+    w1 = [thermal_weight(cutoff.nbar1, n) for n in range(cutoff.n_max1 + 1)]
+    w2 = [thermal_weight(cutoff.nbar2, n) for n in range(cutoff.n_max2 + 1)]
+    return n1, n2, np.array(w1)[n1] * np.array(w2)[n2]
+
+
 def test_sweep_trace_equals_retained_mass():
-    cutoff = FockCutoff.choose(1.0, 1.0, 1e-8)
-    m1 = sum(thermal_weight(1.0, n) for n in range(cutoff.n_max1 + 1))
-    m2 = sum(thermal_weight(1.0, n) for n in range(cutoff.n_max2 + 1))
-    gts = TimeGrid(8.0, 40).points()
-    for variant in VARIANTS:
-        rows = sweep(InitialAtomicState(variant), gts, cutoff)
-        traces = rows[:, :4].sum(axis=1)
-        assert np.allclose(traces, m1 * m2, rtol=0, atol=1e-12)
-        assert np.all(traces >= 1.0 - cutoff.tail_bound - 1e-12)
-        for row in rows:
-            assert_valid_xstate(XState(*row), mass=m1 * m2, mass_tol=1e-12)
+    for nbars in ((1.0, 1.0), (3.0, 0.5)):
+        cutoff = FockCutoff.choose(*nbars, 1e-8)
+        retained = math.fsum(set_weights(cutoff)[2])
+        assert retained == pytest.approx(1.0 - cutoff.tail_bound, rel=0, abs=1e-15)
+        gts = TimeGrid(8.0, 40).points()
+        for variant in VARIANTS:
+            rows = sweep(InitialAtomicState(variant), gts, cutoff)
+            traces = rows[:, :4].sum(axis=1)
+            assert np.allclose(traces, retained, rtol=0, atol=1e-12)
+            assert np.all(traces >= 1.0 - cutoff.tail_bound - 1e-12)
+            for row in rows:
+                assert_valid_xstate(XState(*row), mass=retained, mass_tol=1e-12)
 
 
 def test_sweep_matches_exact_sum_across_row_blocks():
-    # the 20,667 points of an 83x249 grid, sorted by block frequency, fill 21
-    # chunks, and several frequencies straddle a chunk boundary
+    # the 12,650 points of the set in a 91x275 extent, sorted by block
+    # frequency, fill 13 chunks, and several frequencies straddle a chunk boundary
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
-    n1 = np.arange(cutoff.n_max1 + 1)
-    n2 = np.arange(cutoff.n_max2 + 1)
-    assert n1.size >= 3 * (_core_py.BLOCK_ELEMENTS // n2.size)
-    weight = np.outer(
-        [thermal_weight(3.0, n) for n in n1], [thermal_weight(10.0, n) for n in n2]
-    )
+    n1, n2, weight = set_weights(cutoff)
+    assert cutoff.size >= 3 * _core_py.BLOCK_ELEMENTS
     # three times on the direct path, and three rows of a grid that takes angle addition
     grid = TimeGrid(10.0, 1000).points()
     for gts, picked in (((0.7, 3.1, 9.9), (0, 1, 2)), (grid, (7, 503, 1000))):
         for variant in VARIANTS:
             rows = sweep(InitialAtomicState(variant), gts, cutoff)
             for k in picked:
-                terms = _core_py.xstate_term(variant, n1[:, None], n2, gts[k])
-                exact = [math.fsum((weight * t).ravel()) for t in terms]
+                terms = _core_py.xstate_term(variant, n1, n2, gts[k])
+                exact = [math.fsum(weight * t) for t in terms]
                 assert np.allclose(rows[k], exact, rtol=0, atol=1e-14), (variant, k)
 
 
@@ -204,12 +209,13 @@ def test_sweep_temporaries_are_bounded_in_the_number_of_times():
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
     w1 = np.array([thermal_weight(3.0, n) for n in range(cutoff.n_max1 + 1)])
     w2 = np.array([thermal_weight(10.0, n) for n in range(cutoff.n_max2 + 1)])
+    rows = np.array(cutoff.rows)
     peaks = {}
     for steps in (11, 1001):
         gts = np.linspace(0.0, 10.0, steps)
         tracemalloc.start()
         try:
-            _core_py.thermal_sweep("eg", w1, w2, gts)
+            _core_py.thermal_sweep("eg", w1, w2, gts, rows)
             peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -319,7 +325,8 @@ def test_off_grid_times_take_the_direct_path(monkeypatch):
 
 def test_sweep_mode_swap_symmetry():
     cutoff = FockCutoff.choose(1.3, 0.4, 1e-10)
-    swapped = FockCutoff(cutoff.n_max2, cutoff.n_max1, cutoff.nbar2, cutoff.nbar1)
+    swapped = FockCutoff.choose(0.4, 1.3, 1e-10)
+    assert swapped == cutoff.transposed() and cutoff.rows != swapped.rows
     gts = TimeGrid(7.0, 60).points()
     for initial in [InitialAtomicState(v) for v in VARIANTS] + [
         InitialAtomicState("mixed", 0.05)

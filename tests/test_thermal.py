@@ -133,17 +133,57 @@ def test_tail_mass_matches_brute_force():
             assert tail_mass(nbar, n_max) == pytest.approx(brute_tail(nbar, n_max), rel=1e-10)
 
 
+SET_CASES = [(nbars, tol) for nbars in ((1.0, 1.0), (1.3, 0.4), (3.0, 10.0), (0.0, 2.0))
+             for tol in (1e-6, 1e-10)]
+
+
+def pair_weights(cutoff, extra):
+    """Thermal weights w1[n1] w2[n2] over the extent plus ``extra`` per mode, and the set's mask."""
+    w1, w2 = (mode_weights(nbar, n + extra) for nbar, n in
+              ((cutoff.nbar1, cutoff.n_max1), (cutoff.nbar2, cutoff.n_max2)))
+    kept = np.zeros((w1.size, w2.size), dtype=bool)
+    kept[cutoff.points()] = True
+    return np.outer(w1, w2), kept
+
+
 def test_fock_cutoff_choose_respects_tolerance():
-    for nbar1, nbar2 in ((1.0, 0.3), (0.0, 2.0)):
-        for tol in (1e-6, 1e-10):
-            cutoff = FockCutoff.choose(nbar1, nbar2, tol)
-            assert (cutoff.nbar1, cutoff.nbar2) == (nbar1, nbar2)
-            assert cutoff.tail_bound < tol
-            # per-mode tails are certified independently and add up
-            assert brute_tail(nbar1, cutoff.n_max1) + brute_tail(nbar2, cutoff.n_max2) < tol
-            # the bound derived from the stored field is the chosen tails' sum, bit for bit
-            (_, t1), (_, t2) = choose_cutoff(nbar1, tol / 2), choose_cutoff(nbar2, tol / 2)
-            assert cutoff.tail_bound == t1 + t2
+    for (nbar1, nbar2), tol in SET_CASES:
+        cutoff = FockCutoff.choose(nbar1, nbar2, tol)
+        assert (cutoff.nbar1, cutoff.nbar2) == (nbar1, nbar2)
+        assert cutoff.tail_bound < tol
+        # the neglected mass is exact: a brute-force sum of every pair outside
+        # the set, far enough out that the rest is below 1e-30 of it
+        weight, kept = pair_weights(cutoff, 800)
+        dropped = math.fsum(weight[~kept])
+        assert cutoff.tail_bound == pytest.approx(dropped, rel=1e-15, abs=0), (nbar1, nbar2, tol)
+        # and it is the smallest such set: without its lightest pairs it neglects tol or more
+        lightest = weight[kept] <= weight[kept].min() * (1.0 + 1e-9)
+        assert cutoff.tail_bound + math.fsum(weight[kept][lightest]) >= tol
+
+
+def test_fock_cutoff_choose_keeps_the_largest_weights():
+    for (nbar1, nbar2), tol in SET_CASES:
+        cutoff = FockCutoff.choose(nbar1, nbar2, tol)
+        rows = np.array(cutoff.rows)
+        assert rows.size == cutoff.n_max1 + 1 and rows[0] == cutoff.n_max2
+        assert (np.diff(rows) <= 0).all() and rows[-1] >= 0
+        assert cutoff.size == rows.sum() + rows.size
+        # every kept pair weighs at least as much as every dropped one, within the extent plus one
+        weight, kept = pair_weights(cutoff, 1)
+        assert weight[kept].min() >= weight[~kept].max(), (nbar1, nbar2, tol)
+        # the set is exactly mode-symmetric
+        swapped = FockCutoff.choose(nbar2, nbar1, tol)
+        assert swapped == cutoff.transposed() and swapped.transposed() == cutoff
+        assert swapped.tail_bound == cutoff.tail_bound
+        n1, n2 = cutoff.points()
+        assert sorted(zip(*swapped.points())) == sorted(zip(n2.tolist(), n1.tolist()))
+
+
+def test_fock_cutoff_set_at_equal_nbar_is_a_triangle():
+    # at equal nbar pairs on one anti-diagonal weigh the same and are kept together
+    cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
+    assert cutoff.rows == tuple(range(37, -1, -1)) and cutoff.size == 741
+    assert cutoff == cutoff.transposed()
 
 
 def test_fock_cutoff_vacuum_is_exact():
@@ -167,12 +207,22 @@ def test_fock_cutoff_rejects_bad_fields():
             with pytest.raises(ValueError, match=name):
                 FockCutoff.choose(*nbars)
     assert FockCutoff(0, 0, 0.0, 0.0).tail_bound == 0.0
+    # row limits: n_max1 + 1 integers from n_max2 down to >= 0, never increasing
+    for rows in ((3, 2), (3, 2, 1, 0), (2, 2, 1), (3, 4, 1), (3, 2, -1), (3.0, 2.0, 1.0),
+                 (True, True, False), ((3, 2, 1),)):
+        with pytest.raises(ValueError, match="rows"):
+            FockCutoff(2, 3, 1.0, 1.0, rows)
+    assert FockCutoff(2, 3, 1.0, 1.0, np.array([3, 3, 0])).rows == (3, 3, 0)
 
 
 def test_fock_cutoff_explicit_reports_computed_tail():
     cutoff = FockCutoff.explicit(10, 12, 1.0, 1.0)
-    expected = brute_tail(1.0, 10) + brute_tail(1.0, 12)
+    # the rectangle neglects 1 - (1 - t1)(1 - t2) = t1 + t2 - t1 t2
+    t1, t2 = brute_tail(1.0, 10), brute_tail(1.0, 12)
+    expected = t1 + t2 - t1 * t2
     assert cutoff.n_max1 == 10 and cutoff.n_max2 == 12
+    assert cutoff.rows == (12,) * 11 and cutoff.size == 11 * 13
+    assert cutoff == FockCutoff(10, 12, 1.0, 1.0, (12,) * 11)
     assert cutoff.tail_bound == pytest.approx(expected, rel=1e-10)
     w1, w2 = cutoff.weights()
     assert np.array_equal(w1, mode_weights(1.0, 10)) and np.array_equal(w2, mode_weights(1.0, 12))
