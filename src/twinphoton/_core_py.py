@@ -15,15 +15,16 @@ physics once, as one table of these polynomials per variant
 (2 m1 + 1)(2 m2 + 1) of the block indices, the pair's key, so many
 Fock pairs share a frequency, and r is an integer over key + 1.
 
-xstate_term evaluates the table at one point.  thermal_sweep sums, per
-distinct key, the three moments sum w, sum w r and sum w r^2 of the thermal
-weights w before the time loop; the table maps them to the weighted sum of
-every coefficient of that block frequency.  It returns one row per time;
-at gt = 0 (x = 0) that row is the constant terms.  It takes one sin per
-distinct block frequency and time, or, on a uniform grid of enough times
-from 0, builds those sines by angle addition from the sin and cos at R
-offsets and at every R-th time: about 2 sqrt(T) trig evaluations per
-frequency instead of T.
+xstate_term evaluates the table at one point.  thermal_sweep groups the
+Fock set by key once and sums, per distinct key, the three moments sum w,
+sum w r and sum w r^2 of the thermal weights w before the time loop.  It
+then contracts x and x^2 with those moments over blocks of distinct
+frequencies, and the table maps the sums to one row per time; at gt = 0
+(x = 0) that row is the constant terms.  It takes one sin per distinct
+block frequency and time, or, on a uniform grid of enough times from 0,
+builds those sines by angle addition from the sin and cos at R offsets and
+at every R-th time: about 2 sqrt(T) trig evaluations per frequency instead
+of T.
 
 Reductions use np.sum, np.bincount and np.einsum (no BLAS) in a fixed order,
 so the output does not depend on the BLAS thread count and reruns give
@@ -34,9 +35,8 @@ import math
 
 import numpy as np
 
-# Fock pairs per moment chunk, and distinct frequencies x times per trig
-# block: together they bound thermal_sweep's temporaries
-BLOCK_ELEMENTS = 1024
+# distinct frequencies x times per trig block: bounds thermal_sweep's
+# temporaries and sizes its blocks of frequencies (see _sines)
 TRIG_ELEMENTS = 16384
 
 
@@ -154,11 +154,11 @@ def _offset_count(gts):
     2 eps gts[k], as on a uniform grid that starts at 0 (TimeGrid.points(),
     np.linspace(0, ...)).  It takes 2 (ceil(T / R) + R) sin and cos evaluations
     per frequency instead of T sines, and is used only where that at least
-    halves them.  R <= TRIG_ELEMENTS // BLOCK_ELEMENTS, so the R times of one
-    anchor fit one trig block even for a chunk of distinct frequencies.
+    halves them.  R <= TRIG_ELEMENTS // 2, so that a block of
+    TRIG_ELEMENTS // (2 R) frequencies (see _sines) holds at least one.
     """
     size = len(gts)
-    split = min(TRIG_ELEMENTS // BLOCK_ELEMENTS, math.isqrt(size))
+    split = min(TRIG_ELEMENTS // 2, math.isqrt(size))
     if split == 0 or 4 * (-(-size // split) + split) > size:
         return 0
     k = np.arange(size)
@@ -168,74 +168,109 @@ def _offset_count(gts):
 
 
 def _sines(half, gts, split):
-    """Yield (t0, sin(gts[t0 : t0 + n] x half)) for consecutive blocks of times.
+    """Yield (f0, t0, sin(gts[t0 : t0 + n] x half[f0 : f0 + m])) for blocks of frequencies and times.
 
-    Each block holds about TRIG_ELEMENTS times x frequencies.  With split = 0
-    each element is one np.sin.  With split = R (see _offset_count) the sines
-    are sin(A + B) = sin A cos B + cos A sin B, from the sin and cos of
-    half x the R offsets gts[:R], taken once, and of half x the anchors
-    gts[::R], taken per block of anchors.
+    The distinct frequencies ``half`` (Omega / 2, ascending) are taken in
+    blocks of m = TRIG_ELEMENTS // T, or, on the angle-addition path
+    (split = R, see _offset_count), TRIG_ELEMENTS // (2 R); each block runs
+    over all the times before the next one starts, in blocks of times that
+    keep n x m <= TRIG_ELEMENTS (one block of times, unless T > TRIG_ELEMENTS).
+    With split = 0 each element is one np.sin.  With split = R the sines are
+    sin(A + B) = sin A cos B + cos A sin B, from the sin and cos of half x
+    the R offsets gts[:R], taken once per block of frequencies, and of half x
+    the anchors gts[::R], taken per block of times (at least two anchors).
+    Every block is a view of one reused buffer: the caller may overwrite it,
+    but is done with it before the next one is formed.
     """
+    # outer products go through np.einsum: np.multiply buffers each broadcast
+    # operand (64 KB apiece), which would raise the sweeps' peak memory
+    size = len(gts)
+    width = max(1, TRIG_ELEMENTS // max(1, 2 * split if split else size))
     if not split:
-        step = max(1, TRIG_ELEMENTS // half.size)
-        for t0 in range(0, len(gts), step):
-            x = np.multiply.outer(gts[t0 : t0 + step], half)
-            np.sin(x, out=x)
-            yield t0, x
+        step = TRIG_ELEMENTS // width
+        buffer = np.empty(min(step, size) * min(width, half.size))
+        for f0 in range(0, half.size, width):
+            freqs = half[f0 : f0 + width]
+            for t0 in range(0, size, step):
+                times = gts[t0 : t0 + step]
+                x = buffer[: times.size * freqs.size].reshape(times.size, freqs.size)
+                np.einsum("t,p->tp", times, freqs, out=x)
+                np.sin(x, out=x)
+                yield f0, t0, x
         return
-    cos_b = np.multiply.outer(gts[:split], half)
-    sin_b = np.sin(cos_b)
-    np.cos(cos_b, out=cos_b)
     anchors = gts[::split]
-    step = max(1, TRIG_ELEMENTS // (split * half.size))
-    # buffers reused by every block: the caller still holds the last block
-    # while the next one is formed, so fresh arrays would double the peak
-    x, product = np.empty((2, min(step, anchors.size), split, half.size))
-    for a0 in range(0, anchors.size, step):
-        angle = np.multiply.outer(anchors[a0 : a0 + step], half)[:, None]
-        block, terms = x[: len(angle)], product[: len(angle)]
-        np.multiply(np.sin(angle), cos_b, out=block)
-        block += np.multiply(np.cos(angle), sin_b, out=terms)
-        t0 = a0 * split
-        yield t0, block.reshape(-1, half.size)[: len(gts) - t0]
+    x, product = np.empty((2, min(TRIG_ELEMENTS, anchors.size * split * min(width, half.size))))
+    for f0 in range(0, half.size, width):
+        freqs = half[f0 : f0 + width]
+        step = TRIG_ELEMENTS // (split * freqs.size)
+        cos_b = np.einsum("r,p->rp", gts[:split], freqs)
+        sin_b = np.sin(cos_b)
+        np.cos(cos_b, out=cos_b)
+        for a0 in range(0, anchors.size, step):
+            angle = np.einsum("a,p->ap", anchors[a0 : a0 + step], freqs)
+            shape = (len(angle), split, freqs.size)
+            block = x[: math.prod(shape)].reshape(shape)
+            terms = product[: block.size].reshape(shape)
+            np.einsum("ap,rp->arp", np.sin(angle), cos_b, out=block)
+            block += np.einsum("ap,rp->arp", np.cos(angle), sin_b, out=terms)
+            t0 = a0 * split
+            yield f0, t0, block.reshape(-1, freqs.size)[: size - t0]
 
 
-def _add_chunk(variant, keys, ratio, weight, gts, split, out):
-    """Add the weighted sum over one chunk of Fock pairs to every row of ``out``.
+def _moments(variant, w1, w2, rows):
+    """Distinct Omega^2 = key + 1 of the Fock set, ascending, and their moments.
 
-    The points come in ascending order of their keys, with their ratios r
-    and thermal weights.  Per distinct key the three moments sum w,
-    sum w r and sum w r^2 are taken before the time loop, and the table
-    (COEFFICIENTS) maps them to the weighted sums of the constant, x- and
-    x^2-coefficient of each element, so the sines (see _sines, with
-    ``split`` from _offset_count) are taken per distinct key.  A function of
-    its own so that one chunk's arrays are freed before the next chunk's are
-    built.
+    Returns (omega_sq, moments) with moments[:, i] = (sum w, sum w r,
+    sum w r^2) over the set's points of the i-th distinct Omega^2.  One
+    stable argsort of the points' Omega^2 ranks them; each point's rank is
+    scattered back to the set's row-by-row point order, and each moment is
+    one np.bincount over the points in that order, so the sums do not depend
+    on the order the sort gives equal keys.  A function of its own so that
+    the point arrays are freed before the time loop's are built.
     """
-    first = np.empty(keys.size, dtype=bool)
+    counts = np.full(len(w1), len(w2)) if rows is None else np.asarray(rows) + 1
+    # the set's points row by row: row n1 holds n2 = 0 .. counts[n1] - 1
+    n1 = np.repeat(np.arange(counts.size), counts)
+    n2 = np.arange(n1.size)
+    n2 -= np.repeat(np.cumsum(counts) - counts, counts)
+    odd1, f1 = _mode_factors(variant, np.arange(len(w1)))
+    odd2, f2 = _mode_factors(variant, np.arange(len(w2)))
+    # each point array is built in place and each index freed once used:
+    # at most five point-sized arrays at a time
+    omega_sq = odd1[n1]
+    omega_sq *= odd2[n2]
+    omega_sq += 1
+    ratio = f1[n1]
+    ratio *= f2[n2]
+    weight = w2[n2]
+    del n2
+    weight *= w1[n1]
+    del n1
+    ratio = ratio / omega_sq
+    order = np.argsort(omega_sq, kind="stable")
+    ordered = omega_sq[order]
+    first = np.empty(ordered.size, dtype=bool)
     first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    group = np.cumsum(first) - 1
-    weighted = weight * ratio
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    # each Omega^2's rank among the distinct ones, in sorted order, then each
+    # point's group in point order: built in the buffers of the two arrays the
+    # sort no longer needs
+    rank = omega_sq
+    rank[...] = first
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    distinct = np.empty(rank[-1] + 1, dtype=ordered.dtype)
+    distinct[rank] = ordered
+    group = ordered
+    group[order] = rank
+    del order, rank, first
     # np.bincount adds in index order: deterministic, and no BLAS
-    moments = np.array(
-        [
-            np.bincount(group, weight),
-            np.bincount(group, weighted),
-            np.bincount(group, weighted * ratio),
-        ]
-    )
-    coef = _expand(variant, moments)
-    const = coef[:, 0].sum(axis=1)
-    # Omega / 2 = sqrt(key + 1) / 2, the same float as block_frequency gives
-    for t0, x in _sines(0.5 * np.sqrt(keys[first] + 1), gts, split):
-        np.square(x, out=x)
-        x *= 2.0
-        rows = np.einsum("tp,kp->tk", x, coef[:, 1])
-        np.square(x, out=x)
-        rows += np.einsum("tp,kp->tk", x, coef[:, 2])
-        rows += const
-        out[t0 : t0 + len(x)] += rows
+    moments = [np.bincount(group, weight)]
+    for _ in range(2):
+        weight *= ratio
+        moments.append(np.bincount(group, weight))
+    del group, weight, ratio
+    return distinct, np.array(moments)
 
 
 def thermal_sweep(variant, w1, w2, gts, rows=None):
@@ -245,37 +280,33 @@ def thermal_sweep(variant, w1, w2, gts, rows=None):
     xstate_term(variant, n1, n2, gt) weighted by w1[n1]*w2[n2] over the Fock
     set whose row n1 holds n2 = 0..rows[n1] (rows=None: every n2 < len(w2)).
     ``w1`` and ``w2`` are the weights over the set's extent, len(rows) and
-    max(rows) + 1 long.  The set's points, taken row by row, are stably
-    sorted by their key (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1 and cut into
-    chunks of BLOCK_ELEMENTS points; per chunk each point's ratio
-    r = f1 f2 / (key + 1) (see _mode_factors) and weight are gathered, three
-    np.bincount calls sum w, w r and w r^2 per distinct key, and the
-    coefficient table expands those moments into the weighted coefficient
-    sums of that key.  For each block of times (about TRIG_ELEMENTS
-    frequencies x times) x = 2 sin^2(Omega gt / 2) is formed once per
-    distinct block frequency and time.  The sines come from one np.sin
-    each, or, where _offset_count finds that ``gts`` splits into R offsets
-    and anchors (a uniform grid from 0 of about 64 times or more), from
-    sin(A + B) = sin A cos B + cos A sin B, with 2 (ceil(T / R) + R) sin and
-    cos evaluations per frequency instead of T; any other ``gts`` takes one
-    np.sin per frequency and time.  A chunk adds two np.einsum reductions,
-    over x and over x^2, plus its constant terms to the rows; the chunks
-    are added in ascending frequency order.
+    max(rows) + 1 long.  One pass over the set's points (_moments) sums
+    w, w r and w r^2 per distinct key (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1,
+    with r = f1 f2 / Omega^2 (see _mode_factors).  Then, per block of
+    distinct frequencies (_sines: about TRIG_ELEMENTS frequencies x times),
+    x = 2 sin^2(Omega gt / 2) is formed once per distinct block frequency and
+    time, and two np.einsum reductions contract x and x^2 with the block's
+    moments.  The sines come from one np.sin each, or, where _offset_count
+    finds that ``gts`` splits into R offsets and anchors (a uniform grid from
+    0 of about 64 times or more), from sin(A + B) = sin A cos B + cos A sin B,
+    with 2 (ceil(T / R) + R) sin and cos evaluations per frequency instead of
+    T; any other ``gts`` takes one np.sin per frequency and time.  The blocks
+    are added in ascending frequency order, and the coefficient table maps
+    the summed moments, x- and x^2-weighted, to the rows.
     """
-    odd1, f1 = _mode_factors(variant, np.arange(len(w1)))
-    odd2, f2 = _mode_factors(variant, np.arange(len(w2)))
-    counts = np.full(len(w1), len(w2)) if rows is None else np.asarray(rows) + 1
-    # flat indices n1 len(w2) + n2 of the set's points, built row by row
-    flat = np.repeat(np.arange(counts.size) * len(w2) - (np.cumsum(counts) - counts), counts)
-    flat += np.arange(flat.size)
-    n1, n2 = np.divmod(flat, len(w2))
-    order = flat[np.argsort(odd1[n1] * odd2[n2], kind="stable")]
-    del flat, n1, n2  # the chunks need only the order
-    out = np.zeros((len(gts), 5))
-    split = _offset_count(gts)
-    for lo in range(0, order.size, BLOCK_ELEMENTS):
-        n1, n2 = np.divmod(order[lo : lo + BLOCK_ELEMENTS], len(w2))
-        keys = odd1[n1] * odd2[n2]
-        ratio = f1[n1] * f2[n2] / (keys + 1)
-        _add_chunk(variant, keys, ratio, w1[n1] * w2[n2], gts, split, out)
-    return out
+    omega_sq, moments = _moments(variant, w1, w2, rows)
+    # Omega / 2 = sqrt(key + 1) / 2, the same float as block_frequency gives
+    half = np.sqrt(omega_sq)
+    half *= 0.5
+    del omega_sq
+    # sums[t, j, d]: the sum over frequencies of x^j times moment d
+    sums = np.zeros((len(gts), 3, 3))
+    sums[:, 0] = moments.sum(axis=1)
+    for f0, t0, x in _sines(half, gts, _offset_count(gts)):
+        block, at = moments[:, f0 : f0 + x.shape[1]], slice(t0, t0 + len(x))
+        np.square(x, out=x)
+        x *= 2.0
+        sums[at, 1] += np.einsum("tp,dp->td", x, block)
+        np.square(x, out=x)
+        sums[at, 2] += np.einsum("tp,dp->td", x, block)
+    return np.einsum("tjd,kjd->tk", sums, COEFFICIENTS[variant])

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from twinphoton import _core_py
+from twinphoton.dynamics import sweep
+from twinphoton.model import InitialAtomicState
 from twinphoton.oracle import _collective_lowering, annihilation
 
 POP_TOL = 1e-12
@@ -84,6 +87,22 @@ def trig_xstate_term(variant, n1, n2, gt):
     if variant == "eg":
         return (u * sf, cos4, sin4, v * sf, e)
     return (u * sf, sin4, cos4, v * sf, e)
+
+
+def frequency_blocks(monkeypatch, variant, gts, cutoff):
+    """Blocks of distinct frequencies one kernel pass of the pure ``variant`` takes over ``cutoff``'s set."""
+    starts = set()
+    sines = _core_py._sines
+
+    def recording(half, gts, split):
+        for f0, t0, x in sines(half, gts, split):
+            starts.add(f0)
+            yield f0, t0, x
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_core_py, "_sines", recording)
+        sweep(InitialAtomicState(variant), gts, cutoff)
+    return len(starts)
 
 
 def dense_columns(batch):

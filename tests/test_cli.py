@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from helpers import frequency_blocks
 from twinphoton import _core_py, cli, dynamics, oracle
-from twinphoton.model import VARIANTS, InitialAtomicState
+from twinphoton.model import VARIANTS, InitialAtomicState, TimeGrid
 from twinphoton.thermal import FockCutoff
 
 CMD = [sys.executable, "-m", "twinphoton.cli"]
@@ -71,14 +72,17 @@ def test_sweep_repeat_runs_are_byte_identical():
     assert first.stdout and first.stdout == second.stdout
 
 
-def test_closed_form_sweep_is_identical_across_blas_threads():
-    # the kernel reduces with np.sum, np.bincount and np.einsum, never BLAS; a
-    # 35x35 grid at nbar 1 spans two chunks and 201 times several time blocks
+def test_closed_form_sweep_is_identical_across_blas_threads(monkeypatch):
+    # the kernel reduces with np.sum, np.bincount and np.einsum, never BLAS; at
+    # nbar 3 and 201 times each pass sums ~1,500 distinct frequencies in three blocks
+    cutoff = FockCutoff.choose(3.0, 3.0, cli.DEFAULT_TAIL_TOL)
+    for variant in ("ee", "eg", "gg"):
+        assert frequency_blocks(monkeypatch, variant, TimeGrid(10.0, 200).points(), cutoff) >= 2
     for args in (
         ("--initial", "eg"),
         ("--initial", "mixed", "--lambda", "0.05"),
     ):
-        argv = ("sweep", *args, "--nbar1", "1", "--nbar2", "1", "--steps", "200")
+        argv = ("sweep", *args, "--nbar1", "3", "--nbar2", "3", "--steps", "200")
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import assert_valid_xstate, trig_xstate_term
+from helpers import assert_valid_xstate, frequency_blocks, trig_xstate_term
 from twinphoton import _core_py, oracle
 from twinphoton.dynamics import sweep, xstate_term
 from twinphoton.model import InitialAtomicState, TimeGrid, XState
@@ -133,16 +133,17 @@ def test_sweep_trace_equals_retained_mass():
                 assert_valid_xstate(XState(*row), mass=retained, mass_tol=1e-12)
 
 
-def test_sweep_matches_exact_sum_across_row_blocks():
-    # the 12,650 points of the set in a 91x275 extent, sorted by block
-    # frequency, fill 13 chunks, and several frequencies straddle a chunk boundary
+def test_sweep_matches_exact_sum_across_row_blocks(monkeypatch):
+    # the 12,650 points of the set in a 91x275 extent share ~5,700 distinct
+    # block frequencies per variant, which fill several blocks on both paths
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
     n1, n2, weight = set_weights(cutoff)
-    assert cutoff.size >= 3 * _core_py.BLOCK_ELEMENTS
-    # three times on the direct path, and three rows of a grid that takes angle addition
+    # seven times on the direct path, and three rows of a grid that takes angle addition
     grid = TimeGrid(10.0, 1000).points()
-    for gts, picked in (((0.7, 3.1, 9.9), (0, 1, 2)), (grid, (7, 503, 1000))):
+    direct = (0.7, 3.1, 9.9, 0.2, 4.4, 6.05, 8.3)
+    for gts, picked in ((direct, range(7)), (grid, (7, 503, 1000))):
         for variant in VARIANTS:
+            assert frequency_blocks(monkeypatch, variant, gts, cutoff) >= 3, variant
             rows = sweep(InitialAtomicState(variant), gts, cutoff)
             for k in picked:
                 terms = _core_py.xstate_term(variant, n1, n2, gts[k])
@@ -169,6 +170,31 @@ def test_moment_sums_match_exact_sum_of_terms():
                     weight = np.outer(a, b)
                     exact = [math.fsum((weight * t).ravel()) for t in terms]
                     assert np.abs(rows[k] - exact).max() <= 1e-14, (variant, k)
+
+
+class _ReversedTies:
+    """Stands in for numpy in the kernel module; its argsort puts equal keys in reverse point order."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def argsort(a, kind=None):
+        return np.lexsort((-np.arange(a.size), a))
+
+
+def test_sweep_does_not_depend_on_the_sort_order_of_equal_keys(monkeypatch):
+    # the moments are summed in the set's point order, not in the sort's
+    cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
+    w1, w2 = cutoff.weights()
+    rows = np.array(cutoff.rows)
+    for gts in (TimeGrid(10.0, 10).points(), TimeGrid(10.0, 1000).points()):
+        for variant in VARIANTS:
+            stable = _core_py.thermal_sweep(variant, w1, w2, gts, rows)
+            monkeypatch.setattr(_core_py, "np", _ReversedTies())
+            reversed_ties = _core_py.thermal_sweep(variant, w1, w2, gts, rows)
+            monkeypatch.undo()
+            assert np.array_equal(stable, reversed_ties), variant
 
 
 def test_key_gives_the_block_frequency_bit_for_bit():
@@ -204,8 +230,9 @@ def test_sweep_error_is_within_certified_tail_bound():
 
 
 def test_sweep_temporaries_are_bounded_in_the_number_of_times():
-    # the kernel works on fixed-size chunks of grid points and blocks of times;
-    # holding the whole time axis would need 1001 x 1024 x 8 B ~ 8 MB per array here
+    # the kernel's point arrays are the size of the Fock set, and it takes its
+    # sines in blocks of about TRIG_ELEMENTS distinct frequencies x times;
+    # holding the whole time axis would need 1001 x 5,695 x 8 B ~ 46 MB per array here
     cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
     w1 = np.array([thermal_weight(3.0, n) for n in range(cutoff.n_max1 + 1)])
     w2 = np.array([thermal_weight(10.0, n) for n in range(cutoff.n_max2 + 1)])
@@ -266,13 +293,12 @@ def test_sweep_takes_one_sin_per_distinct_frequency_and_time(monkeypatch):
     gts = np.linspace(0.0, 10.0, 21)
     for variant in VARIANTS:
         w1, w2, distinct = _weights_and_distinct(variant, 3.0, 10.0)
-        chunks = -(-w1.size * w2.size // _core_py.BLOCK_ELEMENTS)
         assert distinct < 0.6 * w1.size * w2.size
         counter = _TrigCounter()
         monkeypatch.setattr(_core_py, "np", counter)
         _core_py.thermal_sweep(variant, w1, w2, gts)
         monkeypatch.undo()
-        assert distinct * gts.size <= counter.elements <= (distinct + chunks) * gts.size
+        assert counter.elements == distinct * gts.size
 
 
 def test_uniform_grid_takes_angle_addition_trig(monkeypatch):
@@ -282,13 +308,12 @@ def test_uniform_grid_takes_angle_addition_trig(monkeypatch):
     assert split > 0
     for variant in VARIANTS:
         w1, w2, distinct = _weights_and_distinct(variant, 3.0, 10.0)
-        chunks = -(-w1.size * w2.size // _core_py.BLOCK_ELEMENTS)
         counter = _TrigCounter()
         monkeypatch.setattr(_core_py, "np", counter)
         _core_py.thermal_sweep(variant, w1, w2, gts)
         monkeypatch.undo()
         per_frequency = 2 * (-(-gts.size // split) + split)
-        assert counter.elements <= per_frequency * (distinct + chunks)
+        assert counter.elements <= per_frequency * distinct
         assert counter.elements < distinct * gts.size / 4
 
 
