@@ -15,8 +15,9 @@ physics once, as one table of these polynomials per variant
 (2 m1 + 1)(2 m2 + 1) of the block indices, the pair's key, so many
 Fock pairs share a frequency, and r is an integer over key + 1.
 
-xstate_term evaluates the table at one point.  thermal_sweep groups the
-Fock set by key once and sums, per distinct key, the three moments sum w,
+xstate_term evaluates the table at one point.  thermal_sweep bins the Fock
+set by key once, with no sort (one bin per odd integer up to the largest key,
+O(extent) bins), and sums, per distinct key, the three moments sum w,
 sum w r and sum w r^2 of the thermal weights w before the time loop.  It
 then contracts x and x^2 with those moments over blocks of distinct
 frequencies, and the table maps the sums to one row per time; at gt = 0
@@ -221,11 +222,13 @@ def _moments(variant, w1, w2, rows):
     """Distinct Omega^2 = key + 1 of the Fock set, ascending, and their moments.
 
     Returns (omega_sq, moments) with moments[:, i] = (sum w, sum w r,
-    sum w r^2) over the set's points of the i-th distinct Omega^2.  One
-    stable argsort of the points' Omega^2 ranks them; each point's rank is
-    scattered back to the set's row-by-row point order, and each moment is
-    one np.bincount over the points in that order, so the sums do not depend
-    on the order the sort gives equal keys.  A function of its own so that
+    sum w r^2) over the set's points of the i-th distinct Omega^2.  No sort:
+    Omega^2 = key + 1 is even, so Omega^2 / 2 - 1 bins the points directly.
+    The occupied bins, in ascending order, are the distinct Omega^2, and a
+    point's group is its bin's rank among them.  Each moment is one
+    np.bincount over the points in the set's row-by-row order.  The bins
+    number (max key + 1) / 2 <= ((2 n_max1 + 3)(2 n_max2 + 3) + 1) / 2, at
+    most about twice the extent rectangle.  A function of its own so that
     the point arrays are freed before the time loop's are built.
     """
     counts = np.full(len(w1), len(w2)) if rows is None else np.asarray(rows) + 1
@@ -247,30 +250,22 @@ def _moments(variant, w1, w2, rows):
     weight *= w1[n1]
     del n1
     ratio = ratio / omega_sq
-    order = np.argsort(omega_sq, kind="stable")
-    ordered = omega_sq[order]
-    first = np.empty(ordered.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    # each Omega^2's rank among the distinct ones, in sorted order, then each
-    # point's group in point order: built in the buffers of the two arrays the
-    # sort no longer needs
-    rank = omega_sq
-    rank[...] = first
-    np.cumsum(rank, out=rank)
-    rank -= 1
-    distinct = np.empty(rank[-1] + 1, dtype=ordered.dtype)
-    distinct[rank] = ordered
-    group = ordered
-    group[order] = rank
-    del order, rank, first
+    # bin Omega^2 / 2 - 1; a point's group is its bin's rank among the occupied
+    bins = omega_sq
+    bins >>= 1
+    bins -= 1
+    present = np.zeros(bins.max() + 1, dtype=bool)
+    present[bins] = True
+    group = np.cumsum(present)[bins]
+    group -= 1
+    del bins
     # np.bincount adds in index order: deterministic, and no BLAS
     moments = [np.bincount(group, weight)]
     for _ in range(2):
         weight *= ratio
         moments.append(np.bincount(group, weight))
     del group, weight, ratio
-    return distinct, np.array(moments)
+    return 2 * (np.flatnonzero(present) + 1), np.array(moments)
 
 
 def thermal_sweep(variant, w1, w2, gts, rows=None):
@@ -280,9 +275,11 @@ def thermal_sweep(variant, w1, w2, gts, rows=None):
     xstate_term(variant, n1, n2, gt) weighted by w1[n1]*w2[n2] over the Fock
     set whose row n1 holds n2 = 0..rows[n1] (rows=None: every n2 < len(w2)).
     ``w1`` and ``w2`` are the weights over the set's extent, len(rows) and
-    max(rows) + 1 long.  One pass over the set's points (_moments) sums
-    w, w r and w r^2 per distinct key (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1,
-    with r = f1 f2 / Omega^2 (see _mode_factors).  Then, per block of
+    max(rows) + 1 long.  One pass over the set's points (_moments) bins
+    them by key (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1, one bin per odd integer
+    up to the largest key (O(extent) bins, no sort), and sums w, w r and
+    w r^2 per distinct key, with r = f1 f2 / Omega^2 (see _mode_factors).
+    Then, per block of
     distinct frequencies (_sines: about TRIG_ELEMENTS frequencies x times),
     x = 2 sin^2(Omega gt / 2) is formed once per distinct block frequency and
     time, and two np.einsum reductions contract x and x^2 with the block's

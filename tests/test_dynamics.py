@@ -172,29 +172,50 @@ def test_moment_sums_match_exact_sum_of_terms():
                     assert np.abs(rows[k] - exact).max() <= 1e-14, (variant, k)
 
 
-class _ReversedTies:
-    """Stands in for numpy in the kernel module; its argsort puts equal keys in reverse point order."""
+def _grouped_by_unique(variant, w1, w2, cutoff):
+    """(Omega^2, moments) of the set grouped by np.unique, each moment summed by np.bincount in point order."""
+    n1, n2 = cutoff.points()
+    odd1, f1 = _core_py._mode_factors(variant, n1)
+    odd2, f2 = _core_py._mode_factors(variant, n2)
+    omega_sq, group = np.unique(odd1 * odd2 + 1, return_inverse=True)
+    ratio = f1 * f2 / omega_sq[group]
+    weight = w1[n1] * w2[n2]
+    moments = [np.bincount(group, weight), np.bincount(group, weight * ratio)]
+    moments.append(np.bincount(group, weight * ratio * ratio))
+    return omega_sq, np.array(moments)
 
-    def __getattr__(self, name):
-        return getattr(np, name)
 
-    @staticmethod
-    def argsort(a, kind=None):
-        return np.lexsort((-np.arange(a.size), a))
+def test_moments_match_an_independent_grouping_bit_for_bit():
+    # the kernel bins the points by Omega^2 / 2 - 1 with no sort; np.unique
+    # groups them by sorting, and both sum each group in the set's point order
+    staircase = FockCutoff.choose(3.0, 10.0, 1e-10)
+    rectangle = FockCutoff(12, 20, 1.0, 1.0)
+    w1, w2 = staircase.weights()
+    cases = [(v, staircase, w1, w2, np.array(staircase.rows)) for v in VARIANTS]
+    cases += [(v, rectangle, *rectangle.weights(), None) for v in VARIANTS]
+    # gg with all weight on an empty mode: its clamped rows have q = 0
+    for a, b in ((np.eye(1, w1.size)[0], w2), (w1, np.eye(1, w2.size)[0])):
+        cases.append(("gg", staircase, a, b, np.array(staircase.rows)))
+    for variant, cutoff, a, b, rows in cases:
+        omega_sq, moments = _core_py._moments(variant, a, b, rows)
+        expected_sq, expected = _grouped_by_unique(variant, a, b, cutoff)
+        assert np.array_equal(omega_sq, expected_sq), variant
+        assert np.array_equal(moments, expected), variant
 
 
-def test_sweep_does_not_depend_on_the_sort_order_of_equal_keys(monkeypatch):
-    # the moments are summed in the set's point order, not in the sort's
-    cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
-    w1, w2 = cutoff.weights()
-    rows = np.array(cutoff.rows)
-    for gts in (TimeGrid(10.0, 10).points(), TimeGrid(10.0, 1000).points()):
+def test_sweep_is_exact_on_sparse_key_sets():
+    # an L-shaped set and a single row leave most of the kernel's bins empty
+    gts = TimeGrid(10.0, 10).points()
+    l_shape = FockCutoff(300, 300, 2.0, 2.0, (300,) + (0,) * 300)
+    for cutoff in (l_shape, FockCutoff.choose(0.0, 10.0, 1e-10)):
+        w1, w2 = cutoff.weights()
+        n1, n2, weight = set_weights(cutoff)
         for variant in VARIANTS:
-            stable = _core_py.thermal_sweep(variant, w1, w2, gts, rows)
-            monkeypatch.setattr(_core_py, "np", _ReversedTies())
-            reversed_ties = _core_py.thermal_sweep(variant, w1, w2, gts, rows)
-            monkeypatch.undo()
-            assert np.array_equal(stable, reversed_ties), variant
+            swept = _core_py.thermal_sweep(variant, w1, w2, gts, np.array(cutoff.rows))
+            for gt, row in zip(gts, swept):
+                terms = _core_py.xstate_term(variant, n1, n2, gt)
+                exact = [math.fsum(weight * t) for t in terms]
+                assert np.abs(row - exact).max() <= 1e-14, (variant, gt)
 
 
 def test_key_gives_the_block_frequency_bit_for_bit():
