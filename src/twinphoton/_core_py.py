@@ -279,11 +279,10 @@ def thermal_sweep(variant, w1, w2, gts, rows=None):
     them by key (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1, one bin per odd integer
     up to the largest key (O(extent) bins, no sort), and sums w, w r and
     w r^2 per distinct key, with r = f1 f2 / Omega^2 (see _mode_factors).
-    Then, per block of
-    distinct frequencies (_sines: about TRIG_ELEMENTS frequencies x times),
-    x = 2 sin^2(Omega gt / 2) is formed once per distinct block frequency and
-    time, and two np.einsum reductions contract x and x^2 with the block's
-    moments.  The sines come from one np.sin each, or, where _offset_count
+    Then, per block of distinct frequencies (_sines: about TRIG_ELEMENTS
+    frequencies x times), x = 2 sin^2(Omega gt / 2) is formed once per
+    distinct block frequency and time, and two np.einsum reductions contract
+    x and x^2 with the block's moments.  The sines come from one np.sin each, or, where _offset_count
     finds that ``gts`` splits into R offsets and anchors (a uniform grid from
     0 of about 64 times or more), from sin(A + B) = sin A cos B + cos A sin B,
     with 2 (ceil(T / R) + R) sin and cos evaluations per frequency instead of
