@@ -44,7 +44,7 @@ WARN_TERMS = 1e9
 
 # an oracle run evolving more states x times than this warns on stderr before it
 # runs: the oracle builds H from its nonzeros and works in block coordinates, so
-# its time grows as states x times (about 0.6 us each in a four-state check at
+# its time grows as states x times (about 0.3 us each in a four-state check at
 # truncation 36,36 or 60,60 on a 2-core machine) and its memory as states
 # (about 0.5 kB each)
 WARN_ORACLE_STATE_TIMES = 1e6

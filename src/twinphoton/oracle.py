@@ -19,9 +19,13 @@ sweep evolves the Fock set the closed form sums, the same FockCutoff, and
 truncates its space HEADROOM above that set's extent, so the callers never convert
 between a summed set and a truncation.  It evolves each atomic basis column
 it needs once per block of times, shared by all the initial states it is
-given; a single Fock term is a batch of one column with weight 1.  The
-closed-form path is checked against these results; this module is confined
-to tests and the explicit oracle CLI modes.
+given; a single Fock term is a batch of one column with weight 1.  The work
+that depends only on the columns is done once per sweep, not per block of
+times: Propagator.plan gathers each column's block and its eigenvector
+coefficients, and trace_pairs finds each atomic basis state's pairs of
+states from the slots inside their blocks.  The closed-form path is checked
+against these results; this module is confined to tests and the explicit
+oracle CLI modes.
 """
 
 from __future__ import annotations
@@ -122,6 +126,14 @@ def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
         labels = spread
 
 
+class ColumnPlan(NamedTuple):
+    """The column-only work of Propagator.evolve_basis_batch, from Propagator.plan."""
+
+    states: np.ndarray
+    listed: np.ndarray
+    groups: list
+
+
 class Propagator:
     """Unitary evolution inside the exact invariant blocks of the Hamiltonian.
 
@@ -155,61 +167,144 @@ class Propagator:
             energies, vectors = np.linalg.eigh(matrices)
             self._blocks.append((members, energies, vectors))
 
-    def evolve_basis_batch(self, flat_indices, t):
-        """Evolved unit-basis initial states in block coordinates, at one time or a stack.
+    def plan(self, flat_indices) -> ColumnPlan:
+        """The work of evolve_basis_batch that depends only on its columns, done once.
 
-        Returns (states, amplitudes, dim).  Row k of the (K, S) array states
-        lists the basis states of the block of flat_indices[k]; S is the
-        largest block size, and the row of a smaller block is padded with
-        state 0 at amplitude 0.  amplitudes has shape t.shape + (K, S): the
-        amplitudes of those states after each time in t, so a scalar t gives
-        (K, S).  It is a view of a (K, S, T) array, time the last and
-        contiguous axis, so each listed state's amplitudes over the times
-        are one contiguous run.  States outside the block are not listed:
-        their amplitude is exactly zero.  dim is the size of the truncated
-        space.  The block eigenvectors V are real, so exp(-iHt) e_p =
-        V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p is row p of V:
-        amplitude i is sum_j coef[i, j] (cos(E_j t) - i sin(E_j t)) with
-        coef[i, j] = V[i, j] V[p, j].  The coefficients are formed once per
-        call and the phases once per block eigenvalue and time; the sum over
-        j is an elementwise multiply-add in increasing j, so a time's
-        amplitudes are bit-identical whatever other times share the call.
+        For the unit-basis columns flat_indices, returns a ColumnPlan: the
+        states of each column's block, padded to the largest block size S
+        with state 0 (states, (K, S)), which of those slots lie inside the
+        block (listed, (K, S) bool), and per size group that holds any of the
+        columns the group index g, the columns' positions cols, their blocks
+        and the coefficients coef[i, j, k] = V[i, j] V[p, j] of column k at
+        place p of its block, the columns last.  A caller that evolves the
+        same columns at several blocks of times builds it once and passes it
+        in place of the indices.
         """
         flat = np.asarray(flat_indices)
-        t = np.asarray(t, dtype=float)
-        times = t.ravel()
         width = self._blocks[-1][0].shape[1]  # the size groups are in increasing size
         states = np.zeros((flat.shape[0], width), dtype=int)
-        amplitudes = np.zeros((flat.shape[0], width, times.size), dtype=complex)
+        listed = np.zeros(states.shape, dtype=bool)
+        groups = []
         group = self._group[flat]
-        for g, (members, energies, vectors) in enumerate(self._blocks):
+        for g, (members, _, vectors) in enumerate(self._blocks):
             cols = np.flatnonzero(group == g)
+            if not cols.size:
+                continue
             block, place = self._block[flat[cols]], self._place[flat[cols]]
             size = members.shape[1]
             states[cols, :size] = members[block]
-            # coef[i, j, k] = V[i, j] V[p, j] of column k, the columns last
+            listed[cols, :size] = True
             coef = np.take(vectors.transpose(1, 2, 0), block, axis=-1) * vectors[block, place].T
-            et = energies.T[:, None, :] * times[:, None]  # (size, T, blocks)
-            for part, trig, sign in ((amplitudes.real, np.cos, 1), (amplitudes.imag, np.sin, -1)):
-                _contract_into(part, cols, sign * coef, np.take(trig(et), block, axis=-1))
-        amplitudes = np.moveaxis(amplitudes, -1, 0).reshape(t.shape + states.shape)
-        return states, amplitudes, self.hamiltonian.shape[0]
+            groups.append((g, cols, block, coef))
+        return ColumnPlan(states, listed, groups)
+
+    def evolve_basis_batch(self, columns, t):
+        """Evolved unit-basis initial states in block coordinates, at one time or a stack.
+
+        columns is the flat indices of the K initial states, or the
+        ColumnPlan that plan() built for them.  Returns (states, amplitudes,
+        dim).  Row k of the (K, S) array states lists the basis states of the
+        block of column k; S is the largest block size, and the row of a
+        smaller block is padded with state 0 at amplitude 0.  amplitudes has
+        shape t.shape + (K, S): the amplitudes of those states after each
+        time in t, so a scalar t gives (K, S).  It is a view of a (K, S, T)
+        array, time the last and contiguous axis, so each listed state's
+        amplitudes over the times are one contiguous run.  States outside
+        the block are not listed: their amplitude is exactly zero.  dim is
+        the size of the truncated space.  The block eigenvectors V are real,
+        so exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T
+        e_p is row p of V: amplitude i is sum_j coef[i, j] (cos(E_j t) - i
+        sin(E_j t)) with coef[i, j] = V[i, j] V[p, j].  The coefficients
+        come from the plan; a call takes the phases once per block
+        eigenvalue and time, and the sum over j is an elementwise
+        multiply-add in increasing j, so a time's amplitudes are
+        bit-identical whatever other times share the call and whether the
+        columns came as indices or as a plan.
+        """
+        plan = columns if isinstance(columns, ColumnPlan) else self.plan(columns)
+        t = np.asarray(t, dtype=float)
+        times = t.ravel()
+        amplitudes = np.zeros(plan.states.shape + (times.size,), dtype=complex)
+        for g, cols, block, coef in plan.groups:
+            et = self._blocks[g][1].T[:, None, :] * times[:, None]  # (size, T, blocks)
+            for part, trig, negate in ((amplitudes.real, np.cos, False), (amplitudes.imag, np.sin, True)):
+                _contract_into(part, cols, coef, np.take(trig(et), block, axis=-1), negate)
+        amplitudes = np.moveaxis(amplitudes, -1, 0).reshape(t.shape + plan.states.shape)
+        return plan.states, amplitudes, self.hamiltonian.shape[0]
 
 
-def _contract_into(out, cols, coef, phase):
-    """out[cols[k], i, t] = sum_j coef[i, j, k] phase[j, t, k], adding j in increasing order.
+def _contract_into(out, cols, coef, phase, negate):
+    """out[cols[k], i, t] = ±sum_j coef[i, j, k] phase[j, t, k], adding j in increasing order.
 
-    The sum runs on (T, columns) planes with the columns as the contiguous
-    axis, one plane of out at a time, so the temporaries are two planes and
-    each output element is the same elementwise multiply-add whatever the
-    number of times or columns.
+    With negate the first product is negated and the others subtracted,
+    which is bit for bit the sum of the products of -coef.  The sum runs on
+    (T, columns) planes with the columns as the contiguous axis, one plane
+    of out at a time, so the temporaries are two planes and each output
+    element is the same elementwise multiply-add whatever the number of
+    times or columns.
     """
     total, term = np.empty((2,) + phase.shape[1:])
+    add = np.subtract if negate else np.add
     for i in range(coef.shape[0]):
         np.multiply(coef[i, 0], phase[0], out=total)
+        if negate:
+            np.negative(total, out=total)
         for j in range(1, coef.shape[1]):
-            total += np.multiply(coef[i, j], phase[j], out=term)
+            add(total, np.multiply(coef[i, j], phase[j], out=term), out=total)
         out[cols, i] = total.T
+
+
+def trace_pairs(states, listed, dim):
+    """The terms of the partial trace over the field of a batch with these states.
+
+    states is a (K, S) batch's states as evolve_basis_batch returns them, on
+    a space of size dim in flat_index order, so a state is atom state // F
+    and field state % F with F = dim / 4; listed (K, S) marks the slots to
+    trace.  Returns (k, slot_i, slot_j, pair): every pair of listed slots i,
+    j of one column k whose states share a field index, in increasing (k, i,
+    j), as flat slots k * S + i and k * S + j, with pair = 4 atom_i + atom_j
+    the element of the reduced matrix the pair adds to.
+    """
+    size = states.shape[1]
+    atom, field = np.divmod(states, dim // 4)
+    # shared[i, j, k]: slots i and j of column k are listed and share a field index
+    field = field.T.copy()
+    listed = listed.T.copy()
+    shared = field[:, None] == field
+    shared &= listed[:, None]
+    shared &= listed
+    pairs = np.flatnonzero(shared.transpose(2, 0, 1))
+    k, slot_i = pairs // (size * size), pairs // size
+    slot_j = size * k + pairs % size
+    atom = atom.ravel()
+    return k, slot_i, slot_j, 4 * atom[slot_i] + atom[slot_j]
+
+
+def _slot_rows(amplitudes):
+    """A (..., K, S) amplitude stack as one row over the times per slot k * S + s, time last."""
+    columns, size = amplitudes.shape[-2:]
+    return np.moveaxis(amplitudes.reshape(-1, columns * size), 0, -1)
+
+
+def _sum_pairs(rows, weights, pairs):
+    """(T, 4, 4) sums of w_k rows[slot_i] conj(rows[slot_j]) into element pair, for each time.
+
+    One bincount over the index 16 * time + pair adds each time's terms in
+    the order of pairs, the same order as a call on that time alone.
+    """
+    k, slot_i, slot_j, pair = pairs
+    # in place, so at most two (pairs, times) arrays are live
+    terms = rows.take(slot_i, axis=0)
+    terms *= weights.take(k)[:, None]
+    other = rows.take(slot_j, axis=0)
+    terms *= np.conjugate(other, out=other)
+    del other
+    times = terms.shape[1]
+    index = (pair[:, None] + np.arange(0, 16 * times, 16)).ravel()
+    terms = terms.ravel()
+    bins = 16 * times
+    rho = np.bincount(index, terms.real, bins) + 1j * np.bincount(index, terms.imag, bins)
+    return rho.reshape(times, 4, 4)
 
 
 def reduce_atoms(batch, weights) -> np.ndarray:
@@ -217,47 +312,24 @@ def reduce_atoms(batch, weights) -> np.ndarray:
 
     ``batch`` is (states, amplitudes, dim) as returned by
     Propagator.evolve_basis_batch: column k is sum_s amplitudes[..., k, s]
-    |states[k, s]>, with distinct states per row (padding aside), on a space
-    of size dim in flat_index order, so a state is atom state // F and field
-    state % F with F = dim / 4.  ``weights`` are the K column weights; any
-    other number of them is a ValueError.  Only pairs of states that share a
-    field index contribute, w_k a_i conj(a_j) to rho[atom_i, atom_j], and a
-    slot whose amplitude is exactly zero at every time (the padding of a
-    smaller block) adds only exact zeros and is left out.  Amplitudes of
-    shape (..., K, S), one (K, S) batch per time, give a (..., 4, 4) stack:
-    the pairs (k, i, j) are found once, in increasing order, their
-    amplitudes gathered as (pairs, times) rows, time last as
-    evolve_basis_batch lays it out, and one bincount over the index
-    16 * time + pair adds each time's terms in the same order as a call on
-    that time alone.
+    |states[k, s]>, with distinct states per row (padding aside).
+    ``weights`` are the K column weights; any other number of them is a
+    ValueError.  Only pairs of states that share a field index contribute,
+    w_k a_i conj(a_j) to rho[atom_i, atom_j] (trace_pairs), and a slot whose
+    amplitude is exactly zero at every time (the padding of a smaller
+    block) adds only exact zeros and is left out.  Amplitudes of shape
+    (..., K, S), one (K, S) batch per time, give a (..., 4, 4) stack: the
+    pairs are found once, their amplitudes gathered as (pairs, times) rows,
+    time last as evolve_basis_batch lays it out, and summed for all the
+    times in one reduction.
     """
     states, amplitudes, dim = batch
     weights = np.asarray(weights, dtype=float)
     if weights.shape != states.shape[:1]:
         raise ValueError(f"{weights.size} weights for a batch of {states.shape[0]} columns")
-    lead, size = amplitudes.shape[:-2], states.shape[1]
-    # one row of amplitudes over the times per slot k * size + s, time last
-    a = np.moveaxis(amplitudes.reshape(-1, states.size), 0, -1)
-    atom, field = np.divmod(states, dim // 4)
-    # shared[i, j, k]: slots i and j of column k are listed and share a field index
-    field = field.T.copy()
-    listed = a.any(axis=-1).reshape(states.shape).T.copy()
-    shared = field[:, None] == field
-    shared &= listed[:, None]
-    shared &= listed
-    # the pairs in increasing (k, i, j), as flat slots k * size + i and k * size + j
-    pairs = np.flatnonzero(shared.transpose(2, 0, 1))
-    k, slot_i = pairs // (size * size), pairs // size
-    slot_j = size * k + pairs % size
-    terms = a.take(slot_i, axis=0) * weights.take(k)[:, None]
-    terms *= np.conjugate(a.take(slot_j, axis=0))
-    times = terms.shape[1]
-    pair = 4 * atom.ravel()[slot_i] + atom.ravel()[slot_j]
-    index = (pair[:, None] + np.arange(0, 16 * times, 16)).ravel()
-    terms = terms.ravel()
-    bins = 16 * times
-    rho = np.bincount(index, terms.real, bins) + 1j * np.bincount(index, terms.imag, bins)
-    return rho.reshape(lead + (4, 4))
+    rows = _slot_rows(amplitudes)
+    pairs = trace_pairs(states, rows.any(axis=-1).reshape(states.shape), dim)
+    return _sum_pairs(rows, weights, pairs).reshape(amplitudes.shape[:-2] + (4, 4))
 
 
 def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
@@ -274,7 +346,12 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     states need is evolved with each of the set's Fock pairs at all the block's
     times in a single batch, the field is traced out from each atomic basis
     state's run of columns, and each initial state is the weighted sum of
-    those per-atom matrices.
+    those per-atom matrices.  The columns' plan and each atomic basis state's
+    trace pairs are built once, before the first pass; the pairs list every
+    slot inside its block, which adds only exact zeros where a slot's
+    amplitude is zero at every time of a pass, and a bincount sum that
+    starts at +0.0 does not change when exact zeros are added, so the
+    result is bit-identical to reduce_atoms on each pass.
     The batch is in block coordinates, a block holds about BATCH_ELEMENTS
     columns x times, and each batch is released before the next is evolved,
     so the memory of a pass does not grow with the number of times.
@@ -288,16 +365,21 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     w1, w2 = cutoff.weights()
     weights = w1[n1] * w2[n2]
     cols = np.concatenate([flat_index(atom, n1, n2, trunc1, trunc2) for atom in atoms])
+    plan = prop.plan(cols)
+    parts = [slice(a * weights.size, (a + 1) * weights.size) for a in range(len(atoms))]
+    dim = prop.hamiltonian.shape[0]
+    pairs = [trace_pairs(plan.states[part], plan.listed[part], dim) for part in parts]
     per_call = max(1, BATCH_ELEMENTS // len(cols))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for start in range(0, gts.shape[0], per_call):
         times = slice(start, start + per_call)
-        states, amplitudes, dim = prop.evolve_basis_batch(cols, gts[times])
-        per_atom = {}
-        for a, atom in enumerate(atoms):  # each atom's weights.size columns, in turn
-            part = slice(a * weights.size, (a + 1) * weights.size)
-            per_atom[atom] = reduce_atoms((states[part], amplitudes[:, part], dim), weights)
-        del states, amplitudes  # release the batch before the next one is evolved
+        amplitudes = prop.evolve_basis_batch(plan, gts[times])[1]
+        # each atom's weights.size columns, in turn
+        per_atom = {
+            atom: _sum_pairs(_slot_rows(amplitudes[:, part]), weights, atom_pairs)
+            for atom, part, atom_pairs in zip(atoms, parts, pairs)
+        }
+        del amplitudes  # release the batch before the next one is evolved
         for stack, initial in zip(out, initials):
             stack[times] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)
     return out

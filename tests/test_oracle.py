@@ -24,6 +24,7 @@ from twinphoton.oracle import (
     flat_index,
     reduce_atoms,
     thermal_sweep,
+    trace_pairs,
 )
 from twinphoton.thermal import FockCutoff
 
@@ -416,6 +417,91 @@ def test_thermal_sweep_shares_one_pass_per_block_of_times(monkeypatch):
         assert np.abs(one - single).max() <= 1e-14
 
 
+def test_thermal_sweep_plans_its_columns_once(monkeypatch):
+    cutoff = FockCutoff.explicit(3, 4, 0.5, 0.8)
+    initials = [InitialAtomicState(v) for v in ATOM_INDEX]
+    plans, pairs = [], []
+    plan, find = Propagator.plan, oracle.trace_pairs
+
+    def counting_plan(self, flat_indices):
+        plans.append(len(flat_indices))
+        return plan(self, flat_indices)
+
+    def counting_pairs(states, listed, dim):
+        pairs.append(len(states))
+        return find(states, listed, dim)
+
+    monkeypatch.setattr(Propagator, "plan", counting_plan)
+    monkeypatch.setattr(oracle, "trace_pairs", counting_pairs)
+    # 80 columns, so 2 times per call: 3 calls for 5 times
+    monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 160)
+    thermal_sweep(initials, [0.0, 0.5, 1.5, 4.2, 7.7], cutoff)
+    assert plans == [80]
+    assert pairs == [20] * 4
+
+
+def test_thermal_sweep_equals_the_per_block_partial_traces(monkeypatch):
+    # the sweep finds each atom's pairs once from the slots inside their blocks;
+    # a block of times holding only gt = 0 leaves some of those slots at
+    # amplitude exactly zero, which reduce_atoms leaves out, and the extra
+    # exact zeros change no sum
+    cutoff = FockCutoff.explicit(3, 4, 0.5, 0.8)
+    trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
+    prop = Propagator(trunc1, trunc2)
+    n1, n2 = cutoff.points()
+    w1, w2 = cutoff.weights()
+    weights = w1[n1] * w2[n2]
+    gts = np.array([0.0, 0.0, 0.3, 4.7, 37.3])
+    blocks = [slice(0, 2), slice(2, 4), slice(4, 5)]
+    monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 160)  # 2 times per call of 80 columns
+    swept = thermal_sweep([InitialAtomicState(v) for v in ATOM_INDEX], gts, cutoff)
+    zeros = 0
+    for variant, stack in zip(ATOM_INDEX, swept):
+        cols = flat_index(ATOM_INDEX[variant], n1, n2, trunc1, trunc2)
+        inside = prop.plan(cols).listed
+        for block in blocks:
+            states, amplitudes, dim = prop.evolve_basis_batch(cols, gts[block])
+            expected = reduce_atoms((states, amplitudes, dim), weights)
+            assert np.array_equal(stack[block], expected), (variant, block)
+            zeros += np.count_nonzero(inside & ~np.moveaxis(amplitudes, 0, -1).any(axis=-1))
+    assert zeros > 0
+
+
+def test_a_plan_evolves_as_its_flat_indices():
+    prop = Propagator(4, 2)  # blocks of 1, 3 and 4 states
+    cols = np.array([flat_index(3, 0, 0, 4, 2), flat_index(0, 1, 0, 4, 2), 7, 59, 3, 41])
+    plan = prop.plan(cols)
+    for t in (1.3, [0.0, 0.3, 4.7, 37.3, 1e3]):
+        by_index = prop.evolve_basis_batch(cols, t)
+        for by_plan, by_index in zip(prop.evolve_basis_batch(plan, t), by_index):
+            assert np.array_equal(by_plan, by_index)
+            assert np.asarray(by_plan).tobytes() == np.asarray(by_index).tobytes()
+    # the plan lists exactly the slots of each block, where the amplitudes can be nonzero
+    amplitudes = prop.evolve_basis_batch(plan, [0.3, 4.7])[1]
+    assert np.array_equal(plan.listed, np.moveaxis(amplitudes, 0, -1).any(axis=-1))
+
+
+def test_trace_pairs_lists_the_shared_field_pairs_of_listed_slots():
+    prop = Propagator(3, 3)
+    cols = np.arange(prop.hamiltonian.shape[0])
+    plan = prop.plan(cols)
+    dim = prop.hamiltonian.shape[0]
+    k, slot_i, slot_j, pair = trace_pairs(plan.states, plan.listed, dim)
+    size = plan.states.shape[1]
+    expected = [
+        (c, c * size + i, c * size + j)
+        for c in range(len(cols))
+        for i in range(size)
+        for j in range(size)
+        if plan.listed[c, i]
+        and plan.listed[c, j]
+        and plan.states[c, i] % (dim // 4) == plan.states[c, j] % (dim // 4)
+    ]
+    assert list(zip(k.tolist(), slot_i.tolist(), slot_j.tolist())) == expected
+    states = plan.states.ravel()
+    assert np.array_equal(pair, 4 * (states[slot_i] // (dim // 4)) + states[slot_j] // (dim // 4))
+
+
 def test_stacked_times_equal_the_per_time_calls():
     prop = Propagator(6, 5)
     cols = np.arange(prop.hamiltonian.shape[0])
@@ -455,11 +541,13 @@ def test_thermal_sweep_temporaries_are_bounded_in_the_number_of_times():
 
 def test_default_check_sweep_memory_peak():
     # the oracle sweep of a default `twinphoton check`: four states, 50 times,
-    # truncation 12,12, 16 times per pass, 1.26 MB measured; a pass holds
+    # truncation 12,12, 16 times per pass, 1.25 MB measured; a pass holds
     # 0.5 MB of amplitudes, and a (K, S, S, T) product before the contraction,
     # a partial trace that forms every (T, K, S, S) product before masking it,
-    # or a batch kept alive while the next one is evolved each take the peak
-    # to 1.7-2.0 MB
+    # a batch kept alive while the next one is evolved (1.74 MB), a gather
+    # kept alive through the partial trace's bincount (1.42 MB) or one
+    # reduction over all four atoms' pairs per pass (2.24 MB) each take the
+    # peak above 1.4 MB
     initials = [
         InitialAtomicState(v, 0.05 if v == "mixed" else None) for v in CHECK_DEFAULT_STATES
     ]
