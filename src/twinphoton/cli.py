@@ -236,7 +236,7 @@ def _sweep_document(initial, grid, cutoff, use_oracle=False):
     """CSV lines for one sweep over cutoff; use_oracle switches to the brute-force path."""
     gts = grid.points()
     if not use_oracle:
-        values = dynamics.sweep(initial, gts, cutoff)
+        values = dynamics.sweep([initial], gts, cutoff)[0]
         _require_finite(gts, values)
         rows = values.tolist()
         eps = [negativity_x(XState(*row)) for row in rows]
@@ -334,8 +334,9 @@ def _run_check(args) -> int:
     outside_x = np.ones((4, 4), dtype=bool)
     outside_x[X_ROWS, X_COLS] = False
     devs = []
-    for initial, rhos in zip(initials, oracle.thermal_sweep(initials, gts, cutoff)):
-        closed = dynamics.sweep(initial, gts, cutoff)  # one row (A, B, C, D, E) per time
+    closed_sweeps = dynamics.sweep(initials, gts, cutoff)  # one row (A, B, C, D, E) per time
+    oracle_sweeps = oracle.thermal_sweep(initials, gts, cutoff)
+    for initial, closed, rhos in zip(initials, closed_sweeps, oracle_sweeps):
         # the X entries against the closed-form elements, every other entry against 0
         x_dev = np.abs(closed[:, X_ELEMENTS] - rhos[:, X_ROWS, X_COLS]).max()
         dev_elem = np.maximum(x_dev, np.abs(rhos[:, outside_x]).max())
@@ -343,7 +344,8 @@ def _run_check(args) -> int:
             eps = negativity_general(rhos)
         except ValueError:  # a non-finite or non-Hermitian oracle output fails the check
             eps = math.nan
-        dev_eps = np.abs(np.array([negativity_x(XState(*row)) for row in closed]) - eps).max()
+        closed_eps = [negativity_x(XState(*row)) for row in closed.tolist()]
+        dev_eps = np.abs(np.array(closed_eps) - eps).max()
         label = initial.variant if initial.variant != "mixed" else f"mixed(lambda={args.lam:g})"
         print(f"  {label}: max |element| dev {dev_elem:.3e}, max |epsilon| dev {dev_eps:.3e}")
         devs += [dev_elem, dev_eps]

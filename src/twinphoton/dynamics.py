@@ -8,7 +8,8 @@ each oscillating at the single effective frequency Omega_{m1,m2}, while the
 antisymmetric combination (|+-> - |-+>)/sqrt2 is dark.  Tracing out the field
 therefore leaves an X-shaped two-atom density matrix whose five entries are
 weighted lattice sums over the per-block solution, evaluated by the numpy
-kernel twinphoton._core_py, called once per pure part of the initial state.
+kernel twinphoton._core_py, called once per distinct pure part of the
+initial states a sweep is given.
 """
 
 from __future__ import annotations
@@ -43,24 +44,32 @@ def xstate_term(variant: str, n1: int, n2: int, gt: float) -> XState:
     return XState(*map(float, _core_py.xstate_term(variant, n1, n2, gt)))
 
 
-def sweep(initial: InitialAtomicState, gts, cutoff: FockCutoff) -> np.ndarray:
-    """Thermal-average X-state elements for any initial state, one row per time.
+def sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
+    """Thermal-average X-state elements for several initial states, one row per time.
 
     Sums the Fock pairs of the set ``cutoff`` describes, row n1 holding
-    n2 <= cutoff.rows[n1], with their thermal weights.  Returns an array of
-    shape (len(gts), 5) with columns (A, B, C, D, E) = (pop_ee, pop_eg,
-    pop_ge, pop_gg, coherence).  The row trace equals the retained thermal
-    mass 1 - cutoff.tail_bound, and every element is within
-    cutoff.tail_bound of the untruncated average.
+    n2 <= cutoff.rows[n1], with their thermal weights.  Returns one array of
+    shape (len(gts), 5) per entry of ``initials``, with columns (A, B, C, D,
+    E) = (pop_ee, pop_eg, pop_ge, pop_gg, coherence).  The row trace equals
+    the retained thermal mass 1 - cutoff.tail_bound, and every element is
+    within cutoff.tail_bound of the untruncated average.
 
-    The evolution is linear in the initial density operator, so the result is
-    the weighted sum of one kernel pass per pure part of ``initial``
-    (InitialAtomicState.parts), added in the order of the parts.
+    The evolution is linear in the initial density operator, so each result
+    is the weighted sum of one kernel pass per pure part of its state
+    (InitialAtomicState.parts), added in the order of the parts.  Each
+    distinct pure variant is passed once, in order of first appearance, and
+    shared by every state that has it as a part, so each array is the one a
+    call on that state alone returns.
     """
     gts = np.ascontiguousarray(gts, dtype=np.float64)
     _check_times(gts)
     w1, w2 = cutoff.weights()
     rows = np.array(cutoff.rows)
-    terms = (w * _core_py.thermal_sweep(v, w1, w2, gts, rows) for v, w in initial.parts)
-    # start from the first part, not from 0, which would turn its -0.0 entries into 0.0
-    return sum(terms, next(terms))
+    variants = dict.fromkeys(v for initial in initials for v, _ in initial.parts)
+    passes = {v: _core_py.thermal_sweep(v, w1, w2, gts, rows) for v in variants}
+    out = []
+    for initial in initials:
+        terms = (w * passes[v] for v, w in initial.parts)
+        # start from the first part, not from 0, which would turn its -0.0 entries into 0.0
+        out.append(sum(terms, next(terms)))
+    return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,7 @@ class InitialAtomicState:
         return [("ee", lam * lam), ("eg", cross), ("ge", cross), ("gg", (1.0 - lam) * (1.0 - lam))]
 
 
-@dataclass(frozen=True)
-class XState:
+class XState(NamedTuple):
     """X-shaped reduced two-atom density matrix.
 
     The dynamics only ever populates the four diagonal entries and the single
@@ -115,7 +115,7 @@ class XState:
     coherence: float
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.pop_ee, self.pop_eg, self.pop_ge, self.pop_gg, self.coherence)
+        return tuple(self)
 
     @property
     def trace(self) -> float:
@@ -124,7 +124,7 @@ class XState:
     def to_matrix(self) -> np.ndarray:
         """Embed into the full 4x4 density matrix (basis |++>,|+->,|-+>,|-->)."""
         rho = np.zeros((4, 4))
-        rho[X_ROWS, X_COLS] = [self.as_tuple()[m] for m in X_ELEMENTS]
+        rho[X_ROWS, X_COLS] = [self[m] for m in X_ELEMENTS]
         return rho
 
 

@@ -216,8 +216,8 @@ class Propagator:
         e_p is row p of V: amplitude i is sum_j coef[i, j] (cos(E_j t) - i
         sin(E_j t)) with coef[i, j] = V[i, j] V[p, j].  The coefficients
         come from the plan; a call takes the phases once per block
-        eigenvalue and time, and the sum over j is an elementwise
-        multiply-add in increasing j, so a time's amplitudes are
+        eigenvalue and time, and the sum over j is one einsum that adds
+        the products in increasing j, so a time's amplitudes are
         bit-identical whatever other times share the call and whether the
         columns came as indices or as a plan.
         """
@@ -236,22 +236,17 @@ class Propagator:
 def _contract_into(out, cols, coef, phase, negate):
     """out[cols[k], i, t] = ±sum_j coef[i, j, k] phase[j, t, k], adding j in increasing order.
 
-    With negate the first product is negated and the others subtracted,
-    which is bit for bit the sum of the products of -coef.  The sum runs on
-    (T, columns) planes with the columns as the contiguous axis, one plane
-    of out at a time, so the temporaries are two planes and each output
-    element is the same elementwise multiply-add whatever the number of
-    times or columns.
+    One einsum per call, without optimize, so the product never goes to
+    BLAS: each output element is +0.0 plus the products in increasing j,
+    the same sum whatever the number of times or columns.  With negate the
+    sum is negated in place, which is the sum of the products of -coef.
+    Only the sign of a zero sum depends on the start from +0.0; the trace
+    over the field adds into +0.0 as well, so it never shows.
     """
-    total, term = np.empty((2,) + phase.shape[1:])
-    add = np.subtract if negate else np.add
-    for i in range(coef.shape[0]):
-        np.multiply(coef[i, 0], phase[0], out=total)
-        if negate:
-            np.negative(total, out=total)
-        for j in range(1, coef.shape[1]):
-            add(total, np.multiply(coef[i, j], phase[j], out=term), out=total)
-        out[cols, i] = total.T
+    total = np.einsum("ijk,jtk->kit", coef, phase)
+    if negate:
+        np.negative(total, out=total)
+    out[cols, : coef.shape[0]] = total
 
 
 def trace_pairs(states, listed, dim):

@@ -26,6 +26,12 @@ def assert_valid_xstate(state, mass=1.0, mass_tol=1e-10):
     assert abs(e) <= math.sqrt(b * c) + COHERENCE_TOL, f"coherence {e} exceeds sqrt(B*C)"
 
 
+def assert_bit_identical(a, b):
+    """a and b hold the same floats bit for bit: equal values and equal signs, -0.0 included."""
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def check_density_matrix(
     rho,
     herm_tol=1e-10,
@@ -101,7 +107,7 @@ def frequency_blocks(monkeypatch, variant, gts, cutoff):
 
     with monkeypatch.context() as patch:
         patch.setattr(_core_py, "_sines", recording)
-        sweep(InitialAtomicState(variant), gts, cutoff)
+        sweep([InitialAtomicState(variant)], gts, cutoff)[0]
     return len(starts)
 
 

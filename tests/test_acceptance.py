@@ -77,7 +77,7 @@ def test_criterion_4_double_excitation_never_entangles():
     gts = GRID.points()
     for nbar in (0.3, 1.0):
         cutoff = FockCutoff.choose(nbar, nbar, 1e-10)
-        rows = dynamics.sweep(InitialAtomicState("ee"), gts, cutoff)
+        rows = dynamics.sweep([InitialAtomicState("ee")], gts, cutoff)[0]
         worst = max(worst, max(negativity_x(XState(*row)) for row in rows))
     ok = worst < 1e-12
     record_acceptance(
@@ -91,7 +91,7 @@ def test_criterion_5_mixture_negativity_vanishing_and_monotone():
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     maxima = {}
     for lam in (0.01, 0.05, 0.09):
-        rows = dynamics.sweep(InitialAtomicState("mixed", lam), gts, cutoff)
+        rows = dynamics.sweep([InitialAtomicState("mixed", lam)], gts, cutoff)[0]
         maxima[lam] = max(negativity_x(XState(*row)) for row in rows)
     vanished = maxima[0.09] < 1e-12
     positive = maxima[0.01] > 0.0 and maxima[0.05] > 0.0
@@ -118,7 +118,7 @@ def test_criterion_5_mixture_negativity_vanishing_and_monotone():
 def test_criterion_6_vacuum_limit_analytic_curve():
     gts = GRID.points()
     cutoff = FockCutoff.explicit(0, 0, 0.0, 0.0)
-    rows = dynamics.sweep(InitialAtomicState("eg"), gts, cutoff)
+    rows = dynamics.sweep([InitialAtomicState("eg")], gts, cutoff)[0]
     eps = np.array([negativity_x(XState(*row)) for row in rows])
     analytic = np.maximum(
         0.0, (math.sqrt(2.0) - 1.0) * np.sin(math.sqrt(2.0) * gts) ** 2 / 2.0

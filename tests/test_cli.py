@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import frequency_blocks
+from helpers import assert_bit_identical, frequency_blocks
 from twinphoton import _core_py, cli, dynamics, oracle
 from twinphoton.model import VARIANTS, InitialAtomicState, TimeGrid
 from twinphoton.thermal import FockCutoff
@@ -198,7 +198,7 @@ def test_check_subcommand_passes():
 
 
 def test_check_compares_both_paths_on_one_retained_set(monkeypatch, capsys):
-    # both paths get the FockCutoff object as their last argument
+    # both paths get the FockCutoff object as their last argument, in one call each
     received = {"sweep": [], "thermal_sweep": []}
 
     def record(module, name):
@@ -216,7 +216,7 @@ def test_check_compares_both_paths_on_one_retained_set(monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert "PASS" in capsys.readouterr().out
     cutoffs = received["sweep"] + received["thermal_sweep"]
-    assert len(received["thermal_sweep"]) == 1 and len(cutoffs) == 5
+    assert len(received["sweep"]) == len(received["thermal_sweep"]) == 1
     assert all(cutoff is cutoffs[0] for cutoff in cutoffs)
     assert cutoffs[0] == FockCutoff(5, 6, 0.3, 2.0)
 
@@ -388,8 +388,36 @@ def test_warned_pass_count_is_the_kernel_call_count(monkeypatch):
     for variant in VARIANTS:
         initial = InitialAtomicState(variant, 0.05 if variant == "mixed" else None)
         calls.clear()
-        dynamics.sweep(initial, [0.0, 1.0], cutoff)
+        dynamics.sweep([initial], [0.0, 1.0], cutoff)
         assert len(calls) == len(initial.parts), variant
+
+
+def test_check_sweep_passes_each_pure_variant_once(monkeypatch):
+    # check's states share their pure parts: one kernel pass per distinct variant
+    calls = []
+    kernel = _core_py.thermal_sweep
+
+    def counting(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    cutoff = FockCutoff.explicit(4, 6, 1.0, 0.5)
+    gts = [0.0, 0.7, 3.0]
+    initials = [
+        InitialAtomicState(v, 0.05 if v == "mixed" else None) for v in cli.CHECK_DEFAULT_STATES
+    ]
+    alone = [dynamics.sweep([initial], gts, cutoff)[0] for initial in initials]
+    monkeypatch.setattr(_core_py, "thermal_sweep", counting)
+    together = dynamics.sweep(initials, gts, cutoff)
+    assert calls == ["eg", "gg", "ee", "ge"]
+    for a, b in zip(together, alone):
+        assert_bit_identical(a, b)
+    # a state listed twice adds no pass, and each copy is its own array
+    calls.clear()
+    twice = dynamics.sweep(initials + initials[:1], gts, cutoff)
+    assert calls == ["eg", "gg", "ee", "ge"]
+    assert_bit_identical(twice[-1], alone[0])
+    assert twice[-1] is not twice[0]
 
 
 def test_default_sweep_writes_nothing_to_stderr(capsys):

@@ -125,7 +125,7 @@ def test_sweep_trace_equals_retained_mass():
         assert retained == pytest.approx(1.0 - cutoff.tail_bound, rel=0, abs=1e-15)
         gts = TimeGrid(8.0, 40).points()
         for variant in VARIANTS:
-            rows = sweep(InitialAtomicState(variant), gts, cutoff)
+            rows = sweep([InitialAtomicState(variant)], gts, cutoff)[0]
             traces = rows[:, :4].sum(axis=1)
             assert np.allclose(traces, retained, rtol=0, atol=1e-12)
             assert np.all(traces >= 1.0 - cutoff.tail_bound - 1e-12)
@@ -144,7 +144,7 @@ def test_sweep_matches_exact_sum_across_row_blocks(monkeypatch):
     for gts, picked in ((direct, range(7)), (grid, (7, 503, 1000))):
         for variant in VARIANTS:
             assert frequency_blocks(monkeypatch, variant, gts, cutoff) >= 3, variant
-            rows = sweep(InitialAtomicState(variant), gts, cutoff)
+            rows = sweep([InitialAtomicState(variant)], gts, cutoff)[0]
             for k in picked:
                 terms = _core_py.xstate_term(variant, n1, n2, gts[k])
                 exact = [math.fsum(weight * t) for t in terms]
@@ -239,11 +239,11 @@ def test_sweep_error_is_within_certified_tail_bound():
     ]
     for nbar1, nbar2 in ((0.3, 0.3), (1.3, 0.4), (3.0, 10.0)):
         reference = FockCutoff.choose(nbar1, nbar2, 1e-16)
-        exact = [sweep(initial, gts, reference) for initial in initials]
+        exact = [sweep([initial], gts, reference)[0] for initial in initials]
         for tol in (1e-4, 1e-10):
             cutoff = FockCutoff.choose(nbar1, nbar2, tol)
             errors = [
-                np.abs(sweep(initial, gts, cutoff) - rows).max()
+                np.abs(sweep([initial], gts, cutoff)[0] - rows).max()
                 for initial, rows in zip(initials, exact)
             ]
             assert max(errors) <= cutoff.tail_bound + 1e-12
@@ -377,16 +377,16 @@ def test_sweep_mode_swap_symmetry():
     for initial in [InitialAtomicState(v) for v in VARIANTS] + [
         InitialAtomicState("mixed", 0.05)
     ]:
-        a = sweep(initial, gts, cutoff)
-        b = sweep(initial, gts, swapped)
+        a = sweep([initial], gts, cutoff)[0]
+        b = sweep([initial], gts, swapped)[0]
         assert np.allclose(a, b, rtol=0, atol=1e-13)
 
 
 def test_sweep_deterministic_repeat():
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     gts = TimeGrid(10.0, 100).points()
-    a = sweep(InitialAtomicState("gg"), gts, cutoff)
-    b = sweep(InitialAtomicState("gg"), gts, cutoff)
+    a = sweep([InitialAtomicState("gg")], gts, cutoff)[0]
+    b = sweep([InitialAtomicState("gg")], gts, cutoff)[0]
     assert np.array_equal(a, b)
 
 
@@ -394,13 +394,13 @@ def test_mixed_is_elementwise_combination():
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     gts = np.array([2.0])
     lam = 0.05
-    parts = {v: sweep(InitialAtomicState(v), gts, cutoff)[0] for v in VARIANTS}
+    parts = {v: sweep([InitialAtomicState(v)], gts, cutoff)[0][0] for v in VARIANTS}
     expected = (
         0.0025 * parts["ee"]
         + 0.0475 * (parts["eg"] + parts["ge"])
         + 0.9025 * parts["gg"]
     )
-    got = sweep(InitialAtomicState("mixed", lam), gts, cutoff)[0]
+    got = sweep([InitialAtomicState("mixed", lam)], gts, cutoff)[0][0]
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-16)
 
 
@@ -408,8 +408,8 @@ def test_mixed_endpoints_reduce_to_pure():
     cutoff = FockCutoff.choose(0.6, 0.6, 1e-10)
     gts = TimeGrid(4.0, 16).points()
     for lam, variant in ((0.0, "gg"), (1.0, "ee")):
-        mixed = sweep(InitialAtomicState("mixed", lam), gts, cutoff)
-        assert np.array_equal(mixed, sweep(InitialAtomicState(variant), gts, cutoff))
+        mixed = sweep([InitialAtomicState("mixed", lam)], gts, cutoff)[0]
+        assert np.array_equal(mixed, sweep([InitialAtomicState(variant)], gts, cutoff)[0])
 
 
 def test_mixed_rejects_lambda_outside_unit_interval():
@@ -421,13 +421,13 @@ def test_sweep_rejects_negative_times():
     cutoff = FockCutoff.choose(0.3, 0.3, 1e-10)
     for gts in ([-0.5, 1.0], [math.nan], [1.0, math.inf]):
         with pytest.raises(ValueError):
-            sweep(InitialAtomicState("eg"), gts, cutoff)
+            sweep([InitialAtomicState("eg")], gts, cutoff)[0]
 
 
 def test_sweep_rejects_times_that_are_not_one_dimensional():
     cutoff = FockCutoff(3, 3, 1.0, 1.0)
     with pytest.raises(ValueError, match=r"1-D.*\(1, 2\)"):
-        sweep(InitialAtomicState("eg"), [[1.0, 2.0]], cutoff)
+        sweep([InitialAtomicState("eg")], [[1.0, 2.0]], cutoff)[0]
     with pytest.raises(ValueError, match=r"1-D.*\(2, 2\)"):
         oracle.thermal_sweep([InitialAtomicState("eg")], np.ones((2, 2)), cutoff)
 
@@ -435,7 +435,7 @@ def test_sweep_rejects_times_that_are_not_one_dimensional():
 def test_initial_projector_at_zero_time():
     cutoff = FockCutoff.choose(1.0, 1.0, 1e-10)
     for variant in VARIANTS:
-        state = XState(*sweep(InitialAtomicState(variant), [0.0], cutoff)[0])
+        state = XState(*sweep([InitialAtomicState(variant)], [0.0], cutoff)[0][0])
         pops = state.as_tuple()[:4]
         idx = VARIANTS.index(variant)
         for j, value in enumerate(pops):

@@ -368,7 +368,7 @@ def test_thermal_sweep_matches_closed_form():
     n_max = 14
     cutoff = FockCutoff.explicit(n_max - HEADROOM, n_max - HEADROOM, 1.0, 1.0)
     rho = thermal_sweep([initial], [1.0], cutoff)[0][0]
-    row = dynamics.sweep(initial, [1.0], cutoff)[0]
+    row = dynamics.sweep([initial], [1.0], cutoff)[0][0]
     assert np.abs(XState(*row).to_matrix() - rho).max() < 1e-10
     assert np.abs(rho.imag).max() < 1e-14
 
@@ -383,7 +383,7 @@ def test_thermal_sweep_matches_closed_form_at_long_times():
     ]
     gts = [0.37, 5.0, 49.3]
     for initial, rhos in zip(initials, thermal_sweep(initials, gts, cutoff)):
-        for row, rho in zip(dynamics.sweep(initial, gts, cutoff), rhos):
+        for row, rho in zip(dynamics.sweep([initial], gts, cutoff)[0], rhos):
             assert np.abs(XState(*row).to_matrix() - rho).max() < 1e-13, initial.variant
 
 
@@ -541,8 +541,9 @@ def test_thermal_sweep_temporaries_are_bounded_in_the_number_of_times():
 
 def test_default_check_sweep_memory_peak():
     # the oracle sweep of a default `twinphoton check`: four states, 50 times,
-    # truncation 12,12, 16 times per pass, 1.25 MB measured; a pass holds
-    # 0.5 MB of amplitudes, and a (K, S, S, T) product before the contraction,
+    # truncation 12,12, 16 times per pass, 1.35 MB measured (the einsum's
+    # (K, S, T) result adds 0.1 MB); a pass holds 0.5 MB of amplitudes, and,
+    # measured against a 1.25 MB peak, a (K, S, S, T) product before the contraction,
     # a partial trace that forms every (T, K, S, S) product before masking it,
     # a batch kept alive while the next one is evolved (1.74 MB), a gather
     # kept alive through the partial trace's bincount (1.42 MB) or one
@@ -569,7 +570,7 @@ def test_thermal_sweep_rejects_the_times_the_closed_form_rejects():
         with pytest.raises(ValueError, match="finite and >= 0"):
             thermal_sweep([InitialAtomicState("eg")], gts, cutoff)
         with pytest.raises(ValueError, match="finite and >= 0"):
-            dynamics.sweep(InitialAtomicState("eg"), gts, cutoff)
+            dynamics.sweep([InitialAtomicState("eg")], gts, cutoff)[0]
 
 
 def test_build_hamiltonian_rejects_negative_cutoff():
