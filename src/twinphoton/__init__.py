@@ -7,7 +7,7 @@ negativity, and a brute-force truncated-space oracle for cross-validation.
 from .dynamics import sweep, xstate_term
 from .model import InitialAtomicState, TimeGrid, XState
 from .negativity import negativity_general, negativity_x, partial_transpose
-from .thermal import FockCutoff, choose_cutoff, tail_mass, thermal_weight
+from .thermal import FockCutoff
 
 __version__ = "0.1.0"
 
@@ -16,12 +16,9 @@ __all__ = [
     "InitialAtomicState",
     "TimeGrid",
     "XState",
-    "choose_cutoff",
     "negativity_general",
     "negativity_x",
     "partial_transpose",
     "sweep",
-    "tail_mass",
-    "thermal_weight",
     "xstate_term",
 ]

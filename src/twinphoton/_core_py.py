@@ -40,15 +40,11 @@ import numpy as np
 # temporaries and sizes its blocks of frequencies (see _sines)
 TRIG_ELEMENTS = 16384
 
-
-def block_frequency(m1, m2):
-    """Effective block frequency sqrt(2[(m1+1)(m2+1) + m1 m2]) in units of g.
-
-    Its square is key + 1 with key = (2 m1 + 1)(2 m2 + 1), an integer, so
-    the kernel's sqrt(key + 1) gives the same float wherever the key is
-    exact in a double.
-    """
-    return np.sqrt(2.0 * ((m1 + 1.0) * (m2 + 1.0) + m1 * m2))
+# peak bytes a kernel pass holds per Fock pair of a chosen set: _moments holds
+# at most five point-sized 8-byte arrays at a time, or four and 9 B per bin, and
+# a staircase has about one bin per pair (41.1 B per pair by tracemalloc at
+# nbar 30,30 and 60,60; an explicit rectangle, two bins per pair, takes ~58 B)
+PAIR_BYTES = 41
 
 
 def _block_index(variant, n):
@@ -121,15 +117,6 @@ COEFFICIENTS = {
 }
 
 
-def _expand(variant, moments):
-    """Coefficients (5, 3, *rest) of the table contracted with ``moments`` over the powers of r.
-
-    ``moments`` has shape (3, *rest): (1, r, r^2) at points, or
-    (sum w, sum w r, sum w r^2) over the points of one key.
-    """
-    return np.einsum("kjd,d...->kj...", COEFFICIENTS[variant], moments)
-
-
 def xstate_term(variant, n1, n2, gt):
     """Single-Fock-pair X-state elements (A, B, C, D, E) at dimensionless time gt.
 
@@ -142,7 +129,9 @@ def xstate_term(variant, n1, n2, gt):
     odd2, f2 = _mode_factors(variant, np.asarray(n2, dtype=np.float64))
     omega_sq = odd1 * odd2 + 1.0
     r = f1 * f2 / omega_sq
-    coef = _expand(variant, np.array([np.ones_like(r), r, r * r]))
+    # the table contracted with (1, r, r^2) over the powers of r: shape (5, 3, *r.shape)
+    powers = np.array([np.ones_like(r), r, r * r])
+    coef = np.einsum("kjd,d...->kj...", COEFFICIENTS[variant], powers)
     x = 2.0 * np.square(np.sin(0.5 * np.sqrt(omega_sq) * gt))
     return tuple(coef[:, 0] + x * coef[:, 1] + (x * x) * coef[:, 2])
 
@@ -291,7 +280,7 @@ def thermal_sweep(variant, w1, w2, gts, rows=None):
     the summed moments, x- and x^2-weighted, to the rows.
     """
     omega_sq, moments = _moments(variant, w1, w2, rows)
-    # Omega / 2 = sqrt(key + 1) / 2, the same float as block_frequency gives
+    # Omega / 2 = sqrt(key + 1) / 2, with key + 1 = 2[(m1+1)(m2+1) + m1 m2] exact in a double
     half = np.sqrt(omega_sq)
     half *= 0.5
     del omega_sq

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, oracle
+from . import _core_py, dynamics, oracle
 from .model import (
     VARIANTS,
     X_COLS,
@@ -39,8 +39,10 @@ from .model import (
 from .negativity import negativity_general, negativity_x
 from .thermal import FockCutoff
 
-# a closed-form sweep summing more terms than this warns on stderr before it runs
+# a closed-form sweep summing more terms than this, or holding more bytes than
+# WARN_BYTES (its Fock pairs x _core_py.PAIR_BYTES), warns on stderr before it runs
 WARN_TERMS = 1e9
+WARN_BYTES = 1 << 30
 
 # an oracle run evolving more states x times than this warns on stderr before it
 # runs: the oracle builds H from its nonzeros and works in block coordinates, so
@@ -232,40 +234,55 @@ def _require_finite(gts, values):
         raise FloatingPointError(f"the state at gt={gt!r} is not finite; nothing was written")
 
 
-def _sweep_document(initial, grid, cutoff, use_oracle=False):
-    """CSV lines for one sweep over cutoff; use_oracle switches to the brute-force path."""
+def _sweep_documents(initials, grid, cutoff, use_oracle=False):
+    """CSV lines for each state, from one sweep of them all over cutoff.
+
+    use_oracle switches to the brute-force path.  Every state is checked
+    finite before any document is returned.
+    """
     gts = grid.points()
     if not use_oracle:
-        values = dynamics.sweep([initial], gts, cutoff)[0]
-        _require_finite(gts, values)
-        rows = values.tolist()
-        eps = [negativity_x(XState(*row)) for row in rows]
+        sweeps = dynamics.sweep(initials, gts, cutoff)
         label = "closed form"
     else:
-        rhos = oracle.thermal_sweep([initial], gts, cutoff)[0]
-        _require_finite(gts, rhos)
-        # the first five X entries hold (A, B, C, D, E) in order
-        rows = rhos[:, X_ROWS[:5], X_COLS[:5]].real.tolist()
-        eps = negativity_general(rhos).tolist()
+        sweeps = oracle.thermal_sweep(initials, gts, cutoff)
         n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
         label = f"oracle, truncation ({n1}, {n2})"
-    lines = _provenance_lines(initial, grid, cutoff, label)
-    lines.append(CSV_HEADER)
-    # repr of a Python float is its shortest round-trip form
-    for gt, row, e in zip(gts.tolist(), rows, eps):
-        lines.append(",".join(map(repr, (gt, *row, e))))
-    return lines
+    documents = []
+    for initial, values in zip(initials, sweeps):
+        _require_finite(gts, values)
+        if not use_oracle:
+            rows = values.tolist()
+            eps = [negativity_x(XState(*row)) for row in rows]
+        else:
+            # the first five X entries hold (A, B, C, D, E) in order
+            rows = values[:, X_ROWS[:5], X_COLS[:5]].real.tolist()
+            eps = negativity_general(values).tolist()
+        lines = _provenance_lines(initial, grid, cutoff, label)
+        lines.append(CSV_HEADER)
+        # repr of a Python float is its shortest round-trip form
+        for gt, row, e in zip(gts.tolist(), rows, eps):
+            lines.append(",".join(map(repr, (gt, *row, e))))
+        documents.append(lines)
+    return documents
 
 
 def _warn_if_large(initial, grid, cutoff):
-    """One stderr line when the closed-form sweep will sum more than WARN_TERMS terms."""
+    """One stderr line when the closed-form sweep is large, before it runs.
+
+    Large is more than WARN_TERMS terms, or more than WARN_BYTES held by a
+    kernel pass over the set at _core_py.PAIR_BYTES per pair.
+    """
     passes = len(initial.parts)  # dynamics.sweep: one per pure part
     terms = cutoff.size * (grid.steps + 1) * passes
-    if terms > WARN_TERMS:
+    memory = cutoff.size * _core_py.PAIR_BYTES
+    if terms > WARN_TERMS or memory > WARN_BYTES:
         print(
-            f"twinphoton: warning: this sweep sums {terms:.3g} terms: a Fock set of"
+            f"twinphoton: warning: this sweep sums {terms:.3g} terms and holds about"
+            f" {memory / (1 << 30):.3g} GiB: a Fock set of"
             f" {cutoff.size} pairs (extent {cutoff.n_max1 + 1}x{cutoff.n_max2 + 1})"
-            f" x {grid.steps + 1} times x {passes} kernel pass(es)",
+            f" x {grid.steps + 1} times x {passes} kernel pass(es),"
+            f" {_core_py.PAIR_BYTES} B per pair",
             file=sys.stderr,
         )
 
@@ -301,19 +318,25 @@ def _run_sweep(args) -> int:
         _warn_if_large_oracle(cutoff, grid)
     else:
         _warn_if_large(initial, grid, cutoff)
-    _emit(_sweep_document(initial, grid, cutoff, use_oracle=args.oracle), args.out)
+    _emit(_sweep_documents([initial], grid, cutoff, use_oracle=args.oracle)[0], args.out)
     return 0
 
 
 def _run_figure(args) -> int:
     grid = TimeGrid(10.0, 1000)
     os.makedirs(args.outdir, exist_ok=True)
+    # the curves of one field share its Fock set and one sweep, which passes
+    # each pure part once for all of them
+    fields = {}
     for variant, lam, nbar, name in FIGURE_PRESETS[args.preset]:
-        initial = InitialAtomicState(variant, lam)
+        fields.setdefault(nbar, []).append((InitialAtomicState(variant, lam), name))
+    for nbar, curves in fields.items():
         cutoff = FockCutoff.choose(nbar, nbar, args.tail_tol)
-        path = os.path.join(args.outdir, name)
-        _emit(_sweep_document(initial, grid, cutoff), path)
-        print(path)
+        initials, names = zip(*curves)
+        for name, lines in zip(names, _sweep_documents(initials, grid, cutoff)):
+            path = os.path.join(args.outdir, name)
+            _emit(lines, path)
+            print(path)
     return 0
 
 

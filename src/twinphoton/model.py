@@ -148,4 +148,5 @@ class TimeGrid:
             )
 
     def points(self) -> np.ndarray:
-        return np.array([self.t_max * k / self.steps for k in range(self.steps + 1)])
+        """The steps + 1 times t_max * k / steps, k = 0..steps, as one float array."""
+        return self.t_max * np.arange(self.steps + 1, dtype=float) / self.steps

@@ -52,11 +52,6 @@ def flat_index(atom: int, n1: int, n2: int, n_max1: int, n_max2: int) -> int:
     return (atom * (n_max1 + 1) + n1) * (n_max2 + 1) + n2
 
 
-def annihilation(n_max: int) -> np.ndarray:
-    """Truncated photon annihilation operator on Fock states |0..n_max>."""
-    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
-
-
 def _collective_lowering() -> np.ndarray:
     """Sum of the single-atom lowering operators in the two-atom basis."""
     low = np.zeros((4, 4))
@@ -93,9 +88,9 @@ def build_hamiltonian(n_max1: int, n_max2: int) -> SparseMatrix:
         raise ValueError(f"cutoffs must be >= 0; got ({n_max1}, {n_max2})")
     low = _collective_lowering()
     i, j = (k[:, None, None] for k in np.nonzero(low))
-    # <n+1|a+|n> = sqrt(n + 1), the first superdiagonal of the annihilation operator
-    up1 = np.diagonal(annihilation(n_max1), 1)[:, None]
-    up2 = np.diagonal(annihilation(n_max2), 1)
+    # <n+1|a+|n> = sqrt(n + 1) for n < n_max, the elements of the truncated creation operator
+    up1 = np.sqrt(np.arange(1.0, n_max1 + 1))[:, None]
+    up2 = np.sqrt(np.arange(1.0, n_max2 + 1))
     n1, n2 = np.arange(n_max1)[:, None], np.arange(n_max2)
     emit_rows = flat_index(i, n1 + 1, n2 + 1, n_max1, n_max2).ravel()
     emit_cols = flat_index(j, n1, n2, n_max1, n_max2).ravel()

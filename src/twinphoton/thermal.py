@@ -5,11 +5,12 @@ Fock states, p_n = (1-r) r^n with r = nbar/(1+nbar), so the probability
 neglected above a cutoff N has the closed form r^(N+1).  The two-mode field
 is truncated by one rule: a set of Fock pairs, a staircase of rows, whose
 neglected mass is summed exactly from those geometric tails.  The automatic
-set keeps the pairs of largest weight w1[n1] w2[n2]; an explicit cutoff is the
-rectangle.  Every per-Fock-pair X-state is a unit-trace positive semidefinite
-matrix, so each of its entries is at most 1 in magnitude, and the neglected
-mass alone bounds the truncation error of every element of the thermal
-average.  Downstream results carry that bound instead of a guess.
+set keeps the pairs of largest weight w1[n1] w2[n2], one row when a mode is
+empty; an explicit cutoff is the rectangle.  Every per-Fock-pair X-state is
+a unit-trace positive semidefinite matrix, so each of its entries is at most
+1 in magnitude, and the neglected mass alone bounds the truncation error of
+every element of the thermal average.  Downstream results carry that bound
+instead of a guess.
 """
 
 from __future__ import annotations
@@ -28,62 +29,17 @@ def _ratio(nbar: float) -> float:
     return nbar / (1.0 + nbar)
 
 
-def thermal_weight(nbar: float, n: int) -> float:
-    """Probability of finding n photons in a thermal mode with mean nbar.
-
-    Evaluates nbar^n / (1 + nbar)^(n+1) in ratio form, (nbar/(1+nbar))^n / (1+nbar),
-    so large n cannot overflow.  The vacuum limit nbar = 0 gives delta_{n,0}.
-    """
-    nbar = _check_nbar(nbar)
-    if not _count(n):
-        raise ValueError(f"n must be an integer >= 0; got {n!r}")
-    n = int(n)  # float ** np.int64 is numpy's power, which can differ in the last bit
-    if nbar == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
-
-
 def mode_weights(nbar: float, n_max: int) -> np.ndarray:
     """Thermal weights p_0..p_n_max of one mode, as an array of length n_max + 1.
 
-    Each is thermal_weight(nbar, n), by the same float operations.
+    Each is p_n = r^n / (1 + nbar) in ratio form, so large n cannot overflow;
+    the vacuum nbar = 0 gives delta_{n,0}.
     """
     nbar = _check_nbar(nbar)
     if not _count(n_max):
         raise ValueError(f"n_max must be an integer >= 0; got {n_max!r}")
     r = _ratio(nbar)
     return np.array([r**n / (1.0 + nbar) for n in range(n_max + 1)])
-
-
-def tail_mass(nbar: float, n_max: int) -> float:
-    """Probability sum_{n>n_max} p_n = r^(n_max+1) neglected by a cutoff, one mode."""
-    nbar = _check_nbar(nbar)
-    if not _count(n_max):
-        raise ValueError(f"n_max must be an integer >= 0; got {n_max!r}")
-    n_max = int(n_max)  # float ** np.int64 is numpy's power, which can differ in the last bit
-    return (nbar / (1.0 + nbar)) ** (n_max + 1)
-
-
-def choose_cutoff(nbar: float, tol: float) -> tuple[int, float]:
-    """Smallest cutoff N whose neglected probability r^(N+1) is below tol, for one mode.
-
-    Returns (N, tail_mass(nbar, N)).  The logarithm only gives the starting
-    guess; the final N is settled by comparing tail_mass itself against tol.
-    """
-    nbar = _check_nbar(nbar)
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0; got {tol!r}")
-    if nbar == 0.0:
-        return 0, 0.0
-    r = nbar / (1.0 + nbar)
-    if r == 1.0:
-        raise ValueError(f"nbar too large for a finite cutoff; got {nbar!r}")
-    n = max(0, math.ceil(math.log(min(tol, 1.0)) / math.log(r)) - 1)
-    while n > 0 and tail_mass(nbar, n - 1) < tol:
-        n -= 1
-    while tail_mass(nbar, n) >= tol:
-        n += 1
-    return n, tail_mass(nbar, n)
 
 
 # Slack, in steps of the second mode, with which a row limit is rounded down,
@@ -111,6 +67,26 @@ def _staircase(c: float, a: float, b: float) -> np.ndarray:
     return rows[rows >= 0]
 
 
+def _single_row(nbar: float, tol: float) -> int:
+    """Limit N of the smallest one-row set, the first mode empty, neglecting less than tol.
+
+    The mode's own tail r^(N+1) places N, from a logarithmic guess moved by
+    one until it is the smallest N below tol; the exact mass of the row then
+    settles it, since the two can differ in the last bit.
+    """
+    if nbar == 0.0:
+        return 0
+    r = _ratio(nbar)
+    n = max(0, math.ceil(math.log(min(tol, 1.0)) / math.log(r)) - 1)
+    while n > 0 and r**n < tol:
+        n -= 1
+    while r ** (n + 1) >= tol:
+        n += 1
+    while _neglected_mass(0.0, nbar, [n]) >= tol:
+        n += 1
+    return n
+
+
 def _largest_weight_rows(nbar1: float, nbar2: float, tol: float) -> list[int]:
     """Row limits of the smallest largest-weight set neglecting less than tol; nbar1 <= nbar2.
 
@@ -124,14 +100,11 @@ def _largest_weight_rows(nbar1: float, nbar2: float, tol: float) -> list[int]:
     one rank in it, and a bisection over those ranks finds the smallest set
     whose mass is below tol.
     """
-    if nbar1 == 0.0:  # one row: the single-mode cutoff, settled on the same mass
-        rows = [choose_cutoff(nbar2, tol)[0]]
-        while _neglected_mass(nbar1, nbar2, rows) >= tol:
-            rows[0] += 1
-        return rows
     r1, r2 = _ratio(nbar1), _ratio(nbar2)
     if r2 == 1.0:  # a geometric tail that never falls
         raise ValueError(f"nbar too large for a finite cutoff; got {nbar2!r}")
+    if nbar1 == 0.0:
+        return [_single_row(nbar2, tol)]
     a, b = -math.log(r1), -math.log(r2)
 
     def solve(f):  # the fixed point of c = ln(f(N) / tol), approached from below

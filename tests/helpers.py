@@ -1,4 +1,4 @@
-"""Shared invariant checks for the test modules."""
+"""Shared invariant checks and independent references for the test modules."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 from twinphoton import _core_py
 from twinphoton.dynamics import sweep
 from twinphoton.model import InitialAtomicState
-from twinphoton.oracle import _collective_lowering, annihilation
+from twinphoton.oracle import _collective_lowering
 
 POP_TOL = 1e-12
 COHERENCE_TOL = 1e-10
@@ -56,6 +56,32 @@ def check_density_matrix(
     if lo < -positivity_tol:
         raise ValueError(f"negative eigenvalue {lo:.3e}")
     return rho
+
+
+def thermal_weight(nbar, n):
+    """Probability of n photons in a thermal mode with mean nbar, nbar^n / (1 + nbar)^(n+1).
+
+    In ratio form, (nbar/(1+nbar))^n / (1+nbar), so large n cannot overflow;
+    the vacuum nbar = 0 gives delta_{n,0}.
+    """
+    if nbar == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
+
+
+def block_frequency(m1, m2):
+    """Effective block frequency sqrt(2[(m1+1)(m2+1) + m1 m2]) in units of g.
+
+    Its square is key + 1 with key = (2 m1 + 1)(2 m2 + 1), an integer, so
+    the kernel's sqrt(key + 1) gives the same float wherever the key is
+    exact in a double.
+    """
+    return np.sqrt(2.0 * ((m1 + 1.0) * (m2 + 1.0) + m1 * m2))
+
+
+def annihilation(n_max):
+    """Truncated photon annihilation operator on Fock states |0..n_max>, as a dense matrix."""
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
 
 
 def trig_xstate_term(variant, n1, n2, gt):

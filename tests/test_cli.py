@@ -18,6 +18,19 @@ def run_cli(*args):
     return subprocess.run([*CMD, *args], capture_output=True)
 
 
+def kernel_calls(monkeypatch):
+    """The list of variants _core_py.thermal_sweep is called with from now on, in call order."""
+    calls = []
+    kernel = _core_py.thermal_sweep
+
+    def counting(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(_core_py, "thermal_sweep", counting)
+    return calls
+
+
 def parse_csv(text):
     lines = text.strip().split("\n")
     comments = [line for line in lines if line.startswith("#")]
@@ -340,6 +353,20 @@ def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):
     assert (tmp_path / "mixed.csv").read_bytes() == quiet
 
 
+def test_sweep_warns_when_its_kernel_pass_would_need_more_than_a_gibibyte(capsys):
+    # at nbar 1000 per mode the set holds 3.5e8 pairs: 6.9e8 terms at two
+    # times, under WARN_TERMS, but about 14 GB in the kernel's moment pass
+    cutoff = FockCutoff.choose(1000.0, 1000.0, cli.DEFAULT_TAIL_TOL)
+    grid = TimeGrid(10.0, 1)
+    assert cutoff.size * (grid.steps + 1) <= cli.WARN_TERMS
+    assert cutoff.size * _core_py.PAIR_BYTES > cli.WARN_BYTES
+    cli._warn_if_large(InitialAtomicState("eg"), grid, cutoff)
+    err = capsys.readouterr().err.splitlines()
+    gib = cutoff.size * _core_py.PAIR_BYTES / (1 << 30)
+    assert len(err) == 1 and f"holds about {gib:.3g} GiB" in err[0], err
+    assert f"Fock set of {cutoff.size} pairs" in err[0], err
+
+
 def test_check_passes_at_a_production_cutoff(capsys):
     # the extent 38 x 38 of the Fock set a sweep at nbar 1 sums, on an oracle truncated at 39,39
     cutoff = FockCutoff.choose(1.0, 1.0, cli.DEFAULT_TAIL_TOL)
@@ -376,14 +403,7 @@ def test_large_oracle_run_warns_before_running(monkeypatch, capsys, tmp_path):
 
 def test_warned_pass_count_is_the_kernel_call_count(monkeypatch):
     # _warn_if_large counts len(initial.parts) kernel passes per sweep
-    calls = []
-    kernel = _core_py.thermal_sweep
-
-    def counting(*args):
-        calls.append(args[0])
-        return kernel(*args)
-
-    monkeypatch.setattr(_core_py, "thermal_sweep", counting)
+    calls = kernel_calls(monkeypatch)
     cutoff = FockCutoff.choose(0.2, 0.5, 1e-6)
     for variant in VARIANTS:
         initial = InitialAtomicState(variant, 0.05 if variant == "mixed" else None)
@@ -392,22 +412,25 @@ def test_warned_pass_count_is_the_kernel_call_count(monkeypatch):
         assert len(calls) == len(initial.parts), variant
 
 
+def test_figure_sweeps_each_field_once(monkeypatch, tmp_path):
+    # the curves of one field share one sweep: preset 3's two mixed curves
+    # take the four pure passes once, presets 1 and 2 one pass per field
+    calls = kernel_calls(monkeypatch)
+    for preset, passes in ((1, 2), (2, 2), (3, 4)):
+        calls.clear()
+        assert cli.main(["figure", "--preset", str(preset), "--outdir", str(tmp_path)]) == 0
+        assert len(calls) == passes, (preset, calls)
+
+
 def test_check_sweep_passes_each_pure_variant_once(monkeypatch):
     # check's states share their pure parts: one kernel pass per distinct variant
-    calls = []
-    kernel = _core_py.thermal_sweep
-
-    def counting(*args):
-        calls.append(args[0])
-        return kernel(*args)
-
     cutoff = FockCutoff.explicit(4, 6, 1.0, 0.5)
     gts = [0.0, 0.7, 3.0]
     initials = [
         InitialAtomicState(v, 0.05 if v == "mixed" else None) for v in cli.CHECK_DEFAULT_STATES
     ]
     alone = [dynamics.sweep([initial], gts, cutoff)[0] for initial in initials]
-    monkeypatch.setattr(_core_py, "thermal_sweep", counting)
+    calls = kernel_calls(monkeypatch)
     together = dynamics.sweep(initials, gts, cutoff)
     assert calls == ["eg", "gg", "ee", "ge"]
     for a, b in zip(together, alone):
@@ -420,8 +443,16 @@ def test_check_sweep_passes_each_pure_variant_once(monkeypatch):
     assert twice[-1] is not twice[0]
 
 
-def test_default_sweep_writes_nothing_to_stderr(capsys):
+def test_default_sweep_writes_nothing_to_stderr(capsys, tmp_path):
     assert cli.main(["sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert out.count("\n") == 5 + 1 + 1001  # provenance, header, one row per time
+    # nor do the hot mixed sweep and the default check, the other benchmark workloads
+    for argv in (
+        ["sweep", "--initial", "mixed", "--lambda", "0.05", "--nbar1", "3.0", "--nbar2", "10.0",
+         "--tmax", "10.0", "--steps", "10", "--out", str(tmp_path / "mixed.csv")],
+        ["check"],
+    ):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv

@@ -4,20 +4,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import assert_valid_xstate, frequency_blocks, trig_xstate_term
+from helpers import (
+    assert_valid_xstate,
+    block_frequency,
+    frequency_blocks,
+    thermal_weight,
+    trig_xstate_term,
+)
 from twinphoton import _core_py, oracle
 from twinphoton.dynamics import sweep, xstate_term
 from twinphoton.model import InitialAtomicState, TimeGrid, XState
-from twinphoton.thermal import FockCutoff, thermal_weight
+from twinphoton.thermal import FockCutoff
 
 GTS = (0.1, 0.7, 1.3, 3.1, 9.9)
 VARIANTS = ("ee", "eg", "ge", "gg")
 
 
 def test_block_frequency_examples():
-    assert _core_py.block_frequency(0, 0) == pytest.approx(math.sqrt(2.0), abs=1e-14)
-    assert _core_py.block_frequency(1, 1) == pytest.approx(math.sqrt(10.0), abs=1e-14)
-    assert _core_py.block_frequency(2, 3) == pytest.approx(6.0, abs=1e-14)
+    assert block_frequency(0, 0) == pytest.approx(math.sqrt(2.0), abs=1e-14)
+    assert block_frequency(1, 1) == pytest.approx(math.sqrt(10.0), abs=1e-14)
+    assert block_frequency(2, 3) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_term_identity_at_zero_time():
@@ -219,14 +225,14 @@ def test_sweep_is_exact_on_sparse_key_sets():
 
 
 def test_key_gives_the_block_frequency_bit_for_bit():
-    # sqrt(key + 1) with key = (2 m1 + 1)(2 m2 + 1) is the float block_frequency
-    # gives, on grids as large as the CLI sums, so the sines are the same
+    # sqrt(key + 1) with key = (2 m1 + 1)(2 m2 + 1) is the float of the direct
+    # formula sqrt(2[(m1+1)(m2+1) + m1 m2]), on grids as large as the CLI sums
     n = np.arange(2500)
     for variant in VARIANTS:
         m = _core_py._block_index(variant, n)
         odd, _ = _core_py._mode_factors(variant, n)
         key = np.multiply.outer(odd, odd[::7])
-        assert np.array_equal(np.sqrt(key + 1), _core_py.block_frequency(m[:, None], m[::7]))
+        assert np.array_equal(np.sqrt(key + 1), block_frequency(m[:, None], m[::7]))
 
 
 def test_sweep_error_is_within_certified_tail_bound():
@@ -296,7 +302,7 @@ def _weights_and_distinct(variant, nbar1, nbar2):
     block_shift = {"ee": 1, "eg": 0, "ge": 0, "gg": -1}
     m1 = np.maximum(np.arange(w1.size) + block_shift[variant], 0)
     m2 = np.maximum(np.arange(w2.size) + block_shift[variant], 0)
-    return w1, w2, np.unique(_core_py.block_frequency(m1[:, None], m2)).size
+    return w1, w2, np.unique(block_frequency(m1[:, None], m2)).size
 
 
 def _direct(monkeypatch, variant, w1, w2, gts):

@@ -58,6 +58,14 @@ def test_time_grid_points():
         assert np.allclose(np.diff(pts), 10.0 / 1000, rtol=0, atol=4e-15)
 
 
+def test_time_grid_points_are_the_per_sample_formula():
+    # one array expression, the same float operations as t_max * k / steps per sample
+    for t_max, steps in ((10, 1000), (5, 49), (200, 2000), (0.1, 7), (1e300, 1)):
+        grid = TimeGrid(t_max, steps)
+        expected = np.array([grid.t_max * k / grid.steps for k in range(grid.steps + 1)])
+        assert np.array_equal(grid.points(), expected), (t_max, steps)
+
+
 def test_time_grid_single_step():
     assert list(TimeGrid(2.5, 1).points()) == [0.0, 2.5]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    annihilation,
     dense_columns,
     dense_hamiltonian,
     dense_matrix,
@@ -19,7 +20,6 @@ from twinphoton.oracle import (
     HEADROOM,
     Propagator,
     _components,
-    annihilation,
     build_hamiltonian,
     flat_index,
     reduce_atoms,

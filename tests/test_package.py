@@ -10,22 +10,23 @@ PUBLIC_NAMES = {
     "InitialAtomicState",
     "TimeGrid",
     "XState",
-    "choose_cutoff",
     "negativity_general",
     "negativity_x",
     "partial_transpose",
     "sweep",
-    "tail_mass",
-    "thermal_weight",
     "xstate_term",
 }
 
 
-def test_public_surface_is_the_twelve_names():
-    assert len(twinphoton.__all__) == len(PUBLIC_NAMES) == 12
+def test_public_surface_is_the_nine_names():
+    assert len(twinphoton.__all__) == len(PUBLIC_NAMES) == 9
     assert set(twinphoton.__all__) == PUBLIC_NAMES
     for name in twinphoton.__all__:
         assert callable(getattr(twinphoton, name)), name
+    # the single-mode weight, tail and cutoff are folded into FockCutoff
+    for name in ("thermal_weight", "tail_mass", "choose_cutoff"):
+        assert not hasattr(twinphoton, name), name
+        assert not hasattr(twinphoton.thermal, name), name
 
 
 def package_imports(module):

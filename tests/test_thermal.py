@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twinphoton.thermal import (
-    FockCutoff,
-    choose_cutoff,
-    mode_weights,
-    tail_mass,
-    thermal_weight,
-)
+from helpers import thermal_weight
+from twinphoton.thermal import FockCutoff, mode_weights
 
 NBARS = (0.05, 0.3, 1.0, 2.5, 10.0)
 
@@ -19,11 +14,22 @@ def brute_tail(nbar, n_max, extra=2000):
     return sum(thermal_weight(nbar, n) for n in range(n_max + 1, n_max + 1 + extra))
 
 
+def row_limit(nbar, tol):
+    """Limit N of the one-row set FockCutoff.choose keeps with the first mode empty."""
+    cutoff = FockCutoff.choose(0.0, nbar, tol)
+    assert cutoff.n_max1 == 0 and cutoff.rows == (cutoff.n_max2,)
+    return cutoff.n_max2, cutoff.tail_bound
+
+
+def row_tail(nbar, n_max):
+    """Neglected mass of the one-row set n2 <= n_max, the first mode empty."""
+    return FockCutoff(0, n_max, 0.0, nbar).tail_bound
+
+
 def test_thermal_weight_examples():
-    assert thermal_weight(1.0, 0) == pytest.approx(0.5, abs=1e-15)
-    assert thermal_weight(0.0, 3) == 0.0
-    assert thermal_weight(0.0, 0) == 1.0
-    assert thermal_weight(0.3, 1) == pytest.approx(0.3 / 1.69, abs=1e-15)
+    assert mode_weights(1.0, 0)[0] == pytest.approx(0.5, abs=1e-15)
+    assert mode_weights(0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert mode_weights(0.3, 1)[1] == pytest.approx(0.3 / 1.69, abs=1e-15)
 
 
 def test_thermal_weight_partial_sums_match_geometric_closed_form():
@@ -34,46 +40,43 @@ def test_thermal_weight_partial_sums_match_geometric_closed_form():
         total = 0.0
         for n in range(201):
             assert weights[n] == thermal_weight(nbar, n)
-            total += thermal_weight(nbar, n)
+            total += weights[n]
             assert total == pytest.approx(1.0 - r ** (n + 1), abs=1e-12)
 
 
 def test_thermal_weight_ratio_is_constant():
     for nbar in NBARS:
         r = nbar / (1.0 + nbar)
+        weights = mode_weights(nbar, 60)
         for n in range(0, 60, 7):
-            ratio = thermal_weight(nbar, n + 1) / thermal_weight(nbar, n)
-            assert ratio == pytest.approx(r, rel=1e-13)
+            assert weights[n + 1] / weights[n] == pytest.approx(r, rel=1e-13)
 
 
 def test_thermal_weight_rejects_bad_input():
-    with pytest.raises(ValueError):
-        thermal_weight(-0.5, 0)
-    with pytest.raises(ValueError):
-        mode_weights(-0.5, 3)
-    for n in (-1, 0.5, 2.5, math.nan, True):
+    for nbar in (-0.5, math.nan, math.inf, True):
         with pytest.raises(ValueError):
-            thermal_weight(1.0, n)
-    for nbar in (math.nan, math.inf, True):
+            mode_weights(nbar, 3)
+    for n_max in (-1, 0.5, 2.5, math.nan, True):
         with pytest.raises(ValueError):
-            thermal_weight(nbar, 1)
-    # numpy integers, as np.arange yields them, are Fock indices too, down to
-    # the last bit (float ** np.int64 alone would differ at these points)
+            mode_weights(1.0, n_max)
+    # a numpy integer n_max, as np.arange yields them, gives the same weights,
+    # down to the last bit (float ** np.int64 alone would differ at these points)
     for nbar, n in ((1.0, 2), (0.5, 10), (2.0, 10), (0.7, 13), (0.7, 14)):
-        assert thermal_weight(nbar, np.int64(n)) == thermal_weight(nbar, n), (nbar, n)
+        assert np.array_equal(mode_weights(nbar, np.int64(n)), mode_weights(nbar, n)), (nbar, n)
     # a numpy float32 nbar is computed in double precision, not in float32
     nbar = np.float32(0.3)
-    assert thermal_weight(nbar, 5) == thermal_weight(float(nbar), 5)
+    assert mode_weights(nbar, 5)[5] == thermal_weight(float(nbar), 5)
     assert mode_weights(nbar, 3).dtype == np.float64
 
 
 def test_choose_cutoff_vacuum():
-    assert choose_cutoff(0.0, 1e-12) == (0, 0.0)
-    assert choose_cutoff(0.0, 1e-300) == (0, 0.0)
+    for tol in (1e-12, 1e-300):
+        assert FockCutoff.choose(0.0, 0.0, tol) == FockCutoff(0, 0, 0.0, 0.0)
+        assert FockCutoff.choose(0.0, 0.0, tol).tail_bound == 0.0
 
 
 def test_choose_cutoff_geometric_example():
-    n, tail = choose_cutoff(1.0, 1e-6)
+    n, tail = row_limit(1.0, 1e-6)
     assert n == 19
     assert tail == pytest.approx(0.5**20, rel=1e-12)
 
@@ -81,8 +84,8 @@ def test_choose_cutoff_geometric_example():
 def test_choose_cutoff_weighted_is_minimal_against_brute_force():
     # the returned N certifies the bound and N-1 must not
     for nbar, tol in ((1.0, 1e-6), (0.3, 1e-8), (2.5, 1e-6)):
-        n, tail = choose_cutoff(nbar, tol)
-        assert tail < tol
+        n, tail = row_limit(nbar, tol)
+        assert tail < tol <= row_tail(nbar, n - 1)
         assert brute_tail(nbar, n) < tol
         assert brute_tail(nbar, n - 1) >= tol
         # reported tail is a valid upper bound on the true tail
@@ -93,44 +96,42 @@ def test_choose_cutoff_monotone_in_tolerance():
     for nbar in NBARS:
         last = -1
         for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-            n, _ = choose_cutoff(nbar, tol)
+            n, _ = row_limit(nbar, tol)
             assert n >= last
             last = n
 
 
 def test_choose_cutoff_rejects_bad_input():
-    with pytest.raises(ValueError):
-        choose_cutoff(1.0, 0.0)
-    with pytest.raises(ValueError):
-        choose_cutoff(1.0, -1e-6)
-    for nbar, tol in ((-1.0, 1e-6), (math.nan, 1e-6), (math.inf, 1e-6), (1.0, math.nan)):
-        with pytest.raises(ValueError):
-            choose_cutoff(nbar, tol)
+    for tol in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            FockCutoff.choose(0.0, 1.0, tol)
+    for nbar in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nbar2"):
+            FockCutoff.choose(0.0, nbar, 1e-6)
     # r = nbar/(1+nbar) rounds to 1: no finite cutoff exists
-    with pytest.raises(ValueError):
-        choose_cutoff(1e17, 1e-6)
-    bad = ((-1.0, 3), (math.nan, 3), (1.0, -1), (1.0, 0.5), (1.0, 2.5), (1.0, math.nan))
-    for nbar, n_max in bad:
-        with pytest.raises(ValueError):
-            tail_mass(nbar, n_max)
+    with pytest.raises(ValueError, match="nbar too large"):
+        FockCutoff.choose(0.0, 1e17, 1e-6)
+    for n_max in (-1, 0.5, 2.5, math.nan):
+        with pytest.raises(ValueError, match="cutoffs"):
+            row_tail(1.0, n_max)
     # a numpy integer cutoff gives the same Python float, down to the last bit
     # (float ** np.int64 alone would differ at the last three points)
     for nbar, n_max in ((1.0, 2), (0.5, 9), (0.7, 13), (0.3, 15)):
-        tail = tail_mass(nbar, np.int64(n_max))
-        assert type(tail) is float and tail == tail_mass(nbar, n_max), (nbar, n_max)
+        tail = row_tail(nbar, np.int64(n_max))
+        assert type(tail) is float and tail == row_tail(nbar, n_max), (nbar, n_max)
 
 
 def test_choose_cutoff_large_nbar_is_minimal():
     # the cutoff comes from a logarithm, not a scan over ~nbar*log(1/tol) candidates
     for nbar in (1e4, 1e12):
-        n, tail = choose_cutoff(nbar, 1e-10)
-        assert tail == tail_mass(nbar, n) < 1e-10 <= tail_mass(nbar, n - 1)
+        n, tail = row_limit(nbar, 1e-10)
+        assert tail == row_tail(nbar, n) < 1e-10 <= row_tail(nbar, n - 1)
 
 
 def test_tail_mass_matches_brute_force():
     for nbar in (0.3, 1.0, 2.5):
         for n_max in (0, 3, 12):
-            assert tail_mass(nbar, n_max) == pytest.approx(brute_tail(nbar, n_max), rel=1e-10)
+            assert row_tail(nbar, n_max) == pytest.approx(brute_tail(nbar, n_max), rel=1e-10)
 
 
 SET_CASES = [(nbars, tol) for nbars in ((1.0, 1.0), (1.3, 0.4), (3.0, 10.0), (0.0, 2.0))
