@@ -40,11 +40,11 @@ import numpy as np
 # temporaries and sizes its blocks of frequencies (see _sines)
 TRIG_ELEMENTS = 16384
 
-# peak bytes a kernel pass holds per Fock pair of a chosen set: _moments holds
-# at most five point-sized 8-byte arrays at a time, or four and 9 B per bin, and
-# a staircase has about one bin per pair (41.1 B per pair by tracemalloc at
-# nbar 30,30 and 60,60; an explicit rectangle, two bins per pair, takes ~58 B)
-PAIR_BYTES = 41
+# bound on the peak bytes a kernel pass holds per Fock pair of a set of 1e5 pairs
+# or more: _moments holds at most five point-sized 8-byte arrays at a time, or four
+# and 9 B per key bin; by tracemalloc, 41.1 B on a chosen staircase at nbar 30,30
+# (a bin per pair), 58.3 B on a 300,300 rectangle (two) and up to 99.0 B on one row (three)
+PAIR_BYTES = 100
 
 
 def _block_index(variant, n):
@@ -220,7 +220,7 @@ def _moments(variant, w1, w2, rows):
     most about twice the extent rectangle.  A function of its own so that
     the point arrays are freed before the time loop's are built.
     """
-    counts = np.full(len(w1), len(w2)) if rows is None else np.asarray(rows) + 1
+    counts = np.asarray(rows) + 1
     # the set's points row by row: row n1 holds n2 = 0 .. counts[n1] - 1
     n1 = np.repeat(np.arange(counts.size), counts)
     n2 = np.arange(n1.size)
@@ -257,14 +257,14 @@ def _moments(variant, w1, w2, rows):
     return 2 * (np.flatnonzero(present) + 1), np.array(moments)
 
 
-def thermal_sweep(variant, w1, w2, gts, rows=None):
+def thermal_sweep(variant, w1, w2, gts, rows):
     """Thermally weighted X-state elements for every time in ``gts``.
 
     Returns one row (A, B, C, D, E) per time, shape (len(gts), 5): the sum of
     xstate_term(variant, n1, n2, gt) weighted by w1[n1]*w2[n2] over the Fock
-    set whose row n1 holds n2 = 0..rows[n1] (rows=None: every n2 < len(w2)).
+    set whose row n1 holds n2 = 0..rows[n1], the limits never increasing.
     ``w1`` and ``w2`` are the weights over the set's extent, len(rows) and
-    max(rows) + 1 long.  One pass over the set's points (_moments) bins
+    rows[0] + 1 long.  One pass over the set's points (_moments) bins
     them by key (2 m1 + 1)(2 m2 + 1) = Omega^2 - 1, one bin per odd integer
     up to the largest key (O(extent) bins, no sort), and sums w, w r and
     w r^2 per distinct key, with r = f1 f2 / Omega^2 (see _mode_factors).

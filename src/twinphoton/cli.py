@@ -37,10 +37,10 @@ from .model import (
     _check_nbar,
 )
 from .negativity import negativity_general, negativity_x
-from .thermal import FockCutoff
+from .thermal import DEFAULT_TAIL_TOL, FockCutoff
 
-# a closed-form sweep summing more terms than this, or holding more bytes than
-# WARN_BYTES (its Fock pairs x _core_py.PAIR_BYTES), warns on stderr before it runs
+# a closed-form sweep summing more terms than this, or that may hold more bytes
+# than WARN_BYTES (its Fock pairs x _core_py.PAIR_BYTES), warns on stderr before it runs
 WARN_TERMS = 1e9
 WARN_BYTES = 1 << 30
 
@@ -51,7 +51,6 @@ WARN_BYTES = 1 << 30
 # (about 0.5 kB each)
 WARN_ORACLE_STATE_TIMES = 1e6
 
-DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_CHECK_TOL = 1e-8
 CSV_HEADER = "gt,A,B,C,D,E,epsilon"
 
@@ -246,8 +245,7 @@ def _sweep_documents(initials, grid, cutoff, use_oracle=False):
         label = "closed form"
     else:
         sweeps = oracle.thermal_sweep(initials, gts, cutoff)
-        n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
-        label = f"oracle, truncation ({n1}, {n2})"
+        label = f"oracle, truncation {oracle.truncation(cutoff)}"
     documents = []
     for initial, values in zip(initials, sweeps):
         _require_finite(gts, values)
@@ -270,15 +268,15 @@ def _sweep_documents(initials, grid, cutoff, use_oracle=False):
 def _warn_if_large(initial, grid, cutoff):
     """One stderr line when the closed-form sweep is large, before it runs.
 
-    Large is more than WARN_TERMS terms, or more than WARN_BYTES held by a
-    kernel pass over the set at _core_py.PAIR_BYTES per pair.
+    Large is more than WARN_TERMS terms, or a kernel pass over the set that
+    may hold more than WARN_BYTES, at the bound _core_py.PAIR_BYTES per pair.
     """
     passes = len(initial.parts)  # dynamics.sweep: one per pure part
     terms = cutoff.size * (grid.steps + 1) * passes
     memory = cutoff.size * _core_py.PAIR_BYTES
     if terms > WARN_TERMS or memory > WARN_BYTES:
         print(
-            f"twinphoton: warning: this sweep sums {terms:.3g} terms and holds about"
+            f"twinphoton: warning: this sweep sums {terms:.3g} terms and holds up to"
             f" {memory / (1 << 30):.3g} GiB: a Fock set of"
             f" {cutoff.size} pairs (extent {cutoff.n_max1 + 1}x{cutoff.n_max2 + 1})"
             f" x {grid.steps + 1} times x {passes} kernel pass(es),"
@@ -289,7 +287,7 @@ def _warn_if_large(initial, grid, cutoff):
 
 def _warn_if_large_oracle(cutoff, grid):
     """One stderr line when the oracle will evolve more than WARN_ORACLE_STATE_TIMES state-times."""
-    n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
+    n1, n2 = oracle.truncation(cutoff)
     states = 4 * (n1 + 1) * (n2 + 1)  # two atoms x the truncated two-mode field
     work = states * (grid.steps + 1)
     if work > WARN_ORACLE_STATE_TIMES:
@@ -345,13 +343,13 @@ def _run_check(args) -> int:
     cutoff = FockCutoff.explicit(*args.cutoff, *_checked_nbars(args))
     grid = TimeGrid(args.tmax, args.steps)
     _warn_if_large_oracle(cutoff, grid)
-    n1, n2 = cutoff.n_max1 + oracle.HEADROOM, cutoff.n_max2 + oracle.HEADROOM
     gts = grid.points()
     variants = args.initial if args.initial else CHECK_DEFAULT_STATES
     initials = [InitialAtomicState(v, args.lam if v == "mixed" else None) for v in variants]
 
     print(
-        f"closed form vs oracle: truncation ({n1}, {n2}), nbar=({args.nbar1:g}, {args.nbar2:g}),"
+        f"closed form vs oracle: truncation {oracle.truncation(cutoff)},"
+        f" nbar=({args.nbar1:g}, {args.nbar2:g}),"
         f" {grid.steps + 1} times in [0, {grid.t_max:g}]"
     )
     outside_x = np.ones((4, 4), dtype=bool)

@@ -11,21 +11,21 @@ columns |atom>|n1, n2> named by flat_index; Propagator.evolve_basis_batch
 evolves a batch of them at one time or at a stack of times, each inside its
 own block in real arithmetic, and returns them in block coordinates: the
 states of each column's block and their amplitudes, laid out with time as
-the last, contiguous axis.  reduce_atoms traces out the field from that form
-as a weighted sum over the columns, gathering only the pairs of listed
-states that share a field index, so no array the size of the whole space is
-built per column and no product is formed only to be masked.  A thermal
-sweep evolves the Fock set the closed form sums, the same FockCutoff, and
-truncates its space HEADROOM above that set's extent, so the callers never convert
-between a summed set and a truncation.  It evolves each atomic basis column
-it needs once per block of times, shared by all the initial states it is
-given; a single Fock term is a batch of one column with weight 1.  The work
-that depends only on the columns is done once per sweep, not per block of
-times: Propagator.plan gathers each column's block and its eigenvector
+the last, contiguous axis; a row of a smaller block is padded with state -1.
+reduce_atoms traces out the field from that form as a weighted sum over the
+columns, gathering only the pairs of states (never the padding) that share a
+field index, so no array the size of the whole space is built per column and
+no product is formed only to be masked.  A thermal sweep evolves the Fock set
+the closed form sums, the same FockCutoff, on the space truncation(cutoff)
+gives, HEADROOM above that set's extent, so the callers never convert between
+a summed set and a truncation.  It evolves each atomic basis column it needs
+once per block of times, shared by all the initial states it is given; a
+single Fock term is a batch of one column with weight 1.  The work that
+depends only on the columns is done once per sweep, not per block of times:
+Propagator.plan gathers each column's block and its eigenvector
 coefficients, and trace_pairs finds each atomic basis state's pairs of
-states from the slots inside their blocks.  The closed-form path is checked
-against these results; this module is confined to tests and the explicit
-oracle CLI modes.
+states.  The closed-form path is checked against these results; this module
+is confined to tests and the explicit oracle CLI modes.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ HEADROOM = 2
 # the temporaries of a pass (about 0.15 kB per element) whatever the number of
 # times; larger calls save little more time and only raise the memory peak
 BATCH_ELEMENTS = 8192
+
+
+def truncation(cutoff: FockCutoff) -> tuple[int, int]:
+    """Per-mode Fock truncation (N1, N2) of the space that evolves ``cutoff``'s set exactly."""
+    return cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
 
 
 def flat_index(atom: int, n1: int, n2: int, n_max1: int, n_max2: int) -> int:
@@ -77,7 +82,7 @@ def build_hamiltonian(n_max1: int, n_max2: int) -> SparseMatrix:
     a1+ a2+ (R1- + R2-)  +  (R1+ + R2+) a1 a2 with the ladder operators
     truncated at the cutoffs; matrix elements that would leave the truncated
     space are dropped.  Time is measured as g*t, so the coupling is 1.
-    Returned as its nonzero entries, each listed once: every nonzero L[i, j]
+    Returned as its nonzero entries, each given once: every nonzero L[i, j]
     of the collective lowering and every pair of creation elements give the
     emission entry at row |i>|n1+1, n2+1>, column |j>|n1, n2>, valued
     L[i, j] * (<n1+1|a1+|n1> <n2+1|a2+|n2>) as a Kronecker product forms it,
@@ -125,7 +130,6 @@ class ColumnPlan(NamedTuple):
     """The column-only work of Propagator.evolve_basis_batch, from Propagator.plan."""
 
     states: np.ndarray
-    listed: np.ndarray
     groups: list
 
 
@@ -167,18 +171,16 @@ class Propagator:
 
         For the unit-basis columns flat_indices, returns a ColumnPlan: the
         states of each column's block, padded to the largest block size S
-        with state 0 (states, (K, S)), which of those slots lie inside the
-        block (listed, (K, S) bool), and per size group that holds any of the
-        columns the group index g, the columns' positions cols, their blocks
-        and the coefficients coef[i, j, k] = V[i, j] V[p, j] of column k at
-        place p of its block, the columns last.  A caller that evolves the
-        same columns at several blocks of times builds it once and passes it
-        in place of the indices.
+        with state -1 (states, (K, S)), and per size group that holds any of
+        the columns the group index g, the columns' positions cols, their
+        blocks and the coefficients coef[i, j, k] = V[i, j] V[p, j] of column
+        k at place p of its block, the columns last.  A caller that evolves
+        the same columns at several blocks of times builds it once and passes
+        it in place of the indices.
         """
         flat = np.asarray(flat_indices)
         width = self._blocks[-1][0].shape[1]  # the size groups are in increasing size
-        states = np.zeros((flat.shape[0], width), dtype=int)
-        listed = np.zeros(states.shape, dtype=bool)
+        states = np.full((flat.shape[0], width), -1)
         groups = []
         group = self._group[flat]
         for g, (members, _, vectors) in enumerate(self._blocks):
@@ -188,10 +190,9 @@ class Propagator:
             block, place = self._block[flat[cols]], self._place[flat[cols]]
             size = members.shape[1]
             states[cols, :size] = members[block]
-            listed[cols, :size] = True
             coef = np.take(vectors.transpose(1, 2, 0), block, axis=-1) * vectors[block, place].T
             groups.append((g, cols, block, coef))
-        return ColumnPlan(states, listed, groups)
+        return ColumnPlan(states, groups)
 
     def evolve_basis_batch(self, columns, t):
         """Evolved unit-basis initial states in block coordinates, at one time or a stack.
@@ -200,15 +201,15 @@ class Propagator:
         ColumnPlan that plan() built for them.  Returns (states, amplitudes,
         dim).  Row k of the (K, S) array states lists the basis states of the
         block of column k; S is the largest block size, and the row of a
-        smaller block is padded with state 0 at amplitude 0.  amplitudes has
+        smaller block is padded with state -1 at amplitude 0.  amplitudes has
         shape t.shape + (K, S): the amplitudes of those states after each
         time in t, so a scalar t gives (K, S).  It is a view of a (K, S, T)
-        array, time the last and contiguous axis, so each listed state's
-        amplitudes over the times are one contiguous run.  States outside
-        the block are not listed: their amplitude is exactly zero.  dim is
-        the size of the truncated space.  The block eigenvectors V are real,
-        so exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T
-        e_p is row p of V: amplitude i is sum_j coef[i, j] (cos(E_j t) - i
+        array, time the last and contiguous axis, so each state's amplitudes
+        over the times are one contiguous run.  States outside the block are
+        left out: their amplitude is exactly zero.  dim is the size of the
+        truncated space.  The block eigenvectors V are real, so
+        exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p
+        is row p of V: amplitude i is sum_j coef[i, j] (cos(E_j t) - i
         sin(E_j t)) with coef[i, j] = V[i, j] V[p, j].  The coefficients
         come from the plan; a call takes the phases once per block
         eigenvalue and time, and the sum over j is one einsum that adds
@@ -244,25 +245,25 @@ def _contract_into(out, cols, coef, phase, negate):
     out[cols, : coef.shape[0]] = total
 
 
-def trace_pairs(states, listed, dim):
+def trace_pairs(states, dim):
     """The terms of the partial trace over the field of a batch with these states.
 
     states is a (K, S) batch's states as evolve_basis_batch returns them, on
     a space of size dim in flat_index order, so a state is atom state // F
-    and field state % F with F = dim / 4; listed (K, S) marks the slots to
-    trace.  Returns (k, slot_i, slot_j, pair): every pair of listed slots i,
-    j of one column k whose states share a field index, in increasing (k, i,
-    j), as flat slots k * S + i and k * S + j, with pair = 4 atom_i + atom_j
-    the element of the reduced matrix the pair adds to.
+    and field state % F with F = dim / 4; the padding, state -1, is never
+    traced.  Returns (k, slot_i, slot_j, pair): every pair of slots i, j of
+    one column k whose states are both >= 0 and share a field index, in
+    increasing (k, i, j), as flat slots k * S + i and k * S + j, with pair =
+    4 atom_i + atom_j the element of the reduced matrix the pair adds to.
     """
     size = states.shape[1]
     atom, field = np.divmod(states, dim // 4)
-    # shared[i, j, k]: slots i and j of column k are listed and share a field index
+    # shared[i, j, k]: slots i and j of column k hold states that share a field index
     field = field.T.copy()
-    listed = listed.T.copy()
+    inside = (states >= 0).T.copy()
     shared = field[:, None] == field
-    shared &= listed[:, None]
-    shared &= listed
+    shared &= inside[:, None]
+    shared &= inside
     pairs = np.flatnonzero(shared.transpose(2, 0, 1))
     k, slot_i = pairs // (size * size), pairs // size
     slot_j = size * k + pairs % size
@@ -302,23 +303,21 @@ def reduce_atoms(batch, weights) -> np.ndarray:
 
     ``batch`` is (states, amplitudes, dim) as returned by
     Propagator.evolve_basis_batch: column k is sum_s amplitudes[..., k, s]
-    |states[k, s]>, with distinct states per row (padding aside).
+    |states[k, s]>, with distinct states per row, padded with state -1.
     ``weights`` are the K column weights; any other number of them is a
     ValueError.  Only pairs of states that share a field index contribute,
-    w_k a_i conj(a_j) to rho[atom_i, atom_j] (trace_pairs), and a slot whose
-    amplitude is exactly zero at every time (the padding of a smaller
-    block) adds only exact zeros and is left out.  Amplitudes of shape
-    (..., K, S), one (K, S) batch per time, give a (..., 4, 4) stack: the
-    pairs are found once, their amplitudes gathered as (pairs, times) rows,
-    time last as evolve_basis_batch lays it out, and summed for all the
-    times in one reduction.
+    w_k a_i conj(a_j) to rho[atom_i, atom_j] (trace_pairs).  Amplitudes of
+    shape (..., K, S), one (K, S) batch per time, give a (..., 4, 4) stack:
+    the pairs are found once, their amplitudes gathered as (pairs, times)
+    rows, time last as evolve_basis_batch lays it out, and summed for all
+    the times in one reduction.
     """
     states, amplitudes, dim = batch
     weights = np.asarray(weights, dtype=float)
     if weights.shape != states.shape[:1]:
         raise ValueError(f"{weights.size} weights for a batch of {states.shape[0]} columns")
     rows = _slot_rows(amplitudes)
-    pairs = trace_pairs(states, rows.any(axis=-1).reshape(states.shape), dim)
+    pairs = trace_pairs(states, dim)
     return _sum_pairs(rows, weights, pairs).reshape(amplitudes.shape[:-2] + (4, 4))
 
 
@@ -329,7 +328,7 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     Fock pairs run over the set's points, cutoff.points(), weighted by
     w1[n1] w2[n2] from cutoff.weights() without renormalization, so the trace
     of each output equals the summed thermal mass.  The space is truncated
-    HEADROOM above the set's extent, at n_max + 2 per mode, so every summed
+    at truncation(cutoff), HEADROOM above the set's extent, so every summed
     component evolves exactly.
 
     Each block of times takes one pass: every atomic basis state the initial
@@ -337,18 +336,16 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     times in a single batch, the field is traced out from each atomic basis
     state's run of columns, and each initial state is the weighted sum of
     those per-atom matrices.  The columns' plan and each atomic basis state's
-    trace pairs are built once, before the first pass; the pairs list every
-    slot inside its block, which adds only exact zeros where a slot's
-    amplitude is zero at every time of a pass, and a bincount sum that
-    starts at +0.0 does not change when exact zeros are added, so the
-    result is bit-identical to reduce_atoms on each pass.
+    trace pairs are built once, before the first pass, by the rule
+    reduce_atoms uses, so the result is bit-identical to reduce_atoms on
+    each pass.
     The batch is in block coordinates, a block holds about BATCH_ELEMENTS
     columns x times, and each batch is released before the next is evolved,
     so the memory of a pass does not grow with the number of times.
     """
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     _check_times(gts)
-    trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
+    trunc1, trunc2 = truncation(cutoff)
     prop = Propagator(trunc1, trunc2)
     atoms = sorted({ATOM_INDEX[v] for initial in initials for v, _ in initial.parts})
     n1, n2 = cutoff.points()
@@ -358,7 +355,7 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     plan = prop.plan(cols)
     parts = [slice(a * weights.size, (a + 1) * weights.size) for a in range(len(atoms))]
     dim = prop.hamiltonian.shape[0]
-    pairs = [trace_pairs(plan.states[part], plan.listed[part], dim) for part in parts]
+    pairs = [trace_pairs(plan.states[part], dim) for part in parts]
     per_call = max(1, BATCH_ELEMENTS // len(cols))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for start in range(0, gts.shape[0], per_call):

@@ -24,6 +24,9 @@ import numpy as np
 
 from .model import _check_nbar, _count
 
+# the neglected thermal mass FockCutoff.choose allows unless told otherwise
+DEFAULT_TAIL_TOL = 1e-10
+
 
 def _ratio(nbar: float) -> float:
     return nbar / (1.0 + nbar)
@@ -70,18 +73,15 @@ def _staircase(c: float, a: float, b: float) -> np.ndarray:
 def _single_row(nbar: float, tol: float) -> int:
     """Limit N of the smallest one-row set, the first mode empty, neglecting less than tol.
 
-    The mode's own tail r^(N+1) places N, from a logarithmic guess moved by
-    one until it is the smallest N below tol; the exact mass of the row then
-    settles it, since the two can differ in the last bit.
+    The staircase's own rule on one row: from a logarithmic guess, N moves
+    by one until it is the smallest limit whose exact neglected mass is
+    below tol.
     """
     if nbar == 0.0:
         return 0
-    r = _ratio(nbar)
-    n = max(0, math.ceil(math.log(min(tol, 1.0)) / math.log(r)) - 1)
-    while n > 0 and r**n < tol:
+    n = max(0, math.ceil(math.log(min(tol, 1.0)) / math.log(_ratio(nbar))) - 1)
+    while n > 0 and _neglected_mass(0.0, nbar, [n - 1]) < tol:
         n -= 1
-    while r ** (n + 1) >= tol:
-        n += 1
     while _neglected_mass(0.0, nbar, [n]) >= tol:
         n += 1
     return n
@@ -161,43 +161,44 @@ def _transpose(rows) -> list[int]:
 class FockCutoff:
     """The summed thermal field: a staircase of Fock pairs of modes with mean nbar1, nbar2.
 
-    Row n1 <= n_max1 holds the pairs (n1, n2) with n2 <= rows[n1], and the
-    limits never increase with n1, so n_max1 and n_max2 = rows[0] are the
-    set's extent.  rows=None is the rectangle n1 <= n_max1, n2 <= n_max2.
-    choose() keeps the pairs of largest thermal weight w1[n1] w2[n2].  Each
-    neglected Fock pair adds its weight times a unit-trace PSD X-state, whose
-    entries are at most 1 in magnitude, so the neglected mass tail_bound
-    bounds the error of every thermally averaged element, populations and
-    coherence alike.
+    Row n1 holds the pairs (n1, n2) with n2 <= rows[n1], and the limits
+    never increase with n1, so the set's extent is n_max1 = len(rows) - 1
+    and n_max2 = rows[0].  choose() keeps the pairs of largest thermal
+    weight w1[n1] w2[n2]; explicit() is the rectangle.  Each neglected Fock
+    pair adds its weight times a unit-trace PSD X-state, whose entries are
+    at most 1 in magnitude, so the neglected mass tail_bound bounds the
+    error of every thermally averaged element, populations and coherence
+    alike.
     """
 
-    n_max1: int
-    n_max2: int
+    rows: tuple[int, ...]
     nbar1: float
     nbar2: float
-    rows: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not (_count(self.n_max1) and _count(self.n_max2)):
-            raise ValueError(
-                f"cutoffs must be integers >= 0; got ({self.n_max1!r}, {self.n_max2!r})"
-            )
         _check_nbar(self.nbar1, "nbar1")
         _check_nbar(self.nbar2, "nbar2")
-        rows = (self.n_max2,) * (self.n_max1 + 1) if self.rows is None else tuple(self.rows)
+        rows = tuple(self.rows)
         kinds = set(map(type, rows))  # checked per type, not per row: a set can have many rows
         if not (
-            len(rows) == self.n_max1 + 1
+            rows
             and all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds)
-            and rows[0] == self.n_max2
             and rows[-1] >= 0
             and all(map(operator.ge, rows, rows[1:]))
         ):
             raise ValueError(
-                f"rows must be n_max1 + 1 = {self.n_max1 + 1} integer limits from"
-                f" n_max2 = {self.n_max2} down to >= 0, never increasing; got {self.rows!r}"
+                f"rows must be one or more integer limits down to >= 0, never increasing;"
+                f" got {self.rows!r}"
             )
         object.__setattr__(self, "rows", tuple(map(int, rows)))
+
+    @property
+    def n_max1(self) -> int:
+        return len(self.rows) - 1
+
+    @property
+    def n_max2(self) -> int:
+        return self.rows[0]
 
     @property
     def size(self) -> int:
@@ -227,10 +228,10 @@ class FockCutoff:
 
     def transposed(self) -> "FockCutoff":
         """The same set with the two modes swapped."""
-        return FockCutoff(self.n_max2, self.n_max1, self.nbar2, self.nbar1, _transpose(self.rows))
+        return FockCutoff(_transpose(self.rows), self.nbar2, self.nbar1)
 
     @classmethod
-    def choose(cls, nbar1: float, nbar2: float, tol: float = 1e-10) -> "FockCutoff":
+    def choose(cls, nbar1: float, nbar2: float, tol: float = DEFAULT_TAIL_TOL) -> "FockCutoff":
         """The smallest set of largest-weight Fock pairs whose neglected mass is below tol.
 
         The set is selected with the colder mode first and transposed, so
@@ -240,10 +241,11 @@ class FockCutoff:
             return cls.choose(nbar2, nbar1, tol).transposed()
         if not tol > 0:
             raise ValueError(f"tol must be > 0; got {tol!r}")
-        rows = _largest_weight_rows(float(nbar1), float(nbar2), tol)
-        return cls(len(rows) - 1, rows[0], nbar1, nbar2, rows)
+        return cls(_largest_weight_rows(float(nbar1), float(nbar2), tol), nbar1, nbar2)
 
     @classmethod
     def explicit(cls, n_max1: int, n_max2: int, nbar1: float, nbar2: float) -> "FockCutoff":
         """The rectangle n1 <= n_max1, n2 <= n_max2; its tail bound is computed, not requested."""
-        return cls(n_max1, n_max2, nbar1, nbar2)
+        if not (_count(n_max1) and _count(n_max2)):
+            raise ValueError(f"cutoffs must be integers >= 0; got ({n_max1!r}, {n_max2!r})")
+        return cls((n_max2,) * (n_max1 + 1), nbar1, nbar2)

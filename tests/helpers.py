@@ -141,11 +141,13 @@ def dense_columns(batch):
     """The (dim, K) complex array of a block-coordinate batch, one evolved state per column.
 
     ``batch`` is (states, amplitudes, dim) as returned by
-    Propagator.evolve_basis_batch; padded entries add amplitude 0.
+    Propagator.evolve_basis_batch; the padding, state -1, is skipped.
     """
     states, amplitudes, dim = batch
+    inside = states >= 0
+    column = np.broadcast_to(np.arange(states.shape[0])[:, None], states.shape)
     psi = np.zeros((dim, states.shape[0]), dtype=complex)
-    np.add.at(psi, (states, np.arange(states.shape[0])[:, None]), amplitudes)
+    np.add.at(psi, (states[inside], column[inside]), amplitudes[inside])
     return psi
 
 
@@ -162,13 +164,16 @@ def masked_reduce_atoms(batch, weights):
     """reduce_atoms by the full product of each column's amplitudes, masked afterwards.
 
     Forms w_k a_i conj(a_j) for every pair of slots of every column and time,
-    keeps the pairs whose states share a field index, and adds them with one
-    bincount in (time, k, i, j) order: the reference for the terms and the
-    order of reduce_atoms, which gathers only those pairs.
+    keeps the pairs whose states share a field index, the padding (state -1)
+    skipped, and adds them with one bincount in (time, k, i, j) order: the
+    reference for the terms and the order of reduce_atoms, which gathers
+    only those pairs.
     """
     states, amplitudes, dim = batch
     atom, field = np.divmod(states, dim // 4)
+    inside = states >= 0
     shared = field[:, :, None] == field[:, None, :]
+    shared &= inside[:, :, None] & inside[:, None, :]
     pair = (4 * atom[:, :, None] + atom[:, None, :])[shared]
     weighted = amplitudes * np.asarray(weights, dtype=float)[:, None]
     terms = (weighted[..., :, :, None] * amplitudes[..., None, :].conj())[..., shared]

@@ -231,7 +231,7 @@ def test_check_compares_both_paths_on_one_retained_set(monkeypatch, capsys):
     cutoffs = received["sweep"] + received["thermal_sweep"]
     assert len(received["sweep"]) == len(received["thermal_sweep"]) == 1
     assert all(cutoff is cutoffs[0] for cutoff in cutoffs)
-    assert cutoffs[0] == FockCutoff(5, 6, 0.3, 2.0)
+    assert cutoffs[0] == FockCutoff.explicit(5, 6, 0.3, 2.0)
 
 
 def test_check_subcommand_detects_violation():
@@ -355,7 +355,7 @@ def test_large_sweep_warns_before_running(monkeypatch, capsys, tmp_path):
 
 def test_sweep_warns_when_its_kernel_pass_would_need_more_than_a_gibibyte(capsys):
     # at nbar 1000 per mode the set holds 3.5e8 pairs: 6.9e8 terms at two
-    # times, under WARN_TERMS, but about 14 GB in the kernel's moment pass
+    # times, under WARN_TERMS, but up to 32 GiB in the kernel's moment pass
     cutoff = FockCutoff.choose(1000.0, 1000.0, cli.DEFAULT_TAIL_TOL)
     grid = TimeGrid(10.0, 1)
     assert cutoff.size * (grid.steps + 1) <= cli.WARN_TERMS
@@ -363,7 +363,7 @@ def test_sweep_warns_when_its_kernel_pass_would_need_more_than_a_gibibyte(capsys
     cli._warn_if_large(InitialAtomicState("eg"), grid, cutoff)
     err = capsys.readouterr().err.splitlines()
     gib = cutoff.size * _core_py.PAIR_BYTES / (1 << 30)
-    assert len(err) == 1 and f"holds about {gib:.3g} GiB" in err[0], err
+    assert len(err) == 1 and f"holds up to {gib:.3g} GiB" in err[0], err
     assert f"Fock set of {cutoff.size} pairs" in err[0], err
 
 
@@ -399,6 +399,34 @@ def test_large_oracle_run_warns_before_running(monkeypatch, capsys, tmp_path):
         assert len(err) == 1 and f"{work:.3g} state-times" in err[0], err
         assert out == outputs[argv[0]].out
     assert (tmp_path / "eg.csv").read_bytes() == quiet
+
+
+def test_the_oracle_truncation_follows_headroom(monkeypatch, capsys):
+    # oracle.truncation is the one place the headroom is added: the sweep's
+    # path label, the check header, the warning's state count and the space
+    # oracle.thermal_sweep evolves all follow it; cutoff 2,3 is then
+    # truncated at 5,6: 4 x 6 x 7 = 168 states
+    monkeypatch.setattr(oracle, "HEADROOM", 3)
+    monkeypatch.setattr(cli, "WARN_ORACLE_STATE_TIMES", 0)
+    built = []
+    init = oracle.Propagator.__init__
+
+    def recording(self, n_max1, n_max2):
+        built.append((n_max1, n_max2))
+        init(self, n_max1, n_max2)
+
+    monkeypatch.setattr(oracle.Propagator, "__init__", recording)
+    sweep = ["sweep", "--initial", "eg", "--nbar1", "1", "--oracle", "--cutoff", "2,3",
+             "--steps", "2"]
+    assert cli.main(sweep) == 0
+    out, err = capsys.readouterr()
+    assert "# path: oracle, truncation (5, 6)\n" in out, out
+    assert "168 states of truncation (5, 6)" in err, err
+    assert cli.main(["check", "--cutoff", "2,3", "--steps", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("closed form vs oracle: truncation (5, 6),") and "PASS" in out, out
+    assert "168 states of truncation (5, 6)" in err, err
+    assert built == [(5, 6), (5, 6)]
 
 
 def test_warned_pass_count_is_the_kernel_call_count(monkeypatch):

@@ -169,13 +169,20 @@ def test_moment_sums_match_exact_sum_of_terms():
     for gts, picked in ((TimeGrid(10.0, 10).points(), range(11)), (grid, (0, 7, 250, 503, 1000))):
         for variant in VARIANTS:
             weights = ((w1, w2),) + (empty_mode if variant == "gg" else ())
-            sweeps = [_core_py.thermal_sweep(variant, a, b, gts) for a, b in weights]
+            sweeps = [
+                _core_py.thermal_sweep(variant, a, b, gts, _rectangle(a, b)) for a, b in weights
+            ]
             for k in picked:
                 terms = _core_py.xstate_term(variant, n1, n2, gts[k])
                 for (a, b), rows in zip(weights, sweeps):
                     weight = np.outer(a, b)
                     exact = [math.fsum((weight * t).ravel()) for t in terms]
                     assert np.abs(rows[k] - exact).max() <= 1e-14, (variant, k)
+
+
+def _rectangle(w1, w2):
+    """Row limits of the rectangle over the weights w1, w2: n2 < len(w2) in each of len(w1) rows."""
+    return np.full(len(w1), len(w2) - 1)
 
 
 def _grouped_by_unique(variant, w1, w2, cutoff):
@@ -195,15 +202,14 @@ def test_moments_match_an_independent_grouping_bit_for_bit():
     # the kernel bins the points by Omega^2 / 2 - 1 with no sort; np.unique
     # groups them by sorting, and both sum each group in the set's point order
     staircase = FockCutoff.choose(3.0, 10.0, 1e-10)
-    rectangle = FockCutoff(12, 20, 1.0, 1.0)
+    rectangle = FockCutoff.explicit(12, 20, 1.0, 1.0)
     w1, w2 = staircase.weights()
-    cases = [(v, staircase, w1, w2, np.array(staircase.rows)) for v in VARIANTS]
-    cases += [(v, rectangle, *rectangle.weights(), None) for v in VARIANTS]
+    cases = [(v, cutoff, *cutoff.weights()) for cutoff in (staircase, rectangle) for v in VARIANTS]
     # gg with all weight on an empty mode: its clamped rows have q = 0
     for a, b in ((np.eye(1, w1.size)[0], w2), (w1, np.eye(1, w2.size)[0])):
-        cases.append(("gg", staircase, a, b, np.array(staircase.rows)))
-    for variant, cutoff, a, b, rows in cases:
-        omega_sq, moments = _core_py._moments(variant, a, b, rows)
+        cases.append(("gg", staircase, a, b))
+    for variant, cutoff, a, b in cases:
+        omega_sq, moments = _core_py._moments(variant, a, b, np.array(cutoff.rows))
         expected_sq, expected = _grouped_by_unique(variant, a, b, cutoff)
         assert np.array_equal(omega_sq, expected_sq), variant
         assert np.array_equal(moments, expected), variant
@@ -212,7 +218,7 @@ def test_moments_match_an_independent_grouping_bit_for_bit():
 def test_sweep_is_exact_on_sparse_key_sets():
     # an L-shaped set and a single row leave most of the kernel's bins empty
     gts = TimeGrid(10.0, 10).points()
-    l_shape = FockCutoff(300, 300, 2.0, 2.0, (300,) + (0,) * 300)
+    l_shape = FockCutoff((300,) + (0,) * 300, 2.0, 2.0)
     for cutoff in (l_shape, FockCutoff.choose(0.0, 10.0, 1e-10)):
         w1, w2 = cutoff.weights()
         n1, n2, weight = set_weights(cutoff)
@@ -254,6 +260,30 @@ def test_sweep_error_is_within_certified_tail_bound():
             ]
             assert max(errors) <= cutoff.tail_bound + 1e-12
             assert max(errors) >= 0.99 * cutoff.tail_bound
+
+
+def test_a_kernel_pass_holds_at_most_pair_bytes_per_pair():
+    # _moments holds a pass's peak; sets of 1e5 pairs or more with about one
+    # (staircase), two (rectangle) and three (one row) key bins per pair
+    sets = (
+        FockCutoff.choose(30.0, 30.0),
+        FockCutoff.explicit(320, 320, 1.0, 1.0),
+        FockCutoff.choose(0.0, 5000.0),
+        FockCutoff.choose(5000.0, 0.0),
+    )
+    for cutoff in sets:
+        assert cutoff.size >= 10**5
+        w1, w2 = cutoff.weights()
+        rows = np.array(cutoff.rows)
+        for variant in VARIANTS:
+            tracemalloc.start()
+            try:
+                _core_py._moments(variant, w1, w2, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_pair = peak / cutoff.size
+            assert per_pair <= _core_py.PAIR_BYTES, (variant, cutoff.rows[:2], per_pair)
 
 
 def test_sweep_temporaries_are_bounded_in_the_number_of_times():
@@ -309,7 +339,7 @@ def _direct(monkeypatch, variant, w1, w2, gts):
     """The kernel's output with every time on the direct path, one sin per frequency and time."""
     monkeypatch.setattr(_core_py, "_offset_count", lambda gts: 0)
     try:
-        return _core_py.thermal_sweep(variant, w1, w2, gts)
+        return _core_py.thermal_sweep(variant, w1, w2, gts, _rectangle(w1, w2))
     finally:
         monkeypatch.undo()
 
@@ -323,7 +353,7 @@ def test_sweep_takes_one_sin_per_distinct_frequency_and_time(monkeypatch):
         assert distinct < 0.6 * w1.size * w2.size
         counter = _TrigCounter()
         monkeypatch.setattr(_core_py, "np", counter)
-        _core_py.thermal_sweep(variant, w1, w2, gts)
+        _core_py.thermal_sweep(variant, w1, w2, gts, _rectangle(w1, w2))
         monkeypatch.undo()
         assert counter.elements == distinct * gts.size
 
@@ -337,7 +367,7 @@ def test_uniform_grid_takes_angle_addition_trig(monkeypatch):
         w1, w2, distinct = _weights_and_distinct(variant, 3.0, 10.0)
         counter = _TrigCounter()
         monkeypatch.setattr(_core_py, "np", counter)
-        _core_py.thermal_sweep(variant, w1, w2, gts)
+        _core_py.thermal_sweep(variant, w1, w2, gts, _rectangle(w1, w2))
         monkeypatch.undo()
         per_frequency = 2 * (-(-gts.size // split) + split)
         assert counter.elements <= per_frequency * distinct
@@ -363,7 +393,7 @@ def test_grid_path_agrees_with_direct_path_at_long_times(monkeypatch):
     gts = TimeGrid(200.0, 2000).points()
     for variant in VARIANTS:
         w1, w2, _ = _weights_and_distinct(variant, 1.0, 1.0)
-        grid = _core_py.thermal_sweep(variant, w1, w2, gts)
+        grid = _core_py.thermal_sweep(variant, w1, w2, gts, _rectangle(w1, w2))
         assert np.abs(grid - _direct(monkeypatch, variant, w1, w2, gts)).max() <= 1e-13
 
 
@@ -371,7 +401,7 @@ def test_off_grid_times_take_the_direct_path(monkeypatch):
     gts = TimeGrid(10.0, 1000).points()
     gts[400] += 1e-9
     w1, w2, _ = _weights_and_distinct("eg", 3.0, 10.0)
-    rows = _core_py.thermal_sweep("eg", w1, w2, gts)
+    rows = _core_py.thermal_sweep("eg", w1, w2, gts, _rectangle(w1, w2))
     assert np.array_equal(rows, _direct(monkeypatch, "eg", w1, w2, gts))
 
 
@@ -431,7 +461,7 @@ def test_sweep_rejects_negative_times():
 
 
 def test_sweep_rejects_times_that_are_not_one_dimensional():
-    cutoff = FockCutoff(3, 3, 1.0, 1.0)
+    cutoff = FockCutoff.explicit(3, 3, 1.0, 1.0)
     with pytest.raises(ValueError, match=r"1-D.*\(1, 2\)"):
         sweep([InitialAtomicState("eg")], [[1.0, 2.0]], cutoff)[0]
     with pytest.raises(ValueError, match=r"1-D.*\(2, 2\)"):

@@ -25,6 +25,7 @@ from twinphoton.oracle import (
     reduce_atoms,
     thermal_sweep,
     trace_pairs,
+    truncation,
 )
 from twinphoton.thermal import FockCutoff
 
@@ -253,9 +254,9 @@ def test_reduce_atoms_is_the_weighted_sum_over_columns():
 
 
 def test_reduce_atoms_adds_the_masked_product_terms_in_order():
-    # gathering only the shared-field pairs of listed slots adds the same nonzero
+    # gathering only the shared-field pairs of the block's slots adds the same
     # terms as the full product masked afterwards, in the same order, so the
-    # sums are identical; the padding of the 1- and 3-state blocks adds exact zeros
+    # sums are identical; neither traces the padding of the 1- and 3-state blocks
     for n_max1, n_max2 in ((12, 12), (4, 2), (2, 0)):
         prop = Propagator(n_max1, n_max2)
         cols = np.arange(prop.hamiltonian.shape[0])
@@ -277,7 +278,7 @@ def test_block_trace_matches_dense_reference():
     # every atom's columns weighted as in a thermal sweep, against the dense
     # eigendecomposition of H and the dense partial trace
     cutoff = FockCutoff.explicit(8, 7, 1.0, 0.5)
-    trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
+    trunc1, trunc2 = truncation(cutoff)
     prop = Propagator(trunc1, trunc2)
     weights = np.outer(*cutoff.weights()).ravel()
     energies, v = np.linalg.eigh(dense_hamiltonian(trunc1, trunc2))
@@ -427,9 +428,9 @@ def test_thermal_sweep_plans_its_columns_once(monkeypatch):
         plans.append(len(flat_indices))
         return plan(self, flat_indices)
 
-    def counting_pairs(states, listed, dim):
+    def counting_pairs(states, dim):
         pairs.append(len(states))
-        return find(states, listed, dim)
+        return find(states, dim)
 
     monkeypatch.setattr(Propagator, "plan", counting_plan)
     monkeypatch.setattr(oracle, "trace_pairs", counting_pairs)
@@ -441,12 +442,10 @@ def test_thermal_sweep_plans_its_columns_once(monkeypatch):
 
 
 def test_thermal_sweep_equals_the_per_block_partial_traces(monkeypatch):
-    # the sweep finds each atom's pairs once from the slots inside their blocks;
-    # a block of times holding only gt = 0 leaves some of those slots at
-    # amplitude exactly zero, which reduce_atoms leaves out, and the extra
-    # exact zeros change no sum
+    # the sweep finds each atom's pairs once, before its blocks of times, by
+    # the rule reduce_atoms applies to each block; one block holds only gt = 0
     cutoff = FockCutoff.explicit(3, 4, 0.5, 0.8)
-    trunc1, trunc2 = cutoff.n_max1 + HEADROOM, cutoff.n_max2 + HEADROOM
+    trunc1, trunc2 = truncation(cutoff)
     prop = Propagator(trunc1, trunc2)
     n1, n2 = cutoff.points()
     w1, w2 = cutoff.weights()
@@ -455,16 +454,11 @@ def test_thermal_sweep_equals_the_per_block_partial_traces(monkeypatch):
     blocks = [slice(0, 2), slice(2, 4), slice(4, 5)]
     monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 160)  # 2 times per call of 80 columns
     swept = thermal_sweep([InitialAtomicState(v) for v in ATOM_INDEX], gts, cutoff)
-    zeros = 0
     for variant, stack in zip(ATOM_INDEX, swept):
         cols = flat_index(ATOM_INDEX[variant], n1, n2, trunc1, trunc2)
-        inside = prop.plan(cols).listed
         for block in blocks:
-            states, amplitudes, dim = prop.evolve_basis_batch(cols, gts[block])
-            expected = reduce_atoms((states, amplitudes, dim), weights)
+            expected = reduce_atoms(prop.evolve_basis_batch(cols, gts[block]), weights)
             assert np.array_equal(stack[block], expected), (variant, block)
-            zeros += np.count_nonzero(inside & ~np.moveaxis(amplitudes, 0, -1).any(axis=-1))
-    assert zeros > 0
 
 
 def test_a_plan_evolves_as_its_flat_indices():
@@ -476,9 +470,11 @@ def test_a_plan_evolves_as_its_flat_indices():
         for by_plan, by_index in zip(prop.evolve_basis_batch(plan, t), by_index):
             assert np.array_equal(by_plan, by_index)
             assert np.asarray(by_plan).tobytes() == np.asarray(by_index).tobytes()
-    # the plan lists exactly the slots of each block, where the amplitudes can be nonzero
+    # the plan pads with state -1 exactly the slots past each block, where the
+    # amplitudes are zero
     amplitudes = prop.evolve_basis_batch(plan, [0.3, 4.7])[1]
-    assert np.array_equal(plan.listed, np.moveaxis(amplitudes, 0, -1).any(axis=-1))
+    assert np.array_equal(plan.states >= 0, np.moveaxis(amplitudes, 0, -1).any(axis=-1))
+    assert set(plan.states[plan.states < 0].tolist()) == {-1}
 
 
 def test_trace_pairs_lists_the_shared_field_pairs_of_listed_slots():
@@ -486,15 +482,18 @@ def test_trace_pairs_lists_the_shared_field_pairs_of_listed_slots():
     cols = np.arange(prop.hamiltonian.shape[0])
     plan = prop.plan(cols)
     dim = prop.hamiltonian.shape[0]
-    k, slot_i, slot_j, pair = trace_pairs(plan.states, plan.listed, dim)
+    # the padding, state -1, has field index dim // 4 - 1 and atom -1, which
+    # trace_pairs must not pair with the states of that field index
+    assert (plan.states == -1).any()
+    k, slot_i, slot_j, pair = trace_pairs(plan.states, dim)
     size = plan.states.shape[1]
     expected = [
         (c, c * size + i, c * size + j)
         for c in range(len(cols))
         for i in range(size)
         for j in range(size)
-        if plan.listed[c, i]
-        and plan.listed[c, j]
+        if plan.states[c, i] >= 0
+        and plan.states[c, j] >= 0
         and plan.states[c, i] % (dim // 4) == plan.states[c, j] % (dim // 4)
     ]
     assert list(zip(k.tolist(), slot_i.tolist(), slot_j.tolist())) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ def row_limit(nbar, tol):
 
 def row_tail(nbar, n_max):
     """Neglected mass of the one-row set n2 <= n_max, the first mode empty."""
-    return FockCutoff(0, n_max, 0.0, nbar).tail_bound
+    return FockCutoff.explicit(0, n_max, 0.0, nbar).tail_bound
 
 
 def test_thermal_weight_examples():
@@ -71,7 +72,7 @@ def test_thermal_weight_rejects_bad_input():
 
 def test_choose_cutoff_vacuum():
     for tol in (1e-12, 1e-300):
-        assert FockCutoff.choose(0.0, 0.0, tol) == FockCutoff(0, 0, 0.0, 0.0)
+        assert FockCutoff.choose(0.0, 0.0, tol) == FockCutoff((0,), 0.0, 0.0)
         assert FockCutoff.choose(0.0, 0.0, tol).tail_bound == 0.0
 
 
@@ -188,7 +189,7 @@ def test_fock_cutoff_set_at_equal_nbar_is_a_triangle():
 
 
 def test_fock_cutoff_vacuum_is_exact():
-    assert FockCutoff.choose(0.0, 0.0, 1e-12) == FockCutoff(0, 0, 0.0, 0.0)
+    assert FockCutoff.choose(0.0, 0.0, 1e-12) == FockCutoff((0,), 0.0, 0.0)
 
 
 def test_fock_cutoff_rejects_bad_fields():
@@ -197,23 +198,28 @@ def test_fock_cutoff_rejects_bad_fields():
     # nor does a bool, an int that would print as n_max1=True
     for n_max1, n_max2 in ((-1, 3), (3, -1), (3.5, 3), (3, 3.0), (True, 2), (3, False)):
         with pytest.raises(ValueError, match="cutoffs"):
-            FockCutoff(n_max1, n_max2, 1.0, 1.0)
+            FockCutoff.explicit(n_max1, n_max2, 1.0, 1.0)
     # a bad mean photon number is reported under its own name, by every constructor
     for nbar in (-0.1, math.nan, math.inf, True):
         for name, nbars in (("nbar1", (nbar, 1.0)), ("nbar2", (1.0, nbar))):
             with pytest.raises(ValueError, match=name):
-                FockCutoff(3, 3, *nbars)
+                FockCutoff((3, 3, 3, 3), *nbars)
             with pytest.raises(ValueError, match=name):
                 FockCutoff.explicit(3, 3, *nbars)
             with pytest.raises(ValueError, match=name):
                 FockCutoff.choose(*nbars)
-    assert FockCutoff(0, 0, 0.0, 0.0).tail_bound == 0.0
-    # row limits: n_max1 + 1 integers from n_max2 down to >= 0, never increasing
-    for rows in ((3, 2), (3, 2, 1, 0), (2, 2, 1), (3, 4, 1), (3, 2, -1), (3.0, 2.0, 1.0),
-                 (True, True, False), ((3, 2, 1),)):
+    assert FockCutoff((0,), 0.0, 0.0).tail_bound == 0.0
+    # row limits: one or more integers down to >= 0, never increasing
+    for rows in ((), np.array([], dtype=int), (3, 4, 1), (0, 1), (3, 2, -1), (-1,),
+                 (3.0, 2.0, 1.0), (3, 2.0), np.array([2.0, 1.0]), (True, True, False),
+                 ((3, 2, 1),)):
         with pytest.raises(ValueError, match="rows"):
-            FockCutoff(2, 3, 1.0, 1.0, rows)
-    assert FockCutoff(2, 3, 1.0, 1.0, np.array([3, 3, 0])).rows == (3, 3, 0)
+            FockCutoff(rows, 1.0, 1.0)
+    # the extent is read from the limits, which a numpy array may give
+    cutoff = FockCutoff(np.array([3, 3, 0]), 1.0, 1.0)
+    assert cutoff.rows == (3, 3, 0) and all(type(limit) is int for limit in cutoff.rows)
+    assert (cutoff.n_max1, cutoff.n_max2) == (2, 3)
+    assert [f.name for f in dataclasses.fields(FockCutoff)] == ["rows", "nbar1", "nbar2"]
 
 
 def test_fock_cutoff_explicit_reports_computed_tail():
@@ -223,7 +229,7 @@ def test_fock_cutoff_explicit_reports_computed_tail():
     expected = t1 + t2 - t1 * t2
     assert cutoff.n_max1 == 10 and cutoff.n_max2 == 12
     assert cutoff.rows == (12,) * 11 and cutoff.size == 11 * 13
-    assert cutoff == FockCutoff(10, 12, 1.0, 1.0, (12,) * 11)
+    assert cutoff == FockCutoff((12,) * 11, 1.0, 1.0)
     assert cutoff.tail_bound == pytest.approx(expected, rel=1e-10)
     w1, w2 = cutoff.weights()
     assert np.array_equal(w1, mode_weights(1.0, 10)) and np.array_equal(w2, mode_weights(1.0, 12))
