@@ -12,7 +12,7 @@ identical flags are byte-identical.  The closed form uses no BLAS and is
 identical at any BLAS thread count; oracle output (``--oracle``, ``check``) is
 identical only at a fixed thread count.
 
-Exit codes: 0 success, 1 usage error, 2 numerical-validation failure.
+Exit codes: 0 success, 1 usage error or out of memory, 2 numerical-validation failure.
 """
 
 from __future__ import annotations
@@ -392,6 +392,9 @@ def main(argv=None) -> int:
         args.parser.error(str(exc))
     except OSError as exc:
         print(f"twinphoton: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the allocation; a bare MemoryError says nothing
+        print(f"twinphoton: error: out of memory: {exc}", file=sys.stderr)
         return 1
     except FloatingPointError as exc:  # a numerical-validation failure, such as a NaN row
         print(f"twinphoton: error: {exc}", file=sys.stderr)

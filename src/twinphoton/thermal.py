@@ -42,7 +42,8 @@ def mode_weights(nbar: float, n_max: int) -> np.ndarray:
     if not _count(n_max):
         raise ValueError(f"n_max must be an integer >= 0; got {n_max!r}")
     r = _ratio(nbar)
-    return np.array([r**n / (1.0 + nbar) for n in range(n_max + 1)])
+    # sized up front, so an extent that cannot be held fails at once
+    return np.fromiter((r**n / (1.0 + nbar) for n in range(n_max + 1)), float, n_max + 1)
 
 
 # Slack, in steps of the second mode, with which a row limit is rounded down,
@@ -61,7 +62,16 @@ def _neglected_mass(nbar1: float, nbar2: float, rows) -> float:
     rows = np.asarray(rows)
     r1, r2 = _ratio(nbar1), _ratio(nbar2)
     missed = r1 ** np.arange(rows.size, dtype=float) / (1.0 + nbar1) * r2 ** (rows + 1.0)
-    return math.fsum(missed.tolist()) + r1**rows.size
+    return math.fsum(memoryview(missed)) + r1**rows.size
+
+
+def _pairs(low, high) -> tuple[np.ndarray, np.ndarray]:
+    """Fock indices (n1, n2) with low[n1] <= n2 <= high[n1], row by row, n2 ascending in a row."""
+    counts = np.asarray(high) - low + 1
+    n1 = np.repeat(np.arange(counts.size), counts)
+    n2 = np.arange(n1.size)
+    n2 -= np.repeat(np.cumsum(counts) - counts - low, counts)
+    return n1, n2
 
 
 def _staircase(c: float, a: float, b: float) -> np.ndarray:
@@ -95,10 +105,9 @@ def _largest_weight_rows(nbar1: float, nbar2: float, tol: float) -> list[int]:
     Row n1 of S(c) misses (1 - r1) e^-c r2^(1 - f) with f in [0, 1), and the
     rows past the last, N of them, miss between r1 e^-c and e^-c, so the
     mass is e^-c F(c) with r2 ((1 - r1) N + r1) <= F(c) <= (1 - r1) N + 1.
-    Solving e^-c F = tol for both bounds brackets c; a bisection narrows the
-    bracket to one step b of the second mode, so that each row has at most
-    one rank in it, and a bisection over those ranks finds the smallest set
-    whose mass is below tol.
+    Solving e^-c F = tol for both bounds brackets c, and a bisection over
+    the ranks of the pairs in the bracket finds the smallest set whose mass
+    is below tol.
     """
     r1, r2 = _ratio(nbar1), _ratio(nbar2)
     if r2 == 1.0:  # a geometric tail that never falls
@@ -107,9 +116,9 @@ def _largest_weight_rows(nbar1: float, nbar2: float, tol: float) -> list[int]:
         return [_single_row(nbar2, tol)]
     a, b = -math.log(r1), -math.log(r2)
 
-    def solve(f):  # the fixed point of c = ln(f(N) / tol), approached from below
+    def solve(f):  # the fixed point of c = ln f(N) - ln tol, approached from below
         c = 0.0
-        while (step := math.log(f(math.floor((c + _TIE * b) / a) + 1) / tol)) > c:
+        while (step := math.log(f(math.floor((c + _TIE * b) / a) + 1)) - math.log(tol)) > c:
             c = step
         return c
 
@@ -125,19 +134,13 @@ def _largest_weight_rows(nbar1: float, nbar2: float, tol: float) -> list[int]:
         if lo == 0.0:  # the single pair (0, 0) suffices
             return _staircase(lo, a, b).tolist()
         lo, hi = max(0.0, lo - b), lo
-    while hi - lo > b:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if mass(mid) < tol else (mid, hi)
     # the ranks of the pairs in S(hi) but not in S(lo), then hi itself
-    top, bottom = _staircase(hi, a, b).tolist(), _staircase(lo, a, b).tolist()
-    bottom += [-1] * (len(top) - len(bottom))
-    ranks = sorted(
-        i * a + k * b
-        for i, (low, high) in enumerate(zip(bottom, top))
-        for k in range(low + 1, high + 1)
-    )
-    ranks.append(hi)
-    first, last = 0, len(ranks) - 1
+    top, bottom = _staircase(hi, a, b), _staircase(lo, a, b)
+    low = np.zeros_like(top)
+    low[: bottom.size] = bottom + 1
+    n1, n2 = _pairs(low, top)
+    ranks = np.append(np.sort(n1 * a + n2 * b), hi)
+    first, last = 0, ranks.size - 1
     while first < last:
         mid = (first + last) // 2
         first, last = (first, mid) if mass(ranks[mid]) < tol else (mid + 1, last)
@@ -147,14 +150,10 @@ def _largest_weight_rows(nbar1: float, nbar2: float, tol: float) -> list[int]:
 def _transpose(rows) -> list[int]:
     """Row limits of the same staircase with the modes swapped.
 
-    Column n2 reaches the last row whose limit is n2 or more, so the columns
-    from rows[n1 + 1] + 1 to rows[n1] reach row n1.
+    Column n2 reaches the last row whose limit is n2 or more.
     """
-    below = [*rows[1:], -1]
-    swapped = []
-    for n1 in reversed(range(len(rows))):
-        swapped += [n1] * (rows[n1] - below[n1])
-    return swapped
+    rows = np.asarray(rows)
+    return (np.searchsorted(-rows, -np.arange(rows[0] + 1), side="right") - 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -222,9 +221,7 @@ class FockCutoff:
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """Fock indices (n1, n2) of the pairs in the set, row by row, n2 ascending in a row."""
-        counts = np.array(self.rows) + 1
-        n1 = np.repeat(np.arange(counts.size), counts)
-        return n1, np.arange(n1.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return _pairs(0, self.rows)
 
     def transposed(self) -> "FockCutoff":
         """The same set with the two modes swapped."""

@@ -1,5 +1,6 @@
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -267,6 +268,40 @@ def test_sweep_refuses_a_non_finite_row(tmp_path):
     assert res.returncode == 2, (res.stdout, res.stderr)
     assert b"gt=1e+307" in res.stderr, res.stderr
     assert not out.exists()
+
+
+def test_sweep_that_cannot_hold_its_fock_set_fails_in_one_line(tmp_path):
+    # at nbar2 1e15 the one-row set holds 2.3e16 pairs, whose weights alone need
+    # more bytes than any address space: the run warns, then fails at once; the
+    # child's address space (one BLAS thread) is capped so that a regression
+    # fails, not the host
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = tmp_path / "huge.csv"
+    argv = ["sweep", "--initial", "eg", "--nbar1", "0", "--nbar2", "1e15", "--steps", "1"]
+    res = subprocess.run(
+        [*CMD, *argv, "--out", str(out)],
+        capture_output=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_memory,
+    )
+    assert res.returncode == 1, (res.stdout, res.stderr)
+    err = res.stderr.decode().splitlines()
+    assert len(err) == 2 and err[0].startswith("twinphoton: warning:"), err
+    assert err[1].startswith("twinphoton: error: out of memory: "), err
+    assert not out.exists()
+
+
+def test_sweep_runs_at_a_subnormal_tail_tolerance():
+    res = run_cli(
+        "sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1", "--tail-tol", "1e-320",
+        "--steps", "1",
+    )
+    assert res.returncode == 0, (res.stdout, res.stderr)
+    assert res.stderr == b""
+    _, rows = parse_csv(res.stdout.decode())
+    assert len(rows) == 2
 
 
 def test_calls_in_one_process_match_fresh_calls(capsys):

@@ -188,6 +188,36 @@ def test_fock_cutoff_set_at_equal_nbar_is_a_triangle():
     assert cutoff == cutoff.transposed()
 
 
+# (nbar1, nbar2, tol, (n_max1, n_max2, size), tail_bound) of sets the selection
+# has chosen, recorded to pin it where the brute-force tests (nbar <= 10) do not reach
+RECORDED_SETS = [
+    (1, 1, 1e-10, (37, 37, 741), 7.275957614183426e-11),
+    (3, 10, 1e-10, (90, 274, 12650), 9.996732478355888e-11),
+    (10, 3, 1e-10, (274, 90, 12650), 9.996732478355888e-11),
+    (0.05, 1000, 1e-10, (8, 25199, 117139), 9.999255116728611e-11),
+    (1000, 0.05, 1e-4, (10605, 3, 24148), 9.998723272186522e-05),
+    (100, 100, 1e-16, (4076, 4076, 8313003), 9.963367509418497e-17),
+    (0.3, 0.3, 1e-300, (475, 475, 113526), 2.738606474509403e-301),
+    (1e-6, 1e-6, 0.5, (0, 0, 1), 1.999997000004e-06),
+    (1, 1, 2.0, (0, 0, 1), 0.75),
+    (0, 5, 1e-10, (0, 126, 127), 8.789855831163879e-11),
+]
+
+
+def test_fock_cutoff_choose_matches_recorded_sets():
+    for nbar1, nbar2, tol, extent, tail in RECORDED_SETS:
+        cutoff = FockCutoff.choose(nbar1, nbar2, tol)
+        assert (cutoff.n_max1, cutoff.n_max2, cutoff.size) == extent, (nbar1, nbar2, tol)
+        assert cutoff.tail_bound == tail, (nbar1, nbar2, tol)
+
+
+def test_fock_cutoff_choose_holds_at_subnormal_tolerances():
+    # the bracket is solved as ln f(N) - ln tol, so f(N) / tol cannot overflow
+    for nbars in ((1.0, 1.0), (3.0, 10.0), (0.05, 1000.0)):
+        for tol in (1e-310, 1e-320):
+            assert FockCutoff.choose(*nbars, tol).tail_bound < tol, (nbars, tol)
+
+
 def test_fock_cutoff_vacuum_is_exact():
     assert FockCutoff.choose(0.0, 0.0, 1e-12) == FockCutoff((0,), 0.0, 0.0)
 
