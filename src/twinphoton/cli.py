@@ -265,13 +265,14 @@ def _sweep_documents(initials, grid, cutoff, use_oracle=False):
     return documents
 
 
-def _warn_if_large(initial, grid, cutoff):
-    """One stderr line when the closed-form sweep is large, before it runs.
+def _warn_if_large(initials, grid, cutoff):
+    """One stderr line when the closed-form sweep of initials is large, before it runs.
 
     Large is more than WARN_TERMS terms, or a kernel pass over the set that
     may hold more than WARN_BYTES, at the bound _core_py.PAIR_BYTES per pair.
     """
-    passes = len(initial.parts)  # dynamics.sweep: one per pure part
+    # dynamics.sweep: one pass per distinct pure variant of the states
+    passes = len({v for initial in initials for v, _ in initial.parts})
     terms = cutoff.size * (grid.steps + 1) * passes
     memory = cutoff.size * _core_py.PAIR_BYTES
     if terms > WARN_TERMS or memory > WARN_BYTES:
@@ -315,7 +316,7 @@ def _run_sweep(args) -> int:
     if args.oracle:
         _warn_if_large_oracle(cutoff, grid)
     else:
-        _warn_if_large(initial, grid, cutoff)
+        _warn_if_large([initial], grid, cutoff)
     _emit(_sweep_documents([initial], grid, cutoff, use_oracle=args.oracle)[0], args.out)
     return 0
 
@@ -331,6 +332,7 @@ def _run_figure(args) -> int:
     for nbar, curves in fields.items():
         cutoff = FockCutoff.choose(nbar, nbar, args.tail_tol)
         initials, names = zip(*curves)
+        _warn_if_large(initials, grid, cutoff)
         for name, lines in zip(names, _sweep_documents(initials, grid, cutoff)):
             path = os.path.join(args.outdir, name)
             _emit(lines, path)
@@ -349,8 +351,9 @@ def _run_check(args) -> int:
 
     print(
         f"closed form vs oracle: truncation {oracle.truncation(cutoff)},"
-        f" nbar=({args.nbar1:g}, {args.nbar2:g}),"
-        f" {grid.steps + 1} times in [0, {grid.t_max:g}]"
+        f" nbar=({_format_float(cutoff.nbar1)}, {_format_float(cutoff.nbar2)}),"
+        f" {grid.steps + 1} times in [0, {grid.t_max:g}], points={cutoff.size},"
+        f" neglected_mass<={_format_float(cutoff.tail_bound)}"
     )
     outside_x = np.ones((4, 4), dtype=bool)
     outside_x[X_ROWS, X_COLS] = False

@@ -43,10 +43,13 @@ def _count(x) -> bool:
 
 
 def _check_nbar(value, name: str = "nbar") -> float:
-    """The mean photon number as a Python float; rejects anything but a finite real >= 0."""
+    """The mean photon number as a Python float; rejects anything but a finite real >= 0.
+
+    -0.0 becomes 0.0, so both write the same bytes wherever the value is printed.
+    """
     if not _finite(value) or value < 0:
         raise ValueError(f"{name} must be >= 0 and finite; got {value!r}")
-    return float(value)
+    return float(value) + 0.0
 
 
 def _check_times(gts: np.ndarray):

@@ -10,8 +10,9 @@ invariant subspaces, each diagonalized on its own.  States are unit-basis
 columns |atom>|n1, n2> named by flat_index; Propagator.evolve_basis_batch
 evolves a batch of them at one time or at a stack of times, each inside its
 own block in real arithmetic, and returns them in block coordinates: the
-states of each column's block and their amplitudes, laid out with time as
-the last, contiguous axis; a row of a smaller block is padded with state -1.
+(K, S) states of each column's block and their amplitudes, of shape
+(K, S) + t.shape with time the last, contiguous axis, the layout they are
+computed and traced in; a row of a smaller block is padded with state -1.
 reduce_atoms traces out the field from that form as a weighted sum over the
 columns, gathering only the pairs of states (never the padding) that share a
 field index, so no array the size of the whole space is built per column and
@@ -202,20 +203,23 @@ class Propagator:
         dim).  Row k of the (K, S) array states lists the basis states of the
         block of column k; S is the largest block size, and the row of a
         smaller block is padded with state -1 at amplitude 0.  amplitudes has
-        shape t.shape + (K, S): the amplitudes of those states after each
-        time in t, so a scalar t gives (K, S).  It is a view of a (K, S, T)
-        array, time the last and contiguous axis, so each state's amplitudes
-        over the times are one contiguous run.  States outside the block are
-        left out: their amplitude is exactly zero.  dim is the size of the
-        truncated space.  The block eigenvectors V are real, so
-        exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p
-        is row p of V: amplitude i is sum_j coef[i, j] (cos(E_j t) - i
-        sin(E_j t)) with coef[i, j] = V[i, j] V[p, j].  The coefficients
-        come from the plan; a call takes the phases once per block
-        eigenvalue and time, and the sum over j is one einsum that adds
-        the products in increasing j, so a time's amplitudes are
-        bit-identical whatever other times share the call and whether the
-        columns came as indices or as a plan.
+        shape (K, S) + t.shape, C-contiguous: the amplitudes of those states
+        after each time in t, time the last axis, so a scalar t gives (K, S)
+        and each state's amplitudes over the times are one contiguous run.
+        States outside the block are left out: their amplitude is exactly
+        zero.  dim is the size of the truncated space.  The block
+        eigenvectors V are real, so exp(-iHt) e_p = V cos(Et) V^T e_p -
+        i V sin(Et) V^T e_p, and V^T e_p is row p of V: amplitude i is
+        sum_j coef[i, j] (cos(E_j t) - i sin(E_j t)) with coef[i, j] =
+        V[i, j] V[p, j].  The coefficients come from the plan; a call takes
+        the phases once per block eigenvalue and time, and each sum over j
+        is one einsum per size group, without optimize so never BLAS, that
+        adds the products to +0.0 in increasing j, so a time's amplitudes
+        are bit-identical whatever other times share the call and whether
+        the columns came as indices or as a plan.  The sine sums are negated
+        once, after every group, which is the sum of the products of -coef:
+        only the sign of a zero sum depends on the start from +0.0, and the
+        trace over the field adds into +0.0 as well, so it never shows.
         """
         plan = columns if isinstance(columns, ColumnPlan) else self.plan(columns)
         t = np.asarray(t, dtype=float)
@@ -223,26 +227,15 @@ class Propagator:
         amplitudes = np.zeros(plan.states.shape + (times.size,), dtype=complex)
         for g, cols, block, coef in plan.groups:
             et = self._blocks[g][1].T[:, None, :] * times[:, None]  # (size, T, blocks)
-            for part, trig, negate in ((amplitudes.real, np.cos, False), (amplitudes.imag, np.sin, True)):
-                _contract_into(part, cols, coef, np.take(trig(et), block, axis=-1), negate)
-        amplitudes = np.moveaxis(amplitudes, -1, 0).reshape(t.shape + plan.states.shape)
+            size = coef.shape[0]
+            for part, trig in ((amplitudes.real, np.cos), (amplitudes.imag, np.sin)):
+                # the phases inline, so each is freed before the next is taken
+                part[cols, :size] = np.einsum(
+                    "ijk,jtk->kit", coef, np.take(trig(et), block, axis=-1)
+                )
+        np.negative(amplitudes.imag, out=amplitudes.imag)
+        amplitudes = amplitudes.reshape(plan.states.shape + t.shape)
         return plan.states, amplitudes, self.hamiltonian.shape[0]
-
-
-def _contract_into(out, cols, coef, phase, negate):
-    """out[cols[k], i, t] = ±sum_j coef[i, j, k] phase[j, t, k], adding j in increasing order.
-
-    One einsum per call, without optimize, so the product never goes to
-    BLAS: each output element is +0.0 plus the products in increasing j,
-    the same sum whatever the number of times or columns.  With negate the
-    sum is negated in place, which is the sum of the products of -coef.
-    Only the sign of a zero sum depends on the start from +0.0; the trace
-    over the field adds into +0.0 as well, so it never shows.
-    """
-    total = np.einsum("ijk,jtk->kit", coef, phase)
-    if negate:
-        np.negative(total, out=total)
-    out[cols, : coef.shape[0]] = total
 
 
 def trace_pairs(states, dim):
@@ -271,12 +264,6 @@ def trace_pairs(states, dim):
     return k, slot_i, slot_j, 4 * atom[slot_i] + atom[slot_j]
 
 
-def _slot_rows(amplitudes):
-    """A (..., K, S) amplitude stack as one row over the times per slot k * S + s, time last."""
-    columns, size = amplitudes.shape[-2:]
-    return np.moveaxis(amplitudes.reshape(-1, columns * size), 0, -1)
-
-
 def _sum_pairs(rows, weights, pairs):
     """(T, 4, 4) sums of w_k rows[slot_i] conj(rows[slot_j]) into element pair, for each time.
 
@@ -302,23 +289,22 @@ def reduce_atoms(batch, weights) -> np.ndarray:
     """Weighted reduced two-atom density matrix sum_k w_k Tr_field |psi_k><psi_k|.
 
     ``batch`` is (states, amplitudes, dim) as returned by
-    Propagator.evolve_basis_batch: column k is sum_s amplitudes[..., k, s]
+    Propagator.evolve_basis_batch: column k is sum_s amplitudes[k, s, ...]
     |states[k, s]>, with distinct states per row, padded with state -1.
     ``weights`` are the K column weights; any other number of them is a
     ValueError.  Only pairs of states that share a field index contribute,
     w_k a_i conj(a_j) to rho[atom_i, atom_j] (trace_pairs).  Amplitudes of
-    shape (..., K, S), one (K, S) batch per time, give a (..., 4, 4) stack:
-    the pairs are found once, their amplitudes gathered as (pairs, times)
-    rows, time last as evolve_basis_batch lays it out, and summed for all
-    the times in one reduction.
+    shape (K, S) + times, time last, give a times + (4, 4) stack: each slot
+    k * S + s is one row over the times, the pairs are found once, and their
+    rows are gathered and summed for all the times in one reduction.
     """
     states, amplitudes, dim = batch
     weights = np.asarray(weights, dtype=float)
     if weights.shape != states.shape[:1]:
         raise ValueError(f"{weights.size} weights for a batch of {states.shape[0]} columns")
-    rows = _slot_rows(amplitudes)
+    rows = amplitudes.reshape(states.size, -1)
     pairs = trace_pairs(states, dim)
-    return _sum_pairs(rows, weights, pairs).reshape(amplitudes.shape[:-2] + (4, 4))
+    return _sum_pairs(rows, weights, pairs).reshape(amplitudes.shape[2:] + (4, 4))
 
 
 def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
@@ -334,11 +320,11 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     Each block of times takes one pass: every atomic basis state the initial
     states need is evolved with each of the set's Fock pairs at all the block's
     times in a single batch, the field is traced out from each atomic basis
-    state's run of columns, and each initial state is the weighted sum of
-    those per-atom matrices.  The columns' plan and each atomic basis state's
-    trace pairs are built once, before the first pass, by the rule
-    reduce_atoms uses, so the result is bit-identical to reduce_atoms on
-    each pass.
+    state's run of columns, a run of the batch's rows of slots over those
+    times, and each initial state is the weighted sum of those per-atom
+    matrices.  The columns' plan and each atomic basis state's trace pairs
+    are built once, before the first pass, by the rule reduce_atoms uses, so
+    the result is bit-identical to reduce_atoms on each pass.
     The batch is in block coordinates, a block holds about BATCH_ELEMENTS
     columns x times, and each batch is released before the next is evolved,
     so the memory of a pass does not grow with the number of times.
@@ -353,20 +339,20 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     weights = w1[n1] * w2[n2]
     cols = np.concatenate([flat_index(atom, n1, n2, trunc1, trunc2) for atom in atoms])
     plan = prop.plan(cols)
-    parts = [slice(a * weights.size, (a + 1) * weights.size) for a in range(len(atoms))]
     dim = prop.hamiltonian.shape[0]
-    pairs = [trace_pairs(plan.states[part], dim) for part in parts]
+    # each atom's weights.size columns, in turn
+    pairs = [trace_pairs(states, dim) for states in plan.states.reshape(len(atoms), weights.size, -1)]
     per_call = max(1, BATCH_ELEMENTS // len(cols))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
     for start in range(0, gts.shape[0], per_call):
         times = slice(start, start + per_call)
         amplitudes = prop.evolve_basis_batch(plan, gts[times])[1]
-        # each atom's weights.size columns, in turn
+        rows = amplitudes.reshape(len(atoms), -1, amplitudes.shape[-1])
         per_atom = {
-            atom: _sum_pairs(_slot_rows(amplitudes[:, part]), weights, atom_pairs)
-            for atom, part, atom_pairs in zip(atoms, parts, pairs)
+            atom: _sum_pairs(atom_rows, weights, atom_pairs)
+            for atom, atom_rows, atom_pairs in zip(atoms, rows, pairs)
         }
-        del amplitudes  # release the batch before the next one is evolved
+        del amplitudes, rows  # release the batch before the next one is evolved
         for stack, initial in zip(out, initials):
             stack[times] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)
     return out

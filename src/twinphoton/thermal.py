@@ -175,8 +175,8 @@ class FockCutoff:
     nbar2: float
 
     def __post_init__(self):
-        _check_nbar(self.nbar1, "nbar1")
-        _check_nbar(self.nbar2, "nbar2")
+        object.__setattr__(self, "nbar1", _check_nbar(self.nbar1, "nbar1"))
+        object.__setattr__(self, "nbar2", _check_nbar(self.nbar2, "nbar2"))
         rows = tuple(self.rows)
         kinds = set(map(type, rows))  # checked per type, not per row: a set can have many rows
         if not (

@@ -395,7 +395,7 @@ def test_sweep_warns_when_its_kernel_pass_would_need_more_than_a_gibibyte(capsys
     grid = TimeGrid(10.0, 1)
     assert cutoff.size * (grid.steps + 1) <= cli.WARN_TERMS
     assert cutoff.size * _core_py.PAIR_BYTES > cli.WARN_BYTES
-    cli._warn_if_large(InitialAtomicState("eg"), grid, cutoff)
+    cli._warn_if_large([InitialAtomicState("eg")], grid, cutoff)
     err = capsys.readouterr().err.splitlines()
     gib = cutoff.size * _core_py.PAIR_BYTES / (1 << 30)
     assert len(err) == 1 and f"holds up to {gib:.3g} GiB" in err[0], err
@@ -464,15 +464,69 @@ def test_the_oracle_truncation_follows_headroom(monkeypatch, capsys):
     assert built == [(5, 6), (5, 6)]
 
 
-def test_warned_pass_count_is_the_kernel_call_count(monkeypatch):
-    # _warn_if_large counts len(initial.parts) kernel passes per sweep
+def test_warned_pass_count_is_the_kernel_call_count(monkeypatch, capsys):
+    # _warn_if_large counts one kernel pass per distinct pure variant of the
+    # states it is given, as dynamics.sweep runs them
     calls = kernel_calls(monkeypatch)
+    monkeypatch.setattr(cli, "WARN_TERMS", 0)
     cutoff = FockCutoff.choose(0.2, 0.5, 1e-6)
-    for variant in VARIANTS:
-        initial = InitialAtomicState(variant, 0.05 if variant == "mixed" else None)
+    grid = TimeGrid(1.0, 1)
+    singles = [[InitialAtomicState(v, 0.05 if v == "mixed" else None)] for v in VARIANTS]
+    shared = [
+        [InitialAtomicState("eg"), InitialAtomicState("eg")],
+        [InitialAtomicState("eg"), InitialAtomicState("gg")],
+        [InitialAtomicState("mixed", 0.01), InitialAtomicState("mixed", 0.05)],
+        [InitialAtomicState("ge"), InitialAtomicState("mixed", 0.05)],
+    ]
+    for initials in singles + shared:
         calls.clear()
-        dynamics.sweep([initial], [0.0, 1.0], cutoff)
-        assert len(calls) == len(initial.parts), variant
+        dynamics.sweep(initials, grid.points(), cutoff)
+        cli._warn_if_large(initials, grid, cutoff)
+        err = capsys.readouterr().err
+        assert f" x {len(calls)} kernel pass(es)," in err, (initials, err)
+
+
+def test_figure_warns_before_a_large_sweep(monkeypatch, capsys, tmp_path):
+    # preset 3's two mixed curves share one field at nbar 1 and its four pure passes
+    cutoff = FockCutoff.choose(1.0, 1.0, cli.DEFAULT_TAIL_TOL)
+    terms = cutoff.size * 1001 * 4
+    argv = ["figure", "--preset", "3", "--outdir", str(tmp_path)]
+    monkeypatch.setattr(cli, "WARN_TERMS", terms)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    quiet = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert len(quiet) == 2
+
+    monkeypatch.setattr(cli, "WARN_TERMS", terms - 1)
+    assert cli.main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{terms:.3g} terms" in err[0], err
+    assert f"Fock set of {cutoff.size} pairs" in err[0] and "x 4 kernel pass(es)" in err[0], err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == quiet
+
+
+def test_check_header_names_the_compared_set(capsys):
+    # at nbar1 1e17 the 10,10 rectangle holds almost none of the field's mass:
+    # the paths agree on it, and the header says how little was compared
+    assert cli.main(["check", "--nbar1", "1e17", "--nbar2", "0.123456789", "--steps", "2"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith("closed form vs oracle: truncation (12, 12),"), header
+    assert " nbar=(1e+17, 0.123456789)," in header, header
+    assert header.endswith(", points=121, neglected_mass<=1.0"), header
+
+
+def test_a_negative_zero_mean_photon_number_writes_the_bytes_of_zero(capsys, tmp_path):
+    documents, headers = [], []
+    for nbar in ("-0.0", "0"):
+        out = tmp_path / f"eg_{nbar}.csv"
+        argv = ["sweep", "--initial", "eg", "--nbar1", nbar, "--nbar2", "1", "--steps", "1"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        documents.append(out.read_bytes())
+        assert cli.main(["check", "--nbar1", nbar, "--steps", "1"]) == 0
+        headers.append(capsys.readouterr().out.splitlines()[0])
+    assert documents[0] == documents[1]
+    assert b" nbar1=0.0 " in documents[0]
+    assert headers[0] == headers[1] and " nbar=(0.0, 1.0)," in headers[0], headers
 
 
 def test_figure_sweeps_each_field_once(monkeypatch, tmp_path):

@@ -191,7 +191,7 @@ def test_evolution_matches_the_dense_blocks_at_long_times():
         reference = np.zeros((dim, dim), dtype=complex)
         for block, (energies, v) in zip(blocks, eigen):
             reference[np.ix_(block, block)] = (v * np.exp(-1j * energies * t)) @ v.T
-        evolved = dense_columns((states, amplitudes[n], dim))
+        evolved = dense_columns((states, amplitudes[..., n], dim))
         assert np.abs(evolved - reference).max() <= 1e-13, t
 
 
@@ -263,7 +263,11 @@ def test_reduce_atoms_adds_the_masked_product_terms_in_order():
         weights = np.linspace(0.1, 1.0, cols.size)
         for t in (0.0, 1.3, [0.0, 0.3, 4.7, 37.3, 1e3]):
             batch = prop.evolve_basis_batch(cols, t)
-            expected = masked_reduce_atoms(batch, weights)
+            states, amplitudes, dim = batch
+            # the reference takes the time axes first: (K, S) + t.shape -> t.shape + (K, S)
+            times = range(2, amplitudes.ndim)
+            time_first = np.moveaxis(amplitudes, times, range(len(times)))
+            expected = masked_reduce_atoms((states, time_first, dim), weights)
             assert np.array_equal(reduce_atoms(batch, weights), expected), (n_max1, n_max2, t)
 
 
@@ -473,7 +477,7 @@ def test_a_plan_evolves_as_its_flat_indices():
     # the plan pads with state -1 exactly the slots past each block, where the
     # amplitudes are zero
     amplitudes = prop.evolve_basis_batch(plan, [0.3, 4.7])[1]
-    assert np.array_equal(plan.states >= 0, np.moveaxis(amplitudes, 0, -1).any(axis=-1))
+    assert np.array_equal(plan.states >= 0, amplitudes.any(axis=-1))
     assert set(plan.states[plan.states < 0].tolist()) == {-1}
 
 
@@ -507,15 +511,33 @@ def test_stacked_times_equal_the_per_time_calls():
     weights = np.linspace(0.1, 1.0, cols.size)
     ts = np.array([0.0, 0.3, 4.7, 37.3])
     states, amplitudes, dim = prop.evolve_basis_batch(cols, ts)
-    assert amplitudes.shape == ts.shape + states.shape
+    assert amplitudes.shape == states.shape + ts.shape
     stacked = reduce_atoms((states, amplitudes, dim), weights)
     assert stacked.shape == (len(ts), 4, 4)
     for i, t in enumerate(ts):
         one = prop.evolve_basis_batch(cols, t)
         assert one[1].shape == states.shape
         assert np.array_equal(one[0], states)
-        assert np.array_equal(one[1], amplitudes[i])
+        assert np.array_equal(one[1], amplitudes[..., i])
         assert np.array_equal(reduce_atoms(one, weights), stacked[i])
+
+
+def test_a_batch_is_laid_out_time_last_and_contiguous():
+    # the layout the amplitudes are computed and traced in, for a plan and a
+    # 2-D stack of times, with no view or copy between them
+    prop = Propagator(4, 2)
+    cols = np.arange(prop.hamiltonian.shape[0])
+    weights = np.linspace(0.1, 1.0, cols.size)
+    ts = np.array([[0.0, 0.3, 4.7], [37.3, 1e3, 0.3]])
+    batch = prop.evolve_basis_batch(prop.plan(cols), ts)
+    states, amplitudes, _ = batch
+    assert amplitudes.shape == states.shape + ts.shape
+    assert amplitudes.flags.c_contiguous
+    stacked = reduce_atoms(batch, weights)
+    assert stacked.shape == ts.shape + (4, 4)
+    for index in np.ndindex(ts.shape):
+        one = reduce_atoms(prop.evolve_basis_batch(cols, ts[index]), weights)
+        assert one.tobytes() == stacked[index].tobytes(), index
 
 
 def test_thermal_sweep_temporaries_are_bounded_in_the_number_of_times():
