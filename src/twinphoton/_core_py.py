@@ -36,6 +36,8 @@ import math
 
 import numpy as np
 
+from .thermal import _pairs
+
 # distinct frequencies x times per trig block: bounds thermal_sweep's
 # temporaries and sizes its blocks of frequencies (see _sines)
 TRIG_ELEMENTS = 16384
@@ -220,11 +222,8 @@ def _moments(variant, w1, w2, rows):
     most about twice the extent rectangle.  A function of its own so that
     the point arrays are freed before the time loop's are built.
     """
-    counts = np.asarray(rows) + 1
-    # the set's points row by row: row n1 holds n2 = 0 .. counts[n1] - 1
-    n1 = np.repeat(np.arange(counts.size), counts)
-    n2 = np.arange(n1.size)
-    n2 -= np.repeat(np.cumsum(counts) - counts, counts)
+    # the set's points row by row: row n1 holds n2 = 0 .. rows[n1]
+    n1, n2 = _pairs(0, rows)
     odd1, f1 = _mode_factors(variant, np.arange(len(w1)))
     odd2, f2 = _mode_factors(variant, np.arange(len(w2)))
     # each point array is built in place and each index freed once used:

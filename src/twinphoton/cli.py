@@ -12,7 +12,9 @@ identical flags are byte-identical.  The closed form uses no BLAS and is
 identical at any BLAS thread count; oracle output (``--oracle``, ``check``) is
 identical only at a fixed thread count.
 
-Exit codes: 0 success, 1 usage error or out of memory, 2 numerical-validation failure.
+Exit codes: 0 success, 1 usage error, I/O error or out of memory, 2
+numerical-validation failure.  A stdout closed by its reader (``| head``) is
+not an error: the run finishes and exits with its own code.
 """
 
 from __future__ import annotations
@@ -216,10 +218,26 @@ def _provenance_lines(initial, grid, cutoff, path_label):
     ]
 
 
+def _write_stdout(text):
+    """Write text to stdout and flush it; a reader that has gone is not an error.
+
+    When the reader of a pipe has closed it (``twinphoton check | head -1``),
+    stdout is pointed at os.devnull: the run goes on, writes its files and
+    returns its own status, and the rest of its standard output is dropped.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -336,7 +354,7 @@ def _run_figure(args) -> int:
         for name, lines in zip(names, _sweep_documents(initials, grid, cutoff)):
             path = os.path.join(args.outdir, name)
             _emit(lines, path)
-            print(path)
+            _write_stdout(path + "\n")
     return 0
 
 
@@ -349,11 +367,11 @@ def _run_check(args) -> int:
     variants = args.initial if args.initial else CHECK_DEFAULT_STATES
     initials = [InitialAtomicState(v, args.lam if v == "mixed" else None) for v in variants]
 
-    print(
+    _write_stdout(
         f"closed form vs oracle: truncation {oracle.truncation(cutoff)},"
         f" nbar=({_format_float(cutoff.nbar1)}, {_format_float(cutoff.nbar2)}),"
-        f" {grid.steps + 1} times in [0, {grid.t_max:g}], points={cutoff.size},"
-        f" neglected_mass<={_format_float(cutoff.tail_bound)}"
+        f" {grid.steps + 1} times in [0, {_format_float(grid.t_max)}], points={cutoff.size},"
+        f" neglected_mass<={_format_float(cutoff.tail_bound)}\n"
     )
     outside_x = np.ones((4, 4), dtype=bool)
     outside_x[X_ROWS, X_COLS] = False
@@ -370,14 +388,20 @@ def _run_check(args) -> int:
             eps = math.nan
         closed_eps = [negativity_x(XState(*row)) for row in closed.tolist()]
         dev_eps = np.abs(np.array(closed_eps) - eps).max()
-        label = initial.variant if initial.variant != "mixed" else f"mixed(lambda={args.lam:g})"
-        print(f"  {label}: max |element| dev {dev_elem:.3e}, max |epsilon| dev {dev_eps:.3e}")
+        label = initial.variant
+        if label == "mixed":
+            label = f"mixed(lambda={_format_float(args.lam)})"
+        _write_stdout(
+            f"  {label}: max |element| dev {dev_elem:.3e}, max |epsilon| dev {dev_eps:.3e}\n"
+        )
         devs += [dev_elem, dev_eps]
     # np.max keeps a NaN deviation, and NaN < tol is False: a NaN fails the check
     worst = float(np.max(devs))
     ok = worst < args.tol
-    print(f"overall max deviation {worst:.3e} {'<' if ok else '>='} tol {args.tol:g}: "
-          f"{'PASS' if ok else 'FAIL'}")
+    _write_stdout(
+        f"overall max deviation {worst:.3e} {'<' if ok else '>='}"
+        f" tol {_format_float(args.tol)}: {'PASS' if ok else 'FAIL'}\n"
+    )
     return 0 if ok else 2
 
 

@@ -154,7 +154,9 @@ class Propagator:
         # per state: its size group, its block within the group, its place in the block
         self._group, self._block, self._place = (np.empty(dim, dtype=int) for _ in range(3))
         self._blocks = []
-        for g, size in enumerate(np.unique(sizes)):
+        # the block sizes present, ascending, counted in integers: np.unique would
+        # load numpy.ma into every oracle process for these few values
+        for g, size in enumerate(np.flatnonzero(np.bincount(sizes))):
             members = order[sizes[order] == size].reshape(-1, size)
             self._group[members] = g
             self._block[members] = np.arange(len(members))[:, None]
@@ -195,7 +197,7 @@ class Propagator:
             groups.append((g, cols, block, coef))
         return ColumnPlan(states, groups)
 
-    def evolve_basis_batch(self, columns, t):
+    def evolve_basis_batch(self, columns, t, out=None):
         """Evolved unit-basis initial states in block coordinates, at one time or a stack.
 
         columns is the flat indices of the K initial states, or the
@@ -207,14 +209,16 @@ class Propagator:
         after each time in t, time the last axis, so a scalar t gives (K, S)
         and each state's amplitudes over the times are one contiguous run.
         States outside the block are left out: their amplitude is exactly
-        zero.  dim is the size of the truncated space.  The block
-        eigenvectors V are real, so exp(-iHt) e_p = V cos(Et) V^T e_p -
-        i V sin(Et) V^T e_p, and V^T e_p is row p of V: amplitude i is
-        sum_j coef[i, j] (cos(E_j t) - i sin(E_j t)) with coef[i, j] =
-        V[i, j] V[p, j].  The coefficients come from the plan; a call takes
-        the phases once per block eigenvalue and time, and each sum over j
-        is one einsum per size group, without optimize so never BLAS, that
-        adds the products to +0.0 in increasing j, so a time's amplitudes
+        zero.  dim is the size of the truncated space.  out, if given, is a
+        complex array of the amplitudes' shape that they are written into in
+        place of a new one, so a caller evolving several blocks of times can
+        reuse one array.  The block eigenvectors V are real, so exp(-iHt) e_p
+        = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p is row p of V:
+        amplitude i is sum_j coef[i, j] (cos(E_j t) - i sin(E_j t)) with
+        coef[i, j] = V[i, j] V[p, j].  The coefficients come from the plan; a
+        call takes the phases once per block eigenvalue and time, and each sum
+        over j is one einsum per size group, without optimize so never BLAS,
+        that adds the products to +0.0 in increasing j, so a time's amplitudes
         are bit-identical whatever other times share the call and whether
         the columns came as indices or as a plan.  The sine sums are negated
         once, after every group, which is the sum of the products of -coef:
@@ -224,7 +228,12 @@ class Propagator:
         plan = columns if isinstance(columns, ColumnPlan) else self.plan(columns)
         t = np.asarray(t, dtype=float)
         times = t.ravel()
-        amplitudes = np.zeros(plan.states.shape + (times.size,), dtype=complex)
+        shape = plan.states.shape + (times.size,)
+        if out is None:
+            amplitudes = np.zeros(shape, dtype=complex)
+        else:
+            amplitudes = out.reshape(shape)
+            amplitudes[...] = 0
         for g, cols, block, coef in plan.groups:
             et = self._blocks[g][1].T[:, None, :] * times[:, None]  # (size, T, blocks)
             size = coef.shape[0]
@@ -326,8 +335,8 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     are built once, before the first pass, by the rule reduce_atoms uses, so
     the result is bit-identical to reduce_atoms on each pass.
     The batch is in block coordinates, a block holds about BATCH_ELEMENTS
-    columns x times, and each batch is released before the next is evolved,
-    so the memory of a pass does not grow with the number of times.
+    columns x times, and every block is evolved into one array, so the
+    memory of a pass does not grow with the number of times.
     """
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     _check_times(gts)
@@ -344,15 +353,18 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     pairs = [trace_pairs(states, dim) for states in plan.states.reshape(len(atoms), weights.size, -1)]
     per_call = max(1, BATCH_ELEMENTS // len(cols))
     out = [np.empty((gts.shape[0], 4, 4), dtype=complex) for _ in initials]
+    # every block of times is evolved into this one array: a new array per
+    # block would be handed back to the system and paged in again each time
+    buffer = np.empty(plan.states.size * min(per_call, gts.shape[0]), dtype=complex)
     for start in range(0, gts.shape[0], per_call):
         times = slice(start, start + per_call)
-        amplitudes = prop.evolve_basis_batch(plan, gts[times])[1]
-        rows = amplitudes.reshape(len(atoms), -1, amplitudes.shape[-1])
+        block = gts[times]
+        batch = buffer[: plan.states.size * block.size].reshape(plan.states.shape + block.shape)
+        rows = prop.evolve_basis_batch(plan, block, batch)[1].reshape(len(atoms), -1, block.size)
         per_atom = {
             atom: _sum_pairs(atom_rows, weights, atom_pairs)
             for atom, atom_rows, atom_pairs in zip(atoms, rows, pairs)
         }
-        del amplitudes, rows  # release the batch before the next one is evolved
         for stack, initial in zip(out, initials):
             stack[times] = sum(w * per_atom[ATOM_INDEX[v]] for v, w in initial.parts)
     return out

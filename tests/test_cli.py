@@ -573,3 +573,63 @@ def test_default_sweep_writes_nothing_to_stderr(capsys, tmp_path):
     ):
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().err == "", argv
+
+
+def test_oracle_runs_never_load_numpy_masked_arrays(tmp_path):
+    # numpy.ma costs every oracle process about 1 MB and an import; the oracle
+    # needs none of it, so neither check nor sweep --oracle may load it
+    code = (
+        "import sys\n"
+        "from twinphoton import cli\n"
+        "assert cli.main(['check', '--cutoff', '4,4', '--steps', '4']) == 0\n"
+        "assert cli.main(['sweep', '--initial', 'mixed', '--lambda', '0.3', '--oracle',"
+        f" '--cutoff', '4,4', '--steps', '4', '--out', {str(tmp_path / 'oracle.csv')!r}]) == 0\n"
+        "print(sorted(n for n in sys.modules if n == 'numpy.ma' or n.startswith('numpy.ma.')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.decode().splitlines()[-1] == "[]", res.stdout
+
+
+def run_into_closed_stdout(argv, unbuffered):
+    """Run the CLI with a stdout pipe whose read end is closed before it writes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([*CMD, *argv], stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_is_not_an_error(unbuffered, tmp_path):
+    # `twinphoton check | head -1`: the reader leaves, the run finishes with its own status
+    res = run_into_closed_stdout(["check", "--cutoff", "4,4", "--steps", "4"], unbuffered)
+    assert (res.returncode, res.stderr) == (0, b"")
+    res = run_into_closed_stdout(
+        ["check", "--cutoff", "4,4", "--steps", "4", "--tol", "1e-300"], unbuffered
+    )
+    assert (res.returncode, res.stderr) == (2, b"")
+    res = run_into_closed_stdout(["figure", "--preset", "1", "--outdir", str(tmp_path)], unbuffered)
+    assert (res.returncode, res.stderr) == (0, b"")
+    names = [name for _, _, _, name in cli.FIGURE_PRESETS[1]]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+    # a real I/O error is still reported
+    out = tmp_path / "no_such_dir" / "eg.csv"
+    res = run_cli("sweep", "--initial", "eg", "--steps", "2", "--out", str(out))
+    assert res.returncode == 1 and res.stderr.startswith(b"twinphoton: error: "), res.stderr
+
+
+def test_check_echoes_its_inputs_exactly(capsys):
+    argv = ["check", "--tmax", "0.123456789", "--lambda", "0.0123456789", "--tol", "0.00123456789",
+            "--initial", "mixed", "--cutoff", "3,3", "--steps", "3"]
+    assert cli.main(argv) == 0
+    header, label, verdict = capsys.readouterr().out.splitlines()
+    assert " 4 times in [0, 0.123456789]," in header, header
+    assert label.startswith("  mixed(lambda=0.0123456789): "), label
+    assert verdict.endswith(" tol 0.00123456789: PASS"), verdict
+    assert cli.main(["check", "--cutoff", "3,3", "--steps", "3"]) == 0
+    assert " 4 times in [0, 5.0]," in capsys.readouterr().out

@@ -403,12 +403,13 @@ def test_thermal_sweep_shares_one_pass_per_block_of_times(monkeypatch):
     gts = [0.0, 0.5, 1.5, 4.2, 7.7]
     singles = [thermal_sweep([initial], gts, cutoff)[0] for initial in initials]
 
-    calls = []
+    calls, outs = [], []
     batch = Propagator.evolve_basis_batch
 
-    def counting(self, flat_indices, t):
+    def counting(self, flat_indices, t, out=None):
         calls.append(t)
-        return batch(self, flat_indices, t)
+        outs.append(out)
+        return batch(self, flat_indices, t, out)
 
     monkeypatch.setattr(Propagator, "evolve_basis_batch", counting)
     # 4 atoms x 4 x 5 Fock pairs = 80 columns, so 2 times per call of 160 elements
@@ -416,6 +417,8 @@ def test_thermal_sweep_shares_one_pass_per_block_of_times(monkeypatch):
     shared = thermal_sweep(initials, gts, cutoff)
     assert [len(t) for t in calls] == [2, 2, 1]
     assert np.array_equal(np.concatenate(calls), gts)
+    # every block of times is evolved into one array
+    assert all(np.shares_memory(out, outs[0]) for out in outs)
     assert len(shared) == len(initials)
     for one, single in zip(shared, singles):
         assert one.shape == (len(gts), 4, 4)
@@ -597,3 +600,14 @@ def test_thermal_sweep_rejects_the_times_the_closed_form_rejects():
 def test_build_hamiltonian_rejects_negative_cutoff():
     with pytest.raises(ValueError, match=">= 0"):
         build_hamiltonian(-1, 3)
+
+
+def test_a_batch_evolves_into_a_given_array():
+    prop = Propagator(4, 2)  # blocks of 1, 3 and 4 states, so some slots are padding
+    plan = prop.plan(np.arange(prop.hamiltonian.shape[0]))
+    t = [0.0, 0.3, 4.7]
+    fresh = prop.evolve_basis_batch(plan, t)[1]
+    out = np.full(fresh.shape, complex(np.nan, 1.0))  # what it held before is overwritten
+    given = prop.evolve_basis_batch(plan, t, out)[1]
+    assert np.shares_memory(given, out)
+    assert given.tobytes() == fresh.tobytes()
