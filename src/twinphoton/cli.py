@@ -360,6 +360,7 @@ def _run_figure(args) -> int:
 
 def _run_check(args) -> int:
     """Run both paths on the same summed Fock set and compare everywhere."""
+    InitialAtomicState("mixed", args.lam)  # --lambda is checked whichever states are compared
     cutoff = FockCutoff.explicit(*args.cutoff, *_checked_nbars(args))
     grid = TimeGrid(args.tmax, args.steps)
     _warn_if_large_oracle(cutoff, grid)

@@ -7,26 +7,26 @@ never formed densely (time in units of 1/g, so the coupling is 1), and every
 result comes from one path.  The propagator reads nothing of the model but
 that list: the connected components of its nonzero pattern are exact
 invariant subspaces, each diagonalized on its own.  States are unit-basis
-columns |atom>|n1, n2> named by flat_index; Propagator.evolve_basis_batch
-evolves a batch of them at one time or at a stack of times, each inside its
-own block in real arithmetic, and returns them in block coordinates: the
-(K, S) states of each column's block and their amplitudes, of shape
-(K, S) + t.shape with time the last, contiguous axis, the layout they are
-computed and traced in; a row of a smaller block is padded with state -1.
-reduce_atoms traces out the field from that form as a weighted sum over the
-columns, gathering only the pairs of states (never the padding) that share a
-field index, so no array the size of the whole space is built per column and
-no product is formed only to be masked.  A thermal sweep evolves the Fock set
-the closed form sums, the same FockCutoff, on the space truncation(cutoff)
-gives, HEADROOM above that set's extent, so the callers never convert between
-a summed set and a truncation.  It evolves each atomic basis column it needs
-once per block of times, shared by all the initial states it is given; a
-single Fock term is a batch of one column with weight 1.  The work that
-depends only on the columns is done once per sweep, not per block of times:
+columns |atom>|n1, n2> named by flat_index.  The path takes four steps:
 Propagator.plan gathers each column's block and its eigenvector
-coefficients, and trace_pairs finds each atomic basis state's pairs of
-states.  The closed-form path is checked against these results; this module
-is confined to tests and the explicit oracle CLI modes.
+coefficients, and trace_pairs finds the pairs of the plan's states that share
+a field index, both once per set of columns; Propagator.evolve_basis_batch
+then evolves the plan at a 1-D array of times into the caller's (K, S, T)
+complex array, each column inside its own block in real arithmetic, in block
+coordinates: the states of each column's block (the plan's states, a row of
+a smaller block padded with state -1) and their amplitudes, time the last,
+contiguous axis, the layout they are computed and traced in; and
+reduce_atoms traces out the field from that array's (K * S, T) rows as a
+weighted sum over the columns, gathering only the pairs found, so no array
+the size of the whole space is built per column and no product is formed
+only to be masked.  A thermal sweep evolves the Fock set the closed form
+sums, the same FockCutoff, on the space truncation(cutoff) gives, HEADROOM
+above that set's extent, so the callers never convert between a summed set
+and a truncation.  It plans each atomic basis column it needs once, with the
+set's Fock pairs, shared by all the initial states it is given, and evolves
+every block of times into one array.  The closed-form path is checked
+against these results; this module is confined to tests and the explicit
+oracle CLI modes.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class Propagator:
         blocks and the coefficients coef[i, j, k] = V[i, j] V[p, j] of column
         k at place p of its block, the columns last.  A caller that evolves
         the same columns at several blocks of times builds it once and passes
-        it in place of the indices.
+        it to each call.
         """
         flat = np.asarray(flat_indices)
         width = self._blocks[-1][0].shape[1]  # the size groups are in increasing size
@@ -197,66 +197,55 @@ class Propagator:
             groups.append((g, cols, block, coef))
         return ColumnPlan(states, groups)
 
-    def evolve_basis_batch(self, columns, t, out=None):
-        """Evolved unit-basis initial states in block coordinates, at one time or a stack.
+    def evolve_basis_batch(self, plan: ColumnPlan, times, out) -> np.ndarray:
+        """Evolved unit-basis initial states in block coordinates, written into ``out``.
 
-        columns is the flat indices of the K initial states, or the
-        ColumnPlan that plan() built for them.  Returns (states, amplitudes,
-        dim).  Row k of the (K, S) array states lists the basis states of the
-        block of column k; S is the largest block size, and the row of a
-        smaller block is padded with state -1 at amplitude 0.  amplitudes has
-        shape (K, S) + t.shape, C-contiguous: the amplitudes of those states
-        after each time in t, time the last axis, so a scalar t gives (K, S)
-        and each state's amplitudes over the times are one contiguous run.
-        States outside the block are left out: their amplitude is exactly
-        zero.  dim is the size of the truncated space.  out, if given, is a
-        complex array of the amplitudes' shape that they are written into in
-        place of a new one, so a caller evolving several blocks of times can
-        reuse one array.  The block eigenvectors V are real, so exp(-iHt) e_p
-        = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p is row p of V:
-        amplitude i is sum_j coef[i, j] (cos(E_j t) - i sin(E_j t)) with
-        coef[i, j] = V[i, j] V[p, j].  The coefficients come from the plan; a
-        call takes the phases once per block eigenvalue and time, and each sum
-        over j is one einsum per size group, without optimize so never BLAS,
-        that adds the products to +0.0 in increasing j, so a time's amplitudes
-        are bit-identical whatever other times share the call and whether
-        the columns came as indices or as a plan.  The sine sums are negated
-        once, after every group, which is the sum of the products of -coef:
-        only the sign of a zero sum depends on the start from +0.0, and the
-        trace over the field adds into +0.0 as well, so it never shows.
+        plan is the ColumnPlan that plan() built for the K columns, times a
+        1-D array of T times and out a C-contiguous complex array of shape
+        plan.states.shape + (T,), (K, S, T); out is zeroed, filled and
+        returned.  out[k, s, n] is the amplitude of basis state
+        plan.states[k, s] after times[n], time the last axis, so each state's
+        amplitudes over the times are one contiguous run: row k of the (K, S)
+        array plan.states lists the basis states of the block of column k, S
+        is the largest block size, and the row of a smaller block is padded
+        with state -1 at amplitude 0.  No group writes a column's padding
+        slots, so the zeroing is what clears them in a reused array.  States
+        outside the block are left out: their amplitude is exactly zero.  The
+        block eigenvectors V are real, so exp(-iHt) e_p = V cos(Et) V^T e_p -
+        i V sin(Et) V^T e_p, and V^T e_p is row p of V: amplitude i is sum_j
+        coef[i, j] (cos(E_j t) - i sin(E_j t)) with coef[i, j] = V[i, j]
+        V[p, j].  The coefficients come from the plan; a call takes the phases
+        once per block eigenvalue and time, and each sum over j is one einsum
+        per size group, without optimize so never BLAS, that adds the products
+        to +0.0 in increasing j, so a time's amplitudes are bit-identical
+        whatever other times share the call.  The sine sums are negated once,
+        after every group, which is the sum of the products of -coef: only
+        the sign of a zero sum depends on the start from +0.0, and the trace
+        over the field adds into +0.0 as well, so it never shows.
         """
-        plan = columns if isinstance(columns, ColumnPlan) else self.plan(columns)
-        t = np.asarray(t, dtype=float)
-        times = t.ravel()
-        shape = plan.states.shape + (times.size,)
-        if out is None:
-            amplitudes = np.zeros(shape, dtype=complex)
-        else:
-            amplitudes = out.reshape(shape)
-            amplitudes[...] = 0
+        out[...] = 0
         for g, cols, block, coef in plan.groups:
             et = self._blocks[g][1].T[:, None, :] * times[:, None]  # (size, T, blocks)
             size = coef.shape[0]
-            for part, trig in ((amplitudes.real, np.cos), (amplitudes.imag, np.sin)):
+            for part, trig in ((out.real, np.cos), (out.imag, np.sin)):
                 # the phases inline, so each is freed before the next is taken
                 part[cols, :size] = np.einsum(
                     "ijk,jtk->kit", coef, np.take(trig(et), block, axis=-1)
                 )
-        np.negative(amplitudes.imag, out=amplitudes.imag)
-        amplitudes = amplitudes.reshape(plan.states.shape + t.shape)
-        return plan.states, amplitudes, self.hamiltonian.shape[0]
+        np.negative(out.imag, out=out.imag)
+        return out
 
 
 def trace_pairs(states, dim):
     """The terms of the partial trace over the field of a batch with these states.
 
-    states is a (K, S) batch's states as evolve_basis_batch returns them, on
-    a space of size dim in flat_index order, so a state is atom state // F
-    and field state % F with F = dim / 4; the padding, state -1, is never
-    traced.  Returns (k, slot_i, slot_j, pair): every pair of slots i, j of
-    one column k whose states are both >= 0 and share a field index, in
-    increasing (k, i, j), as flat slots k * S + i and k * S + j, with pair =
-    4 atom_i + atom_j the element of the reduced matrix the pair adds to.
+    states is a (K, S) ColumnPlan's states, on a space of size dim in
+    flat_index order, so a state is atom state // F and field state % F with
+    F = dim / 4; the padding, state -1, is never traced.  Returns (k,
+    slot_i, slot_j, pair): every pair of slots i, j of one column k whose
+    states are both >= 0 and share a field index, in increasing (k, i, j), as
+    flat slots k * S + i and k * S + j, with pair = 4 atom_i + atom_j the
+    element of the reduced matrix the pair adds to.
     """
     size = states.shape[1]
     atom, field = np.divmod(states, dim // 4)
@@ -273,11 +262,17 @@ def trace_pairs(states, dim):
     return k, slot_i, slot_j, 4 * atom[slot_i] + atom[slot_j]
 
 
-def _sum_pairs(rows, weights, pairs):
-    """(T, 4, 4) sums of w_k rows[slot_i] conj(rows[slot_j]) into element pair, for each time.
+def reduce_atoms(rows, weights, pairs) -> np.ndarray:
+    """Weighted reduced two-atom density matrices sum_k w_k Tr_field |psi_k><psi_k|, one per time.
 
-    One bincount over the index 16 * time + pair adds each time's terms in
-    the order of pairs, the same order as a call on that time alone.
+    rows is the (K * S, T) view of a batch evolve_basis_batch wrote, one row
+    of amplitudes over the times per slot k * S + s, weights the K column
+    weights as an array and pairs what trace_pairs found for the batch's
+    states.  Only pairs of states that share a field index contribute,
+    w_k a_i conj(a_j) to rho[atom_i, atom_j], so no product is formed only
+    to be masked.  Returns the (T, 4, 4) stack: one bincount over the index
+    16 * time + pair adds each time's terms in the order of pairs, the same
+    order as a call on that time alone.
     """
     k, slot_i, slot_j, pair = pairs
     # in place, so at most two (pairs, times) arrays are live
@@ -292,28 +287,6 @@ def _sum_pairs(rows, weights, pairs):
     bins = 16 * times
     rho = np.bincount(index, terms.real, bins) + 1j * np.bincount(index, terms.imag, bins)
     return rho.reshape(times, 4, 4)
-
-
-def reduce_atoms(batch, weights) -> np.ndarray:
-    """Weighted reduced two-atom density matrix sum_k w_k Tr_field |psi_k><psi_k|.
-
-    ``batch`` is (states, amplitudes, dim) as returned by
-    Propagator.evolve_basis_batch: column k is sum_s amplitudes[k, s, ...]
-    |states[k, s]>, with distinct states per row, padded with state -1.
-    ``weights`` are the K column weights; any other number of them is a
-    ValueError.  Only pairs of states that share a field index contribute,
-    w_k a_i conj(a_j) to rho[atom_i, atom_j] (trace_pairs).  Amplitudes of
-    shape (K, S) + times, time last, give a times + (4, 4) stack: each slot
-    k * S + s is one row over the times, the pairs are found once, and their
-    rows are gathered and summed for all the times in one reduction.
-    """
-    states, amplitudes, dim = batch
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != states.shape[:1]:
-        raise ValueError(f"{weights.size} weights for a batch of {states.shape[0]} columns")
-    rows = amplitudes.reshape(states.size, -1)
-    pairs = trace_pairs(states, dim)
-    return _sum_pairs(rows, weights, pairs).reshape(amplitudes.shape[2:] + (4, 4))
 
 
 def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -> list[np.ndarray]:
@@ -332,11 +305,11 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     state's run of columns, a run of the batch's rows of slots over those
     times, and each initial state is the weighted sum of those per-atom
     matrices.  The columns' plan and each atomic basis state's trace pairs
-    are built once, before the first pass, by the rule reduce_atoms uses, so
-    the result is bit-identical to reduce_atoms on each pass.
-    The batch is in block coordinates, a block holds about BATCH_ELEMENTS
-    columns x times, and every block is evolved into one array, so the
-    memory of a pass does not grow with the number of times.
+    are built once, before the first pass; each pass evolves its times into
+    one array and traces each atom's rows through reduce_atoms with those
+    pairs.  The batch is in block coordinates, a block holds about
+    BATCH_ELEMENTS columns x times, and every block is evolved into that one
+    array, so the memory of a pass does not grow with the number of times.
     """
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     _check_times(gts)
@@ -360,9 +333,9 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
         times = slice(start, start + per_call)
         block = gts[times]
         batch = buffer[: plan.states.size * block.size].reshape(plan.states.shape + block.shape)
-        rows = prop.evolve_basis_batch(plan, block, batch)[1].reshape(len(atoms), -1, block.size)
+        rows = prop.evolve_basis_batch(plan, block, batch).reshape(len(atoms), -1, block.size)
         per_atom = {
-            atom: _sum_pairs(atom_rows, weights, atom_pairs)
+            atom: reduce_atoms(atom_rows, weights, atom_pairs)
             for atom, atom_rows, atom_pairs in zip(atoms, rows, pairs)
         }
         for stack, initial in zip(out, initials):

@@ -7,7 +7,7 @@ import numpy as np
 from twinphoton import _core_py
 from twinphoton.dynamics import sweep
 from twinphoton.model import InitialAtomicState
-from twinphoton.oracle import _collective_lowering
+from twinphoton.oracle import _collective_lowering, reduce_atoms, trace_pairs
 
 POP_TOL = 1e-12
 COHERENCE_TOL = 1e-10
@@ -137,13 +137,28 @@ def frequency_blocks(monkeypatch, variant, gts, cutoff):
     return len(starts)
 
 
-def dense_columns(batch):
-    """The (dim, K) complex array of a block-coordinate batch, one evolved state per column.
+def evolve_and_trace(prop, columns, times, weights=(1.0,)):
+    """(T, 4, 4) weighted reduced atomic matrices of unit columns at 1-D times, by the oracle.
 
-    ``batch`` is (states, amplitudes, dim) as returned by
-    Propagator.evolve_basis_batch; the padding, state -1, is skipped.
+    The oracle's one path in four steps: plan the columns (flat indices),
+    find their trace pairs, evolve the plan into a fresh array and trace it.
+    ``weights`` are the column weights; the default weighs one column by 1.
     """
-    states, amplitudes, dim = batch
+    plan = prop.plan(columns)
+    pairs = trace_pairs(plan.states, prop.hamiltonian.shape[0])
+    times = np.asarray(times, dtype=float)
+    out = np.empty(plan.states.shape + times.shape, dtype=complex)
+    rows = prop.evolve_basis_batch(plan, times, out).reshape(plan.states.size, -1)
+    return reduce_atoms(rows, np.asarray(weights, dtype=float), pairs)
+
+
+def dense_columns(states, amplitudes, dim):
+    """The (dim, K) complex array of one time of a block-coordinate batch, one state per column.
+
+    ``states`` are a ColumnPlan's (K, S) states on a space of dimension
+    ``dim`` and ``amplitudes`` their (K, S) amplitudes at one time; the
+    padding, state -1, is skipped.
+    """
     inside = states >= 0
     column = np.broadcast_to(np.arange(states.shape[0])[:, None], states.shape)
     psi = np.zeros((dim, states.shape[0]), dtype=complex)
@@ -160,29 +175,29 @@ def dense_reduce_atoms(psi, weights):
     return (psi * weights).reshape(4, -1) @ psi.reshape(4, -1).conj().T
 
 
-def masked_reduce_atoms(batch, weights):
+def masked_reduce_atoms(states, amplitudes, dim, weights):
     """reduce_atoms by the full product of each column's amplitudes, masked afterwards.
 
-    Forms w_k a_i conj(a_j) for every pair of slots of every column and time,
+    ``states`` are a ColumnPlan's (K, S) states on a space of dimension
+    ``dim``, ``amplitudes`` their (T, K, S) amplitudes, time first.  Forms
+    w_k a_i conj(a_j) for every pair of slots of every column and time,
     keeps the pairs whose states share a field index, the padding (state -1)
     skipped, and adds them with one bincount in (time, k, i, j) order: the
     reference for the terms and the order of reduce_atoms, which gathers
-    only those pairs.
+    only those pairs.  Returns the (T, 4, 4) stack.
     """
-    states, amplitudes, dim = batch
     atom, field = np.divmod(states, dim // 4)
     inside = states >= 0
     shared = field[:, :, None] == field[:, None, :]
     shared &= inside[:, :, None] & inside[:, None, :]
     pair = (4 * atom[:, :, None] + atom[:, None, :])[shared]
     weighted = amplitudes * np.asarray(weights, dtype=float)[:, None]
-    terms = (weighted[..., :, :, None] * amplitudes[..., None, :].conj())[..., shared]
-    lead = amplitudes.shape[:-2]
-    bins = 16 * int(np.prod(lead, dtype=int))
+    terms = (weighted[:, :, :, None] * amplitudes[:, :, None, :].conj())[:, shared]
+    bins = 16 * amplitudes.shape[0]
     index = (np.arange(0, bins, 16)[:, None] + pair).ravel()
     terms = terms.ravel()
     rho = np.bincount(index, terms.real, bins) + 1j * np.bincount(index, terms.imag, bins)
-    return rho.reshape(lead + (4, 4))
+    return rho.reshape(-1, 4, 4)
 
 
 def dense_hamiltonian(n_max1, n_max2):

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from conftest import record_acceptance
+from helpers import evolve_and_trace
 from twinphoton import dynamics, oracle
 from twinphoton.model import ATOM_INDEX, InitialAtomicState, TimeGrid, XState
 from twinphoton.negativity import negativity_general, negativity_x
@@ -41,14 +42,14 @@ def test_criterion_1_per_term_unitarity():
 
 def test_criterion_2_per_term_oracle_equivalence():
     worst = 0.0
+    gts = (0.3, 1.0, 2.7, 5.0)
     for n1 in range(7):
         for n2 in range(7):
             m1, m2 = n1 + oracle.HEADROOM, n2 + oracle.HEADROOM
             prop = oracle.Propagator(m1, m2)
             for variant in VARIANTS:
                 column = [oracle.flat_index(ATOM_INDEX[variant], n1, n2, m1, m2)]
-                for gt in (0.3, 1.0, 2.7, 5.0):
-                    rho = oracle.reduce_atoms(prop.evolve_basis_batch(column, gt), [1.0])
+                for gt, rho in zip(gts, evolve_and_trace(prop, column, gts)):
                     closed = dynamics.xstate_term(variant, n1, n2, gt).to_matrix()
                     worst = max(worst, float(np.abs(closed - rho).max()))
     ok = worst < 1e-10
@@ -139,7 +140,7 @@ def test_criterion_7_conditional_bell_generation():
     gt = math.pi / (2.0 * math.sqrt(2.0))
     closed = negativity_x(dynamics.xstate_term("gg", 1, 1, gt))
     column = [oracle.flat_index(ATOM_INDEX["gg"], 1, 1, 3, 3)]
-    rho = oracle.reduce_atoms(oracle.Propagator(3, 3).evolve_basis_batch(column, gt), [1.0])
+    rho = evolve_and_trace(oracle.Propagator(3, 3), column, [gt])[0]
     brute = negativity_general(rho)
     dev = max(abs(closed - 1.0), abs(brute - 1.0))
     ok = dev < 1e-10

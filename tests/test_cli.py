@@ -346,6 +346,8 @@ def test_usage_errors_exit_one(capsys):
         ("figure", "--preset", "1", "--tail-tol", "0"),
         ("check", "--tol", "nan"),
         ("check", "--tol", "inf"),
+        ("check", "--initial", "eg", "--lambda", "7"),
+        ("check", "--initial", "gg", "--lambda", "nan"),
     ]
     for args in bad_calls:
         with pytest.raises(SystemExit) as exit_info:

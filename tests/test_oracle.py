@@ -10,6 +10,7 @@ from helpers import (
     dense_hamiltonian,
     dense_matrix,
     dense_reduce_atoms,
+    evolve_and_trace,
     masked_reduce_atoms,
 )
 from twinphoton import dynamics, oracle
@@ -30,10 +31,17 @@ from twinphoton.oracle import (
 from twinphoton.thermal import FockCutoff
 
 
-def evolve_term(variant, n1, n2, n_max1, n_max2, t):
-    """|variant>|n1, n2> evolved for time t, as a one-column batch in block coordinates."""
-    column = [flat_index(ATOM_INDEX[variant], n1, n2, n_max1, n_max2)]
-    return Propagator(n_max1, n_max2).evolve_basis_batch(column, t)
+def evolve(prop, columns, times):
+    """The plan of the unit columns (flat indices) and their (K, S, T) amplitudes at 1-D times."""
+    plan = prop.plan(columns)
+    times = np.asarray(times, dtype=float)
+    out = np.empty(plan.states.shape + times.shape, dtype=complex)
+    return plan, prop.evolve_basis_batch(plan, times, out)
+
+
+def term_column(variant, n1, n2, n_max1, n_max2):
+    """The one unit column |variant>|n1, n2> on the space truncated at n_max1, n_max2."""
+    return [flat_index(ATOM_INDEX[variant], n1, n2, n_max1, n_max2)]
 
 
 def number_operator(n_max1, n_max2, mode):
@@ -125,21 +133,24 @@ def test_conserved_quantities_commute_with_hamiltonian():
 
 
 def test_evolve_at_time_zero_is_identity():
-    out = dense_columns(evolve_term("eg", 2, 1, 4, 4, 0.0))
+    plan, amplitudes = evolve(Propagator(4, 4), term_column("eg", 2, 1, 4, 4), [0.0])
+    out = dense_columns(plan.states, amplitudes[..., 0], 4 * 5 * 5)
     unit = np.zeros(out.shape)
     unit[flat_index(ATOM_INDEX["eg"], 2, 1, 4, 4), 0] = 1.0
     assert np.abs(out - unit).max() < 1e-12
 
 
 def test_propagation_preserves_norm():
-    for t in (0.3, 1.1, 4.7, 12.9):
-        _, amplitudes, _ = evolve_term("ee", 1, 2, 5, 5, t)
-        assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-12)
+    ts = [0.3, 1.1, 4.7, 12.9]
+    _, amplitudes = evolve(Propagator(5, 5), term_column("ee", 1, 2, 5, 5), ts)
+    for t, norm in zip(ts, np.linalg.norm(amplitudes, axis=(0, 1))):
+        assert norm == pytest.approx(1.0, abs=1e-12), t
 
 
 def test_excitation_swaps_between_atoms():
     # |+-,0,0> returns as -|-+,0,0> after half a cycle of the vacuum block
-    rho = reduce_atoms(evolve_term("eg", 0, 0, 3, 3, math.pi / math.sqrt(2.0)), [1.0])
+    gt = math.pi / math.sqrt(2.0)
+    rho = evolve_and_trace(Propagator(3, 3), term_column("eg", 0, 0, 3, 3), [gt])[0]
     assert np.abs(np.diag(rho) - np.array([0.0, 0.0, 1.0, 0.0])).max() < 1e-12
 
 
@@ -148,8 +159,10 @@ def test_basis_batch_matches_individual_columns():
     idx = [flat_index(0, 1, 2, 3, 4), flat_index(3, 0, 0, 3, 4), flat_index(2, 3, 1, 3, 4)]
     energies, v = np.linalg.eigh(dense_hamiltonian(3, 4))
     # the large time is where the rounding of the phases E*t is worst
-    for t in (1.7, 37.3):
-        batch = dense_columns(prop.evolve_basis_batch(np.array(idx), t))
+    ts = [1.7, 37.3]
+    plan, amplitudes = evolve(prop, idx, ts)
+    for n, t in enumerate(ts):
+        batch = dense_columns(plan.states, amplitudes[..., n], prop.hamiltonian.shape[0])
         for k, flat in enumerate(idx):
             # complex reference exp(-iHt) e_flat = V exp(-iEt) V^T e_flat
             evolved = v @ (np.exp(-1j * energies * t) * v[flat, :])
@@ -184,14 +197,14 @@ def test_evolution_matches_the_dense_blocks_at_long_times():
     h = dense_hamiltonian(n_max1, n_max2)
     dim = h.shape[0]
     ts = np.array([0.0, 0.37, 37.3, 1e3])
-    states, amplitudes, _ = prop.evolve_basis_batch(np.arange(dim), ts)
+    plan, amplitudes = evolve(prop, np.arange(dim), ts)
     blocks = [sorted(part) for part in connected_partition(h != 0)]
     eigen = [np.linalg.eigh(h[np.ix_(block, block)]) for block in blocks]
     for n, t in enumerate(ts):
         reference = np.zeros((dim, dim), dtype=complex)
         for block, (energies, v) in zip(blocks, eigen):
             reference[np.ix_(block, block)] = (v * np.exp(-1j * energies * t)) @ v.T
-        evolved = dense_columns((states, amplitudes[..., n], dim))
+        evolved = dense_columns(plan.states, amplitudes[..., n], dim)
         assert np.abs(evolved - reference).max() <= 1e-13, t
 
 
@@ -205,16 +218,18 @@ def test_propagator_stays_inside_the_connected_blocks_of_h():
     blocks = {frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels)}
     assert blocks == connected_partition(coupled)
 
-    # each column lists exactly the states of its own block, padded with amplitude 0
+    # each column lists exactly the states of its own block, padded with state
+    # -1 at amplitude 0
     dim = coupled.shape[0]
-    batch = prop.evolve_basis_batch(np.arange(dim), 37.3)
-    states, amplitudes, size = batch
-    assert size == dim
+    plan, amplitudes = evolve(prop, np.arange(dim), [37.3])
+    states, amplitudes = plan.states, amplitudes[..., 0]
+    assert (states == -1).any()
     for flat in range(dim):
         block = np.flatnonzero(labels == labels[flat])
         assert np.array_equal(np.sort(states[flat, : len(block)]), block)
+        assert np.array_equal(states[flat, len(block) :], [-1] * (states.shape[1] - len(block)))
         assert not amplitudes[flat, len(block) :].any()
-    evolved = dense_columns(batch)
+    evolved = dense_columns(states, amplitudes, dim)
     assert np.abs(evolved.conj().T @ evolved - np.eye(dim)).max() < 1e-13
 
 
@@ -224,19 +239,22 @@ def test_reduce_atoms_product_state():
     field[0, 0] = 0.8
     atom = np.array([0.5, 0.5, 0.5, 0.5])
     psi = np.kron(atom, field.ravel())
-    # one column listing the 8 nonzero entries of the product state
+    # one column listing the 8 nonzero entries of the product state, at one time
     states = np.flatnonzero(psi)
-    rho = reduce_atoms((states[None, :], psi[states][None, :] + 0j, psi.shape[0]), [1.0])
+    pairs = trace_pairs(states[None, :], psi.shape[0])
+    rho = reduce_atoms(psi[states][:, None] + 0j, np.ones(1), pairs)[0]
     assert np.abs(rho - np.outer(atom, atom)).max() < 1e-14
 
 
 def test_reduce_atoms_vector_and_density_paths_agree():
-    batch = evolve_term("ee", 1, 1, 4, 4, 2.4)
-    psi = dense_columns(batch)[:, 0]
+    prop = Propagator(4, 4)
+    column = term_column("ee", 1, 1, 4, 4)
+    plan, amplitudes = evolve(prop, column, [2.4])
+    psi = dense_columns(plan.states, amplitudes[..., 0], prop.hamiltonian.shape[0])[:, 0]
     # partial trace of the joint density matrix |psi><psi| over both modes
     f = psi.shape[0] // 4
     rho_full = np.outer(psi, psi.conj()).reshape(4, f, 4, f)
-    rho = reduce_atoms(batch, [1.0])
+    rho = evolve_and_trace(prop, column, [2.4])[0]
     assert np.abs(rho - np.einsum("afbf->ab", rho_full)).max() < 1e-13
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
@@ -244,13 +262,9 @@ def test_reduce_atoms_vector_and_density_paths_agree():
 def test_reduce_atoms_is_the_weighted_sum_over_columns():
     prop = Propagator(4, 3)
     idx = [flat_index(0, 1, 0, 4, 3), flat_index(1, 2, 1, 4, 3), flat_index(3, 2, 1, 4, 3)]
-    states, amplitudes, dim = prop.evolve_basis_batch(idx, 1.3)
     weights = [0.5, 0.3, 0.2]
-    expected = sum(
-        w * reduce_atoms((states[[k]], amplitudes[[k]], dim), [1.0])
-        for k, w in enumerate(weights)
-    )
-    assert np.abs(reduce_atoms((states, amplitudes, dim), weights) - expected).max() < 1e-14
+    expected = sum(w * evolve_and_trace(prop, [flat], [1.3]) for flat, w in zip(idx, weights))
+    assert np.abs(evolve_and_trace(prop, idx, [1.3], weights) - expected).max() < 1e-14
 
 
 def test_reduce_atoms_adds_the_masked_product_terms_in_order():
@@ -259,23 +273,16 @@ def test_reduce_atoms_adds_the_masked_product_terms_in_order():
     # sums are identical; neither traces the padding of the 1- and 3-state blocks
     for n_max1, n_max2 in ((12, 12), (4, 2), (2, 0)):
         prop = Propagator(n_max1, n_max2)
-        cols = np.arange(prop.hamiltonian.shape[0])
+        dim = prop.hamiltonian.shape[0]
+        cols = np.arange(dim)
         weights = np.linspace(0.1, 1.0, cols.size)
-        for t in (0.0, 1.3, [0.0, 0.3, 4.7, 37.3, 1e3]):
-            batch = prop.evolve_basis_batch(cols, t)
-            states, amplitudes, dim = batch
-            # the reference takes the time axes first: (K, S) + t.shape -> t.shape + (K, S)
-            times = range(2, amplitudes.ndim)
-            time_first = np.moveaxis(amplitudes, times, range(len(times)))
-            expected = masked_reduce_atoms((states, time_first, dim), weights)
-            assert np.array_equal(reduce_atoms(batch, weights), expected), (n_max1, n_max2, t)
-
-
-def test_reduce_atoms_rejects_a_weight_count_other_than_the_columns():
-    batch = Propagator(3, 3).evolve_basis_batch(np.arange(10), [0.5, 1.5])
-    for weights in ([1.0], np.ones(11), np.ones((10, 1))):
-        with pytest.raises(ValueError, match=f"{np.size(weights)} weights .* 10 columns"):
-            reduce_atoms(batch, weights)
+        for t in ([0.0], [1.3], [0.0, 0.3, 4.7, 37.3, 1e3]):
+            plan, amplitudes = evolve(prop, cols, t)
+            # the reference takes the time axis first: (K, S, T) -> (T, K, S)
+            time_first = np.moveaxis(amplitudes, -1, 0)
+            expected = masked_reduce_atoms(plan.states, time_first, dim, weights)
+            traced = evolve_and_trace(prop, cols, t, weights)
+            assert np.array_equal(traced, expected), (n_max1, n_max2, t)
 
 
 def test_block_trace_matches_dense_reference():
@@ -287,10 +294,10 @@ def test_block_trace_matches_dense_reference():
     weights = np.outer(*cutoff.weights()).ravel()
     energies, v = np.linalg.eigh(dense_hamiltonian(trunc1, trunc2))
     n1, n2 = np.arange(cutoff.n_max1 + 1), np.arange(cutoff.n_max2 + 1)
+    gts = [0.37, 5.0, 49.3]
     for atom in range(4):
         cols = flat_index(atom, n1[:, None], n2, trunc1, trunc2).ravel()
-        for gt in (0.37, 5.0, 49.3):
-            rho = reduce_atoms(prop.evolve_basis_batch(cols, gt), weights)
+        for gt, rho in zip(gts, evolve_and_trace(prop, cols, gts, weights)):
             psi = v @ (np.exp(-1j * energies * gt)[:, None] * v[cols].T)
             assert np.abs(rho - dense_reduce_atoms(psi, weights)).max() <= 1e-13, (atom, gt)
 
@@ -303,10 +310,10 @@ def test_block_batch_temporaries_are_bounded():
     weights = np.full(field, 1.0 / field)
     tracemalloc.start()
     try:
-        states, amplitudes, dim = prop.evolve_basis_batch(np.arange(4 * field), 3.7)
-        for atom in range(4):
-            part = slice(atom * field, (atom + 1) * field)
-            reduce_atoms((states[part], amplitudes[part], dim), weights)
+        plan, amplitudes = evolve(prop, np.arange(4 * field), [3.7])
+        rows = amplitudes.reshape(4, -1, 1)
+        for atom, states in enumerate(plan.states.reshape(4, field, -1)):
+            reduce_atoms(rows[atom], weights, trace_pairs(states, 4 * field))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,8 +348,8 @@ def test_block_matrices_are_the_dense_blocks_of_h():
 
 def test_single_photon_pair_generates_bell_state():
     # |--,1,1> absorbs the pair and lands on the symmetric Bell state
-    evolved = evolve_term("gg", 1, 1, 3, 3, math.pi / (2.0 * math.sqrt(2.0)))
-    rho = reduce_atoms(evolved, [1.0])
+    gt = math.pi / (2.0 * math.sqrt(2.0))
+    rho = evolve_and_trace(Propagator(3, 3), term_column("gg", 1, 1, 3, 3), [gt])[0]
     expected = np.zeros((4, 4))
     expected[1:3, 1:3] = 0.5
     assert np.abs(rho - expected).max() < 1e-10
@@ -353,7 +360,7 @@ def test_thermal_sweep_vacuum_equals_single_fock_term():
     # retained Fock set 2,2, truncated HEADROOM above at 4,4
     cutoff = FockCutoff.explicit(2, 2, 0.0, 0.0)
     rho = thermal_sweep([InitialAtomicState("eg")], [1.9], cutoff)[0][0]
-    direct = reduce_atoms(evolve_term("eg", 0, 0, 4, 4, 1.9), [1.0])
+    direct = evolve_and_trace(Propagator(4, 4), term_column("eg", 0, 0, 4, 4), [1.9])[0]
     assert np.abs(rho - direct).max() < 1e-13
 
 
@@ -406,10 +413,10 @@ def test_thermal_sweep_shares_one_pass_per_block_of_times(monkeypatch):
     calls, outs = [], []
     batch = Propagator.evolve_basis_batch
 
-    def counting(self, flat_indices, t, out=None):
-        calls.append(t)
+    def counting(self, plan, times, out):
+        calls.append(times)
         outs.append(out)
-        return batch(self, flat_indices, t, out)
+        return batch(self, plan, times, out)
 
     monkeypatch.setattr(Propagator, "evolve_basis_batch", counting)
     # 4 atoms x 4 x 5 Fock pairs = 80 columns, so 2 times per call of 160 elements
@@ -448,42 +455,6 @@ def test_thermal_sweep_plans_its_columns_once(monkeypatch):
     assert pairs == [20] * 4
 
 
-def test_thermal_sweep_equals_the_per_block_partial_traces(monkeypatch):
-    # the sweep finds each atom's pairs once, before its blocks of times, by
-    # the rule reduce_atoms applies to each block; one block holds only gt = 0
-    cutoff = FockCutoff.explicit(3, 4, 0.5, 0.8)
-    trunc1, trunc2 = truncation(cutoff)
-    prop = Propagator(trunc1, trunc2)
-    n1, n2 = cutoff.points()
-    w1, w2 = cutoff.weights()
-    weights = w1[n1] * w2[n2]
-    gts = np.array([0.0, 0.0, 0.3, 4.7, 37.3])
-    blocks = [slice(0, 2), slice(2, 4), slice(4, 5)]
-    monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 160)  # 2 times per call of 80 columns
-    swept = thermal_sweep([InitialAtomicState(v) for v in ATOM_INDEX], gts, cutoff)
-    for variant, stack in zip(ATOM_INDEX, swept):
-        cols = flat_index(ATOM_INDEX[variant], n1, n2, trunc1, trunc2)
-        for block in blocks:
-            expected = reduce_atoms(prop.evolve_basis_batch(cols, gts[block]), weights)
-            assert np.array_equal(stack[block], expected), (variant, block)
-
-
-def test_a_plan_evolves_as_its_flat_indices():
-    prop = Propagator(4, 2)  # blocks of 1, 3 and 4 states
-    cols = np.array([flat_index(3, 0, 0, 4, 2), flat_index(0, 1, 0, 4, 2), 7, 59, 3, 41])
-    plan = prop.plan(cols)
-    for t in (1.3, [0.0, 0.3, 4.7, 37.3, 1e3]):
-        by_index = prop.evolve_basis_batch(cols, t)
-        for by_plan, by_index in zip(prop.evolve_basis_batch(plan, t), by_index):
-            assert np.array_equal(by_plan, by_index)
-            assert np.asarray(by_plan).tobytes() == np.asarray(by_index).tobytes()
-    # the plan pads with state -1 exactly the slots past each block, where the
-    # amplitudes are zero
-    amplitudes = prop.evolve_basis_batch(plan, [0.3, 4.7])[1]
-    assert np.array_equal(plan.states >= 0, amplitudes.any(axis=-1))
-    assert set(plan.states[plan.states < 0].tolist()) == {-1}
-
-
 def test_trace_pairs_lists_the_shared_field_pairs_of_listed_slots():
     prop = Propagator(3, 3)
     cols = np.arange(prop.hamiltonian.shape[0])
@@ -513,34 +484,28 @@ def test_stacked_times_equal_the_per_time_calls():
     cols = np.arange(prop.hamiltonian.shape[0])
     weights = np.linspace(0.1, 1.0, cols.size)
     ts = np.array([0.0, 0.3, 4.7, 37.3])
-    states, amplitudes, dim = prop.evolve_basis_batch(cols, ts)
-    assert amplitudes.shape == states.shape + ts.shape
-    stacked = reduce_atoms((states, amplitudes, dim), weights)
+    _, amplitudes = evolve(prop, cols, ts)
+    stacked = evolve_and_trace(prop, cols, ts, weights)
     assert stacked.shape == (len(ts), 4, 4)
     for i, t in enumerate(ts):
-        one = prop.evolve_basis_batch(cols, t)
-        assert one[1].shape == states.shape
-        assert np.array_equal(one[0], states)
-        assert np.array_equal(one[1], amplitudes[..., i])
-        assert np.array_equal(reduce_atoms(one, weights), stacked[i])
+        # each time alone, as a stack of one, bit for bit
+        one = evolve(prop, cols, [t])[1]
+        assert one[..., 0].tobytes() == amplitudes[..., i].tobytes(), t
+        assert evolve_and_trace(prop, cols, [t], weights).tobytes() == stacked[i].tobytes(), t
 
 
 def test_a_batch_is_laid_out_time_last_and_contiguous():
-    # the layout the amplitudes are computed and traced in, for a plan and a
-    # 2-D stack of times, with no view or copy between them
+    # the layout the amplitudes are computed and traced in: the caller's array
+    # itself, time last and C-contiguous, so the trace's rows are a view of it
     prop = Propagator(4, 2)
-    cols = np.arange(prop.hamiltonian.shape[0])
-    weights = np.linspace(0.1, 1.0, cols.size)
-    ts = np.array([[0.0, 0.3, 4.7], [37.3, 1e3, 0.3]])
-    batch = prop.evolve_basis_batch(prop.plan(cols), ts)
-    states, amplitudes, _ = batch
-    assert amplitudes.shape == states.shape + ts.shape
+    plan = prop.plan(np.arange(prop.hamiltonian.shape[0]))
+    ts = np.array([0.0, 0.3, 4.7, 37.3, 1e3])
+    out = np.empty(plan.states.shape + ts.shape, dtype=complex)
+    amplitudes = prop.evolve_basis_batch(plan, ts, out)
+    assert amplitudes is out
+    assert amplitudes.shape == plan.states.shape + ts.shape
     assert amplitudes.flags.c_contiguous
-    stacked = reduce_atoms(batch, weights)
-    assert stacked.shape == ts.shape + (4, 4)
-    for index in np.ndindex(ts.shape):
-        one = reduce_atoms(prop.evolve_basis_batch(cols, ts[index]), weights)
-        assert one.tobytes() == stacked[index].tobytes(), index
+    assert np.shares_memory(amplitudes.reshape(plan.states.size, -1), out)
 
 
 def test_thermal_sweep_temporaries_are_bounded_in_the_number_of_times():
@@ -605,9 +570,8 @@ def test_build_hamiltonian_rejects_negative_cutoff():
 def test_a_batch_evolves_into_a_given_array():
     prop = Propagator(4, 2)  # blocks of 1, 3 and 4 states, so some slots are padding
     plan = prop.plan(np.arange(prop.hamiltonian.shape[0]))
-    t = [0.0, 0.3, 4.7]
-    fresh = prop.evolve_basis_batch(plan, t)[1]
+    ts = np.array([0.0, 0.3, 4.7])
+    fresh = prop.evolve_basis_batch(plan, ts, np.zeros(plan.states.shape + ts.shape, dtype=complex))
     out = np.full(fresh.shape, complex(np.nan, 1.0))  # what it held before is overwritten
-    given = prop.evolve_basis_batch(plan, t, out)[1]
-    assert np.shares_memory(given, out)
-    assert given.tobytes() == fresh.tobytes()
+    assert prop.evolve_basis_batch(plan, ts, out) is out
+    assert out.tobytes() == fresh.tobytes()
