@@ -22,10 +22,11 @@ sum w r and sum w r^2 of the thermal weights w before the time loop.  It
 then contracts x and x^2 with those moments over blocks of distinct
 frequencies, and the table maps the sums to one row per time; at gt = 0
 (x = 0) that row is the constant terms.  It takes one sin per distinct
-block frequency and time, or, on a uniform grid of enough times from 0,
-builds those sines by angle addition from the sin and cos at R offsets and
-at every R-th time: about 2 sqrt(T) trig evaluations per frequency instead
-of T.
+block frequency and time, or, on a uniform grid from 0, fewer trig
+evaluations: on a grid of enough times it builds those sines by angle
+addition from the sin and cos at R offsets and at every R-th time, about
+2 sqrt(T) per frequency instead of T, and on a shorter grid by rotation,
+powers of exp(i Omega h / 2) for the step h, 2 per frequency.
 
 Reductions use np.sum, np.bincount and np.einsum (no BLAS) in a fixed order,
 so the output does not depend on the BLAS thread count and reruns give
@@ -138,25 +139,47 @@ def xstate_term(variant, n1, n2, gt):
     return tuple(coef[:, 0] + x * coef[:, 1] + (x * x) * coef[:, 2])
 
 
+def _split_size(size):
+    """Offsets R for angle addition over ``size`` times, or 0 where it would not halve the trig work."""
+    split = min(TRIG_ELEMENTS // 2, math.isqrt(size))
+    return split if split and 4 * (-(-size // split) + split) <= size else 0
+
+
 def _offset_count(gts):
-    """Number R of offsets for the angle-addition path over ``gts``, or 0 for the direct path.
+    """Number R of offsets for the angle-addition path over ``gts``, or 0.
 
     The angle-addition path needs every time to split as
     gts[k] = gts[R (k // R)] + gts[k % R], an anchor plus an offset, to within
     2 eps gts[k], as on a uniform grid that starts at 0 (TimeGrid.points(),
     np.linspace(0, ...)).  It takes 2 (ceil(T / R) + R) sin and cos evaluations
     per frequency instead of T sines, and is used only where that at least
-    halves them.  R <= TRIG_ELEMENTS // 2, so that a block of
-    TRIG_ELEMENTS // (2 R) frequencies (see _sines) holds at least one.
+    halves them (_split_size: at 64 times and from 68 on).  Shorter uniform
+    grids are rotated (see _trig_split).  R <= TRIG_ELEMENTS // 2, so that a
+    block of TRIG_ELEMENTS // (2 R) frequencies (see _sines) holds at least one.
     """
-    size = len(gts)
-    split = min(TRIG_ELEMENTS // 2, math.isqrt(size))
-    if split == 0 or 4 * (-(-size // split) + split) > size:
+    split = _split_size(len(gts))
+    if not split:
         return 0
-    k = np.arange(size)
+    k = np.arange(len(gts))
     offset = k % split
     error = np.abs(gts[k - offset] + gts[offset] - gts)
     return split if (error <= 2.0 * np.finfo(float).eps * gts).all() else 0
+
+
+def _trig_split(gts):
+    """How _sines takes the sines of ``gts``: R > 1 by angle addition, 1 by rotation, 0 one np.sin each.
+
+    Angle addition takes the grids that _offset_count splits into R offsets.
+    Rotation takes a uniform grid from 0 that is too short for angle addition
+    to pay, two or more times with gts[k] = k gts[1] to within 2 eps gts[k]:
+    it takes 2 trig evaluations per frequency instead of T, and its rounding
+    grows with the number of steps, which stays below 67.
+    """
+    size = len(gts)
+    if size < 2 or _split_size(size):
+        return _offset_count(gts)
+    error = np.abs(np.arange(size) * gts[1] - gts)
+    return int((error <= 2.0 * np.finfo(float).eps * gts).all())
 
 
 def _sines(half, gts, split):
@@ -164,10 +187,13 @@ def _sines(half, gts, split):
 
     The distinct frequencies ``half`` (Omega / 2, ascending) are taken in
     blocks of m = TRIG_ELEMENTS // T, or, on the angle-addition path
-    (split = R, see _offset_count), TRIG_ELEMENTS // (2 R); each block runs
+    (split = R > 1, see _trig_split), TRIG_ELEMENTS // (2 R); each block runs
     over all the times before the next one starts, in blocks of times that
     keep n x m <= TRIG_ELEMENTS (one block of times, unless T > TRIG_ELEMENTS).
-    With split = 0 each element is one np.sin.  With split = R the sines are
+    With split = 0 each element is one np.sin.  With split = 1 (rotation) the
+    cos and sin of phi = half x gts[1] are taken once per block of
+    frequencies, and row k is the imaginary part of w^k, w = cos phi + i sin
+    phi, formed by one complex multiply per row.  With split = R the sines are
     sin(A + B) = sin A cos B + cos A sin B, from the sin and cos of half x
     the R offsets gts[:R], taken once per block of frequencies, and of half x
     the anchors gts[::R], taken per block of times (at least two anchors).
@@ -177,17 +203,29 @@ def _sines(half, gts, split):
     # outer products go through np.einsum: np.multiply buffers each broadcast
     # operand (64 KB apiece), which would raise the sweeps' peak memory
     size = len(gts)
-    width = max(1, TRIG_ELEMENTS // max(1, 2 * split if split else size))
-    if not split:
+    width = max(1, TRIG_ELEMENTS // max(1, 2 * split if split > 1 else size))
+    if split < 2:
         step = TRIG_ELEMENTS // width
         buffer = np.empty(min(step, size) * min(width, half.size))
+        # rotation's steps w and powers w^k, one per frequency of a block
+        turns = np.empty((2, min(width, half.size) if split else 0), complex)
         for f0 in range(0, half.size, width):
             freqs = half[f0 : f0 + width]
             for t0 in range(0, size, step):
                 times = gts[t0 : t0 + step]
                 x = buffer[: times.size * freqs.size].reshape(times.size, freqs.size)
-                np.einsum("t,p->tp", times, freqs, out=x)
-                np.sin(x, out=x)
+                if split:
+                    w, z = turns[:, : freqs.size]
+                    np.multiply(freqs, gts[1], out=x[1])
+                    np.cos(x[1], out=w.real)
+                    np.sin(x[1], out=w.imag)
+                    z.fill(1.0)
+                    for row in x:
+                        row[...] = z.imag
+                        z *= w
+                else:
+                    np.einsum("t,p->tp", times, freqs, out=x)
+                    np.sin(x, out=x)
                 yield f0, t0, x
         return
     anchors = gts[::split]
@@ -270,11 +308,14 @@ def thermal_sweep(variant, w1, w2, gts, rows):
     Then, per block of distinct frequencies (_sines: about TRIG_ELEMENTS
     frequencies x times), x = 2 sin^2(Omega gt / 2) is formed once per
     distinct block frequency and time, and two np.einsum reductions contract
-    x and x^2 with the block's moments.  The sines come from one np.sin each, or, where _offset_count
-    finds that ``gts`` splits into R offsets and anchors (a uniform grid from
-    0 of about 64 times or more), from sin(A + B) = sin A cos B + cos A sin B,
-    with 2 (ceil(T / R) + R) sin and cos evaluations per frequency instead of
-    T; any other ``gts`` takes one np.sin per frequency and time.  The blocks
+    x and x^2 with the block's moments.  The path is chosen from ``gts``
+    alone (_trig_split).  Where ``gts`` splits into R offsets and anchors (a
+    uniform grid from 0 of about 64 times or more), the sines come from
+    sin(A + B) = sin A cos B + cos A sin B, with 2 (ceil(T / R) + R) sin and
+    cos evaluations per frequency instead of T; on a shorter uniform grid
+    from 0, from the powers of w = exp(i phi), phi = Omega gts[1] / 2, by
+    complex rotation, with 2 per frequency (the cos and sin of phi); any
+    other ``gts`` takes one np.sin per frequency and time.  The blocks
     are added in ascending frequency order, and the coefficient table maps
     the summed moments, x- and x^2-weighted, to the rows.
     """
@@ -286,7 +327,7 @@ def thermal_sweep(variant, w1, w2, gts, rows):
     # sums[t, j, d]: the sum over frequencies of x^j times moment d
     sums = np.zeros((len(gts), 3, 3))
     sums[:, 0] = moments.sum(axis=1)
-    for f0, t0, x in _sines(half, gts, _offset_count(gts)):
+    for f0, t0, x in _sines(half, gts, _trig_split(gts)):
         block, at = moments[:, f0 : f0 + x.shape[1]], slice(t0, t0 + len(x))
         np.square(x, out=x)
         x *= 2.0

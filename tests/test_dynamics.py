@@ -337,7 +337,7 @@ def _weights_and_distinct(variant, nbar1, nbar2):
 
 def _direct(monkeypatch, variant, w1, w2, gts):
     """The kernel's output with every time on the direct path, one sin per frequency and time."""
-    monkeypatch.setattr(_core_py, "_offset_count", lambda gts: 0)
+    monkeypatch.setattr(_core_py, "_trig_split", lambda gts: 0)
     try:
         return _core_py.thermal_sweep(variant, w1, w2, gts, _rectangle(w1, w2))
     finally:
@@ -346,8 +346,10 @@ def _direct(monkeypatch, variant, w1, w2, gts):
 
 def test_sweep_takes_one_sin_per_distinct_frequency_and_time(monkeypatch):
     # grid points with the same (2 m1 + 1)(2 m2 + 1) share a block frequency;
-    # one sin per grid point and time would be ~1.8x this bound on 83x249
-    gts = np.linspace(0.0, 10.0, 21)
+    # one sin per grid point and time would be ~1.8x this bound on 83x249;
+    # times that are not a uniform grid take neither rotation nor angle addition
+    gts = np.geomspace(0.1, 10.0, 21)
+    assert _core_py._trig_split(gts) == 0
     for variant in VARIANTS:
         w1, w2, distinct = _weights_and_distinct(variant, 3.0, 10.0)
         assert distinct < 0.6 * w1.size * w2.size
@@ -372,6 +374,55 @@ def test_uniform_grid_takes_angle_addition_trig(monkeypatch):
         per_frequency = 2 * (-(-gts.size // split) + split)
         assert counter.elements <= per_frequency * distinct
         assert counter.elements < distinct * gts.size / 4
+
+
+def test_short_uniform_grid_takes_two_trig_evaluations_per_frequency(monkeypatch):
+    # the cos and sin of one step angle per frequency, then a complex rotation per time
+    gts = TimeGrid(10.0, 10).points()
+    assert _core_py._trig_split(gts) == 1
+    for variant in VARIANTS:
+        w1, w2, distinct = _weights_and_distinct(variant, 3.0, 10.0)
+        counter = _TrigCounter()
+        monkeypatch.setattr(_core_py, "np", counter)
+        _core_py.thermal_sweep(variant, w1, w2, gts, _rectangle(w1, w2))
+        monkeypatch.undo()
+        assert counter.elements <= 2 * distinct
+
+
+def test_rotation_agrees_with_direct_path(monkeypatch):
+    grids = [np.linspace(0.0, 10.0, size) for size in (3, 11, 50, 63)]
+    cases = [(gts, 1e-14) for gts in grids] + [(TimeGrid(200.0, 62).points(), 1e-13)]
+    for gts, bound in cases:
+        assert _core_py._trig_split(gts) == 1, gts.size
+        for nbars in ((3.0, 10.0), (1.0, 1.0)):
+            for variant in VARIANTS:
+                w1, w2, _ = _weights_and_distinct(variant, *nbars)
+                rotated = _core_py.thermal_sweep(variant, w1, w2, gts, _rectangle(w1, w2))
+                direct = _direct(monkeypatch, variant, w1, w2, gts)
+                assert np.abs(rotated - direct).max() <= bound, (gts.size, nbars, variant)
+
+
+def test_rotation_is_exact_on_the_check_grid():
+    cutoff = FockCutoff.choose(3.0, 10.0, 1e-10)
+    w1, w2 = cutoff.weights()
+    n1, n2, weight = set_weights(cutoff)
+    gts = TimeGrid(5.0, 49).points()
+    assert _core_py._trig_split(gts) == 1
+    for variant in VARIANTS:
+        swept = _core_py.thermal_sweep(variant, w1, w2, gts, np.array(cutoff.rows))
+        for gt, row in zip(gts, swept):
+            terms = _core_py.xstate_term(variant, n1, n2, gt)
+            exact = [math.fsum(weight * t) for t in terms]
+            assert np.abs(row - exact).max() <= 1e-14, (variant, gt)
+
+
+def test_one_or_two_times_and_zero_times_equal_the_direct_path(monkeypatch):
+    w1, w2, _ = _weights_and_distinct("eg", 3.0, 10.0)
+    for gts in ([0.0], [2.5], [0.0, 2.5], [0.0, 0.0, 0.0]):
+        gts = np.array(gts)
+        for variant in VARIANTS:
+            rows = _core_py.thermal_sweep(variant, w1, w2, gts, _rectangle(w1, w2))
+            assert np.array_equal(rows, _direct(monkeypatch, variant, w1, w2, gts)), gts
 
 
 def test_offset_count_takes_only_grids_from_zero_where_it_pays():

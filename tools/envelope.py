@@ -9,9 +9,10 @@ the src/ of the working tree this script lives in.  Each run has its own
 empty working directory and OPENBLAS_NUM_THREADS=1.  The exit code, stdout,
 stderr and every file the run writes are compared byte for byte.  Prints one
 line per argv: `identical`, or the largest numeric deviation and the first
-differing line.  Exits 0 only when every argv is identical, 1 when some
-argv differs and 2 when the commit cannot be checked out.  The worktree is
-removed afterwards.
+differing line.  Argvs named in HEAD_LINES run with their stdout closed
+after that many lines, as in `twinphoton check | head -1`.  Exits 0 only
+when every argv is identical, 1 when some argv differs and 2 when the commit
+cannot be checked out.  The worktree is removed afterwards.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (name, argv): the benchmark's two sweeps, check, the figure presets, two
-# oracle sweeps and edge inputs (a negative zero, a subnormal tail tolerance,
-# a one-row Fock set, an enormous mean photon number)
+# oracle sweeps, edge inputs (a negative zero, a subnormal tail tolerance,
+# a one-row Fock set, an enormous mean photon number), two short uniform
+# grids the benchmark does not run (a hot field, long times) and check into
+# a closed pipe
 CORPUS = [
     ("sweep-eg", ["sweep", "--initial", "eg", "--nbar1", "1.0", "--nbar2", "1.0",
                   "--tmax", "10.0", "--steps", "1000", "--out", "out.csv"]),
@@ -50,18 +53,37 @@ CORPUS = [
                             "--tail-tol", "1e-320", "--steps", "2"]),
     ("one-row-set", ["sweep", "--initial", "eg", "--nbar1", "0", "--nbar2", "2.66"]),
     ("check-nbar-1e17", ["check", "--nbar1", "1e17"]),
+    ("sweep-ee-hot-41", ["sweep", "--initial", "ee", "--nbar1", "10", "--nbar2", "10",
+                         "--steps", "40"]),
+    ("sweep-eg-tmax-200", ["sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1",
+                           "--tmax", "200", "--steps", "40"]),
+    ("check-stdout-closed", ["check"]),
 ]
+
+# argvs whose stdout pipe is closed after this many lines
+HEAD_LINES = {"check-stdout-closed": 1}
 
 NUMBER = re.compile(r"[-+]?(?:nan|inf|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
-def run(src: str, argv: list[str], cwd: str) -> dict[str, bytes]:
-    """One CLI run on the package in ``src``, in ``cwd``: its outputs as named byte strings."""
+def run(src: str, argv: list[str], cwd: str, lines: int | None = None) -> dict[str, bytes]:
+    """One CLI run on the package in ``src``, in ``cwd``: its outputs as named byte strings.
+
+    With ``lines``, stdout is read up to that many lines and then closed;
+    the lines read are the run's stdout.
+    """
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
-    res = subprocess.run(
-        [sys.executable, "-m", "twinphoton.cli", *argv], cwd=cwd, env=env, capture_output=True
-    )
-    outputs = {"exit": b"%d\n" % res.returncode, "stdout": res.stdout, "stderr": res.stderr}
+    command = [sys.executable, "-m", "twinphoton.cli", *argv]
+    pipe = subprocess.PIPE
+    with subprocess.Popen(command, cwd=cwd, env=env, stdout=pipe, stderr=pipe) as proc:
+        if lines is None:
+            stdout, stderr = proc.communicate()
+        else:
+            stdout = b"".join(proc.stdout.readline() for _ in range(lines))
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait()
+    outputs = {"exit": b"%d\n" % proc.returncode, "stdout": stdout, "stderr": stderr}
     for directory, _, names in os.walk(cwd):
         for name in names:
             path = os.path.join(directory, name)
@@ -132,7 +154,8 @@ def main(argv=None) -> int:
             for side, root in (("parent", tree), ("this", ROOT)):
                 cwd = os.path.join(tmp, side, name)
                 os.makedirs(cwd)
-                runs.append(run(os.path.join(root, "src"), corpus_argv, cwd))
+                src = os.path.join(root, "src")
+                runs.append(run(src, corpus_argv, cwd, HEAD_LINES.get(name)))
             deviation, first = compare(*runs)
             if first is None:
                 print(f"{name}: identical")
