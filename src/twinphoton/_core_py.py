@@ -23,10 +23,8 @@ then contracts x and x^2 with those moments over blocks of distinct
 frequencies, and the table maps the sums to one row per time; at gt = 0
 (x = 0) that row is the constant terms.  It takes one sin per distinct
 block frequency and time, or, on a uniform grid from 0, fewer trig
-evaluations: on a grid of enough times it builds those sines by angle
-addition from the sin and cos at R offsets and at every R-th time, about
-2 sqrt(T) per frequency instead of T, and on a shorter grid by rotation,
-powers of exp(i Omega h / 2) for the step h, 2 per frequency.
+evaluations, by angle addition or by rotation; _trig_split states the rule
+that picks the path and _sines takes the sines.
 
 Reductions use np.sum, np.bincount and np.einsum (no BLAS) in a fixed order,
 so the output does not depend on the BLAS thread count and reruns give
@@ -50,21 +48,14 @@ TRIG_ELEMENTS = 16384
 PAIR_BYTES = 100
 
 
-def _block_index(variant, n):
-    """Block index m, per mode, of the ladder that ``variant`` with n photons starts in.
-
-    ee starts on the bottom rung (m = n + 1), eg and ge on the middle one
-    (m = n) and gg on the top one (m = n - 1).  With an empty mode gg is
-    stationary; clamping its block index at 0 keeps the (unused) frequency
-    finite.  Keeps the dtype of ``n``.
-    """
-    return np.maximum(n + {"ee": 1, "gg": -1}.get(variant, 0), 0)
-
-
 def _mode_factors(variant, n):
     """Per-mode factors (2m + 1, f) of the key and of r for Fock indices ``n`` of one mode.
 
-    A pair's key (2 m1 + 1)(2 m2 + 1) is Omega^2 - 1 and its ratio is
+    m is the block index of the ladder that ``variant`` with n photons starts
+    in: ee starts on the bottom rung (m = n + 1), eg and ge on the middle one
+    (m = n) and gg on the top one (m = n - 1).  With an empty mode gg is
+    stationary; clamping its block index at 0 keeps the (unused) frequency
+    finite.  A pair's key (2 m1 + 1)(2 m2 + 1) is Omega^2 - 1 and its ratio is
     r = f1 f2 / Omega^2.  The state starts in the ladder of block (m1, m2),
     whose lower step |++>|m1-1, m2-1> <-> middle couples with u = m1 m2 and
     whose upper step middle <-> |-->|m1+1, m2+1> with v = (m1+1)(m2+1): f = m
@@ -72,7 +63,7 @@ def _mode_factors(variant, n):
     top rung |-->|n1, n2>, f = n gives r = q = v / Omega^2 with v = n1 n2,
     which is 0 where m is clamped.  Keeps the dtype of ``n``.
     """
-    m = _block_index(variant, n)
+    m = np.maximum(n + {"ee": 1, "gg": -1}.get(variant, 0), 0)
     return 2 * m + 1, (n if variant == "gg" else m)
 
 
@@ -139,47 +130,30 @@ def xstate_term(variant, n1, n2, gt):
     return tuple(coef[:, 0] + x * coef[:, 1] + (x * x) * coef[:, 2])
 
 
-def _split_size(size):
-    """Offsets R for angle addition over ``size`` times, or 0 where it would not halve the trig work."""
-    split = min(TRIG_ELEMENTS // 2, math.isqrt(size))
-    return split if split and 4 * (-(-size // split) + split) <= size else 0
-
-
-def _offset_count(gts):
-    """Number R of offsets for the angle-addition path over ``gts``, or 0.
-
-    The angle-addition path needs every time to split as
-    gts[k] = gts[R (k // R)] + gts[k % R], an anchor plus an offset, to within
-    2 eps gts[k], as on a uniform grid that starts at 0 (TimeGrid.points(),
-    np.linspace(0, ...)).  It takes 2 (ceil(T / R) + R) sin and cos evaluations
-    per frequency instead of T sines, and is used only where that at least
-    halves them (_split_size: at 64 times and from 68 on).  Shorter uniform
-    grids are rotated (see _trig_split).  R <= TRIG_ELEMENTS // 2, so that a
-    block of TRIG_ELEMENTS // (2 R) frequencies (see _sines) holds at least one.
-    """
-    split = _split_size(len(gts))
-    if not split:
-        return 0
-    k = np.arange(len(gts))
-    offset = k % split
-    error = np.abs(gts[k - offset] + gts[offset] - gts)
-    return split if (error <= 2.0 * np.finfo(float).eps * gts).all() else 0
-
-
 def _trig_split(gts):
     """How _sines takes the sines of ``gts``: R > 1 by angle addition, 1 by rotation, 0 one np.sin each.
 
-    Angle addition takes the grids that _offset_count splits into R offsets.
-    Rotation takes a uniform grid from 0 that is too short for angle addition
-    to pay, two or more times with gts[k] = k gts[1] to within 2 eps gts[k]:
-    it takes 2 trig evaluations per frequency instead of T, and its rounding
-    grows with the number of steps, which stays below 67.
+    The kernel's one path rule.  Fewer than two times, or any time off
+    k gts[1] by more than 2 eps gts[k], give 0: one np.sin per frequency and
+    time.  Every other ``gts`` is a uniform grid from 0, as TimeGrid.points()
+    and np.linspace(0, ...) are, and gives
+    R = min(TRIG_ELEMENTS // 2, isqrt(T)) where 4 (ceil(T / R) + R) <= T (at
+    64 times and from 68 on): angle addition from R offsets and ceil(T / R)
+    anchors, 2 (ceil(T / R) + R) sin and cos evaluations per frequency
+    instead of T, which at least halves them.  A shorter uniform grid gives
+    1: rotation, 2 trig evaluations per frequency, whose rounding grows with
+    the number of steps, which stays below 67.  R <= TRIG_ELEMENTS // 2, so
+    that a block of TRIG_ELEMENTS // (2 R) frequencies (see _sines) holds at
+    least one.
     """
     size = len(gts)
-    if size < 2 or _split_size(size):
-        return _offset_count(gts)
+    if size < 2:
+        return 0
     error = np.abs(np.arange(size) * gts[1] - gts)
-    return int((error <= 2.0 * np.finfo(float).eps * gts).all())
+    if not (error <= 2.0 * np.finfo(float).eps * gts).all():
+        return 0
+    split = min(TRIG_ELEMENTS // 2, math.isqrt(size))
+    return split if 4 * (-(-size // split) + split) <= size else 1
 
 
 def _sines(half, gts, split):
@@ -188,63 +162,60 @@ def _sines(half, gts, split):
     The distinct frequencies ``half`` (Omega / 2, ascending) are taken in
     blocks of m = TRIG_ELEMENTS // T, or, on the angle-addition path
     (split = R > 1, see _trig_split), TRIG_ELEMENTS // (2 R); each block runs
-    over all the times before the next one starts, in blocks of times that
-    keep n x m <= TRIG_ELEMENTS (one block of times, unless T > TRIG_ELEMENTS).
-    With split = 0 each element is one np.sin.  With split = 1 (rotation) the
-    cos and sin of phi = half x gts[1] are taken once per block of
-    frequencies, and row k is the imaginary part of w^k, w = cos phi + i sin
-    phi, formed by one complex multiply per row.  With split = R the sines are
-    sin(A + B) = sin A cos B + cos A sin B, from the sin and cos of half x
-    the R offsets gts[:R], taken once per block of frequencies, and of half x
-    the anchors gts[::R], taken per block of times (at least two anchors).
-    Every block is a view of one reused buffer: the caller may overwrite it,
-    but is done with it before the next one is formed.
+    over all the times before the next one starts, in blocks of whole groups
+    of max(R, 1) times that keep n x m <= TRIG_ELEMENTS (without angle
+    addition, one block of times unless T > TRIG_ELEMENTS).  Per block of
+    frequencies the path sets up its trig, and per block of times it fills
+    the rows.  With split = 0 each element is one np.sin.  With split = 1
+    (rotation) the cos and sin of phi = half x gts[1] are taken once per
+    block of frequencies, and row k is the imaginary part of w^k,
+    w = cos phi + i sin phi, formed by one complex multiply per row.  With
+    split = R the sines are sin(A + B) = sin A cos B + cos A sin B, from the
+    sin and cos of half x the R offsets gts[:R], taken once per block of
+    frequencies, and of half x the anchors gts[t0::R], taken per block of
+    times.  Every block is a view of one reused buffer: the caller may
+    overwrite it, but is done with it before the next one is formed.
     """
     # outer products go through np.einsum: np.multiply buffers each broadcast
     # operand (64 KB apiece), which would raise the sweeps' peak memory
-    size = len(gts)
+    size, span = len(gts), max(split, 1)
     width = max(1, TRIG_ELEMENTS // max(1, 2 * split if split > 1 else size))
-    if split < 2:
-        step = TRIG_ELEMENTS // width
-        buffer = np.empty(min(step, size) * min(width, half.size))
-        # rotation's steps w and powers w^k, one per frequency of a block
-        turns = np.empty((2, min(width, half.size) if split else 0), complex)
-        for f0 in range(0, half.size, width):
-            freqs = half[f0 : f0 + width]
-            for t0 in range(0, size, step):
-                times = gts[t0 : t0 + step]
-                x = buffer[: times.size * freqs.size].reshape(times.size, freqs.size)
-                if split:
-                    w, z = turns[:, : freqs.size]
-                    np.multiply(freqs, gts[1], out=x[1])
-                    np.cos(x[1], out=w.real)
-                    np.sin(x[1], out=w.imag)
-                    z.fill(1.0)
-                    for row in x:
-                        row[...] = z.imag
-                        z *= w
-                else:
-                    np.einsum("t,p->tp", times, freqs, out=x)
-                    np.sin(x, out=x)
-                yield f0, t0, x
-        return
-    anchors = gts[::split]
-    x, product = np.empty((2, min(TRIG_ELEMENTS, anchors.size * split * min(width, half.size))))
+    buffer = np.empty(min(TRIG_ELEMENTS, -(-size // span) * span * min(width, half.size)))
+    # angle addition's second term, and rotation's steps w and powers w^k,
+    # one per frequency of a block
+    product = np.empty_like(buffer) if split > 1 else None
+    turns = np.empty((2, min(width, half.size) if split == 1 else 0), complex)
     for f0 in range(0, half.size, width):
         freqs = half[f0 : f0 + width]
-        step = TRIG_ELEMENTS // (split * freqs.size)
-        cos_b = np.einsum("r,p->rp", gts[:split], freqs)
-        sin_b = np.sin(cos_b)
-        np.cos(cos_b, out=cos_b)
-        for a0 in range(0, anchors.size, step):
-            angle = np.einsum("a,p->ap", anchors[a0 : a0 + step], freqs)
-            shape = (len(angle), split, freqs.size)
-            block = x[: math.prod(shape)].reshape(shape)
-            terms = product[: block.size].reshape(shape)
-            np.einsum("ap,rp->arp", np.sin(angle), cos_b, out=block)
-            block += np.einsum("ap,rp->arp", np.cos(angle), sin_b, out=terms)
-            t0 = a0 * split
-            yield f0, t0, block.reshape(-1, freqs.size)[: size - t0]
+        if split == 1:
+            w, z = turns[:, : freqs.size]
+            np.multiply(freqs, gts[1], out=z.real)
+            np.cos(z.real, out=w.real)
+            np.sin(z.real, out=w.imag)
+            z.fill(1.0)
+        elif split:
+            cos_b = np.einsum("r,p->rp", gts[:split], freqs)
+            sin_b = np.sin(cos_b)
+            np.cos(cos_b, out=cos_b)
+        step = TRIG_ELEMENTS // (span * freqs.size) * span
+        for t0 in range(0, size, step):
+            times = gts[t0 : t0 + step]
+            rows = -(-times.size // span) * span
+            x = buffer[: rows * freqs.size].reshape(rows, freqs.size)
+            if split == 1:
+                for row in x:
+                    row[...] = z.imag
+                    z *= w
+            elif split:
+                angle = np.einsum("a,p->ap", times[::split], freqs)
+                block = x.reshape(-1, split, freqs.size)
+                terms = product[: x.size].reshape(block.shape)
+                np.einsum("ap,rp->arp", np.sin(angle), cos_b, out=block)
+                block += np.einsum("ap,rp->arp", np.cos(angle), sin_b, out=terms)
+            else:
+                np.einsum("t,p->tp", times, freqs, out=x)
+                np.sin(x, out=x)
+            yield f0, t0, x[: times.size]
 
 
 def _moments(variant, w1, w2, rows):
@@ -308,16 +279,12 @@ def thermal_sweep(variant, w1, w2, gts, rows):
     Then, per block of distinct frequencies (_sines: about TRIG_ELEMENTS
     frequencies x times), x = 2 sin^2(Omega gt / 2) is formed once per
     distinct block frequency and time, and two np.einsum reductions contract
-    x and x^2 with the block's moments.  The path is chosen from ``gts``
-    alone (_trig_split).  Where ``gts`` splits into R offsets and anchors (a
-    uniform grid from 0 of about 64 times or more), the sines come from
-    sin(A + B) = sin A cos B + cos A sin B, with 2 (ceil(T / R) + R) sin and
-    cos evaluations per frequency instead of T; on a shorter uniform grid
-    from 0, from the powers of w = exp(i phi), phi = Omega gts[1] / 2, by
-    complex rotation, with 2 per frequency (the cos and sin of phi); any
-    other ``gts`` takes one np.sin per frequency and time.  The blocks
-    are added in ascending frequency order, and the coefficient table maps
-    the summed moments, x- and x^2-weighted, to the rows.
+    x and x^2 with the block's moments.  The sines' path, angle addition or
+    rotation on a uniform grid from 0 and one np.sin per frequency and time
+    otherwise, is chosen from ``gts`` alone by the rule that _trig_split
+    states.  The blocks are added in ascending frequency order, and the
+    coefficient table maps the summed moments, x- and x^2-weighted, to the
+    rows.
     """
     omega_sq, moments = _moments(variant, w1, w2, rows)
     # Omega / 2 = sqrt(key + 1) / 2, with key + 1 = 2[(m1+1)(m2+1) + m1 m2] exact in a double

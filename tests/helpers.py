@@ -121,20 +121,25 @@ def trig_xstate_term(variant, n1, n2, gt):
     return (u * sf, sin4, cos4, v * sf, e)
 
 
-def frequency_blocks(monkeypatch, variant, gts, cutoff):
-    """Blocks of distinct frequencies one kernel pass of the pure ``variant`` takes over ``cutoff``'s set."""
-    starts = set()
+def sine_blocks(monkeypatch, run, *args):
+    """run(*args)'s result, and the starts (f0, t0) of the blocks that _sines yields in it."""
+    starts = []
     sines = _core_py._sines
 
     def recording(half, gts, split):
         for f0, t0, x in sines(half, gts, split):
-            starts.add(f0)
+            starts.append((f0, t0))
             yield f0, t0, x
 
     with monkeypatch.context() as patch:
         patch.setattr(_core_py, "_sines", recording)
-        sweep([InitialAtomicState(variant)], gts, cutoff)[0]
-    return len(starts)
+        return run(*args), starts
+
+
+def frequency_blocks(monkeypatch, variant, gts, cutoff):
+    """Blocks of distinct frequencies one kernel pass of the pure ``variant`` takes over ``cutoff``'s set."""
+    _, starts = sine_blocks(monkeypatch, sweep, [InitialAtomicState(variant)], gts, cutoff)
+    return len({f0 for f0, _ in starts})
 
 
 def evolve_and_trace(prop, columns, times, weights=(1.0,)):

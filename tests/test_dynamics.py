@@ -8,6 +8,7 @@ from helpers import (
     assert_valid_xstate,
     block_frequency,
     frequency_blocks,
+    sine_blocks,
     thermal_weight,
     trig_xstate_term,
 )
@@ -18,6 +19,9 @@ from twinphoton.thermal import FockCutoff
 
 GTS = (0.1, 0.7, 1.3, 3.1, 9.9)
 VARIANTS = ("ee", "eg", "ge", "gg")
+# the block index m, per mode, of the ladder a variant with n photons starts in is
+# max(n + shift, 0): ee on the bottom rung, eg and ge on the middle one, gg on the top
+BLOCK_SHIFT = {"ee": 1, "eg": 0, "ge": 0, "gg": -1}
 
 
 def test_block_frequency_examples():
@@ -235,7 +239,7 @@ def test_key_gives_the_block_frequency_bit_for_bit():
     # formula sqrt(2[(m1+1)(m2+1) + m1 m2]), on grids as large as the CLI sums
     n = np.arange(2500)
     for variant in VARIANTS:
-        m = _core_py._block_index(variant, n)
+        m = np.maximum(n + BLOCK_SHIFT[variant], 0)
         odd, _ = _core_py._mode_factors(variant, n)
         key = np.multiply.outer(odd, odd[::7])
         assert np.array_equal(np.sqrt(key + 1), block_frequency(m[:, None], m[::7]))
@@ -329,9 +333,8 @@ def _weights_and_distinct(variant, nbar1, nbar2):
     """Thermal weights of the cutoff choose() picks at tail 1e-10, and the grid's distinct frequencies."""
     cutoff = FockCutoff.choose(nbar1, nbar2, 1e-10)
     w1, w2 = cutoff.weights()
-    block_shift = {"ee": 1, "eg": 0, "ge": 0, "gg": -1}
-    m1 = np.maximum(np.arange(w1.size) + block_shift[variant], 0)
-    m2 = np.maximum(np.arange(w2.size) + block_shift[variant], 0)
+    m1 = np.maximum(np.arange(w1.size) + BLOCK_SHIFT[variant], 0)
+    m2 = np.maximum(np.arange(w2.size) + BLOCK_SHIFT[variant], 0)
     return w1, w2, np.unique(block_frequency(m1[:, None], m2)).size
 
 
@@ -363,8 +366,8 @@ def test_sweep_takes_one_sin_per_distinct_frequency_and_time(monkeypatch):
 def test_uniform_grid_takes_angle_addition_trig(monkeypatch):
     # sin(A + B) from the sin and cos of R offsets and ceil(T/R) anchors per frequency
     gts = TimeGrid(10.0, 1000).points()
-    split = _core_py._offset_count(gts)
-    assert split > 0
+    split = _core_py._trig_split(gts)
+    assert split > 1
     for variant in VARIANTS:
         w1, w2, distinct = _weights_and_distinct(variant, 3.0, 10.0)
         counter = _TrigCounter()
@@ -425,19 +428,63 @@ def test_one_or_two_times_and_zero_times_equal_the_direct_path(monkeypatch):
             assert np.array_equal(rows, _direct(monkeypatch, variant, w1, w2, gts)), gts
 
 
-def test_offset_count_takes_only_grids_from_zero_where_it_pays():
-    assert _core_py._offset_count(np.linspace(0.0, 10.0, 1001)) > 0
-    assert _core_py._offset_count(TimeGrid(200.0, 2000).points()) > 0
-    # too few times to halve the trig work, or times that do not split
+def test_trig_split_is_one_rule_on_uniform_grids_from_zero():
+    # one np.sin each: too few times, or times that are not k gts[1]
     for gts in (
-        TimeGrid(10.0, 10).points(),
-        TimeGrid(5.0, 49).points(),
-        np.array([0.7, 3.1, 9.9]),
+        np.array([]),
+        np.array([2.5]),
         TimeGrid(10.0, 1000).points() + 0.5,
         TimeGrid(10.0, 1000).points() ** 2,
-        np.array([]),
+        np.array([0.7, 3.1, 9.9]),
     ):
-        assert _core_py._offset_count(gts) == 0, gts.size
+        assert _core_py._trig_split(gts) == 0, gts.size
+    # rotation where angle addition would not halve the trig work
+    assert _core_py._trig_split(TimeGrid(10.0, 10).points()) == 1
+    assert _core_py._trig_split(TimeGrid(5.0, 49).points()) == 1
+    assert _core_py._trig_split(np.linspace(0.0, 10.0, 1001)) > 1
+    assert _core_py._trig_split(TimeGrid(200.0, 2000).points()) > 1
+    # the one uniformity tolerance takes every grid the CLI and np.linspace make
+    for t_max in (0.37, 1.0, 5.0, 10.0, 123.4, 200.0, 5000.0):
+        for steps in (*range(1, 130), 199, 500, 999, 1000, 1001, 1199):
+            assert _core_py._trig_split(TimeGrid(t_max, steps).points()) > 0, (t_max, steps)
+            gts = np.linspace(0.0, t_max, steps + 1)
+            assert _core_py._trig_split(gts) > 0, (t_max, steps + 1)
+
+
+def test_direct_path_over_several_blocks_of_times(monkeypatch):
+    # more times than TRIG_ELEMENTS, not a uniform grid: one np.sin each, in
+    # blocks of TRIG_ELEMENTS times; the rows either side of a block edge
+    gts = np.geomspace(0.01, 10.0, 20000)
+    assert _core_py._trig_split(gts) == 0
+    cutoff = FockCutoff.choose(0.3, 0.7, 1e-10)
+    w1, w2 = cutoff.weights()
+    n1, n2 = np.divmod(np.arange(w1.size * w2.size), w2.size)
+    weight = w1[n1] * w2[n2]
+    edge, rows = _core_py.TRIG_ELEMENTS, _rectangle(w1, w2)
+    for variant in VARIANTS:
+        swept, starts = sine_blocks(monkeypatch, _core_py.thermal_sweep, variant, w1, w2, gts, rows)
+        assert {t0 for _, t0 in starts} == {0, edge}, starts
+        for k in (0, edge - 2, edge - 1, edge, edge + 1, gts.size - 1):
+            terms = _core_py.xstate_term(variant, n1, n2, gts[k])
+            exact = [math.fsum(weight * t) for t in terms]
+            assert np.abs(swept[k] - exact).max() <= 1e-14, (variant, k)
+
+
+def test_angle_addition_on_one_pair_and_many_times(monkeypatch):
+    # one frequency: a block holds fewer than TRIG_ELEMENTS elements, its last
+    # anchor runs past the end of the grid, and at 20,001 times the times come
+    # in two blocks
+    one, rows = np.ones(1), np.zeros(1, dtype=int)
+    for steps, blocks in ((1000, 1), (20000, 2)):
+        gts = TimeGrid(10.0, steps).points()
+        assert _core_py._trig_split(gts) > 1
+        for variant in VARIANTS:
+            run = _core_py.thermal_sweep
+            swept, starts = sine_blocks(monkeypatch, run, variant, one, one, gts, rows)
+            assert len({t0 for _, t0 in starts}) == blocks, starts
+            pair = np.zeros_like(gts)
+            exact = np.array(_core_py.xstate_term(variant, pair, pair, gts)).T
+            assert np.abs(swept - exact).max() <= 1e-14, (steps, variant)
 
 
 def test_grid_path_agrees_with_direct_path_at_long_times(monkeypatch):

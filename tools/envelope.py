@@ -32,8 +32,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (name, argv): the benchmark's two sweeps, check, the figure presets, two
 # oracle sweeps, edge inputs (a negative zero, a subnormal tail tolerance,
 # a one-row Fock set, an enormous mean photon number), two short uniform
-# grids the benchmark does not run (a hot field, long times) and check into
-# a closed pipe
+# grids the benchmark does not run (a hot field, long times), check into a
+# closed pipe, a uniform grid of more times than a trig block holds and a
+# one-pair Fock set over many times
 CORPUS = [
     ("sweep-eg", ["sweep", "--initial", "eg", "--nbar1", "1.0", "--nbar2", "1.0",
                   "--tmax", "10.0", "--steps", "1000", "--out", "out.csv"]),
@@ -58,6 +59,10 @@ CORPUS = [
     ("sweep-eg-tmax-200", ["sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1",
                            "--tmax", "200", "--steps", "40"]),
     ("check-stdout-closed", ["check"]),
+    ("sweep-long-grid", ["sweep", "--initial", "eg", "--nbar1", "1", "--nbar2", "1",
+                         "--steps", "20000"]),
+    ("one-pair-many-times", ["sweep", "--initial", "gg", "--nbar1", "0", "--nbar2", "0",
+                             "--steps", "5000"]),
 ]
 
 # argvs whose stdout pipe is closed after this many lines
