@@ -17,14 +17,16 @@ Fock pairs share a frequency, and r is an integer over key + 1.
 
 xstate_term evaluates the table at one point.  thermal_sweep bins the Fock
 set by key once, with no sort (one bin per odd integer up to the largest key,
-O(extent) bins), and sums, per distinct key, the three moments sum w,
-sum w r and sum w r^2 of the thermal weights w before the time loop.  It
-then contracts x and x^2 with those moments over blocks of distinct
-frequencies, and the table maps the sums to one row per time; at gt = 0
-(x = 0) that row is the constant terms.  It takes one sin per distinct
-block frequency and time, or, on a uniform grid from 0, fewer trig
-evaluations, by angle addition or by rotation; _trig_split states the rule
-that picks the path and _sines takes the sines.
+O(extent) bins; a point's group is the rank of its bin among the occupied
+ones, scattered into an array over the bins, with no prefix sum), and sums,
+per distinct key, the three moments sum w, sum w r and sum w r^2 of the
+thermal weights w before the time loop.  It then contracts x and x^2 over
+blocks of distinct frequencies, each with only the moments that the
+variant's table reads at that power (READS), and the table maps the sums to
+one row per time; at gt = 0 (x = 0) that row is the constant terms.  It
+takes one sin per distinct block frequency and time, or, on a uniform grid
+from 0, fewer trig evaluations, by angle addition or by rotation;
+_trig_split states the rule that picks the path and _sines takes the sines.
 
 Reductions use np.sum, np.bincount and np.einsum (no BLAS) in a fixed order,
 so the output does not depend on the BLAS thread count and reruns give
@@ -35,16 +37,16 @@ import math
 
 import numpy as np
 
-from .thermal import _pairs
-
 # distinct frequencies x times per trig block: bounds thermal_sweep's
 # temporaries and sizes its blocks of frequencies (see _sines)
 TRIG_ELEMENTS = 16384
 
 # bound on the peak bytes a kernel pass holds per Fock pair of a set of 1e5 pairs
-# or more: _moments holds at most five point-sized 8-byte arrays at a time, or four
-# and 9 B per key bin; by tracemalloc, 41.1 B on a chosen staircase at nbar 30,30
-# (a bin per pair), 58.3 B on a 300,300 rectangle (two) and up to 99.0 B on one row (three)
+# or more: _moments holds at most four point-sized 8-byte arrays and 8 B per key
+# bin at a time, and on a set of one row (or one column) the long mode's factor
+# arrays are point-sized too; by tracemalloc, 42.6 B on a chosen staircase at
+# nbar 30,30 (a bin per pair), 51.1 B on a 320,320 rectangle (two), 64.0 B on one
+# row (one to three) and 72.0 B on one column (one)
 PAIR_BYTES = 100
 
 
@@ -108,6 +110,17 @@ COEFFICIENTS = {
     "eg": _EG,
     "ge": _EG[[0, 2, 1, 3, 4]],
     "gg": _EE[[3, 1, 2, 0, 4]],
+}
+
+# READS[variant][j - 1]: the contiguous moments d (a slice of (1, r, r^2)) whose
+# coefficients of x^j, j = 1, 2, the variant's table reads: r for x and r, r^2
+# for x^2 in ee and gg, 1, r for both in eg and ge
+READS = {
+    variant: tuple(
+        slice(used[0], used[-1] + 1)
+        for used in (np.flatnonzero(table[:, j].any(axis=0)) for j in (1, 2))
+    )
+    for variant, table in COEFFICIENTS.items()
 }
 
 
@@ -224,28 +237,33 @@ def _moments(variant, w1, w2, rows):
     Returns (omega_sq, moments) with moments[:, i] = (sum w, sum w r,
     sum w r^2) over the set's points of the i-th distinct Omega^2.  No sort:
     Omega^2 = key + 1 is even, so Omega^2 / 2 - 1 bins the points directly.
-    The occupied bins, in ascending order, are the distinct Omega^2, and a
-    point's group is its bin's rank among them.  Each moment is one
-    np.bincount over the points in the set's row-by-row order.  The bins
-    number (max key + 1) / 2 <= ((2 n_max1 + 3)(2 n_max2 + 3) + 1) / 2, at
-    most about twice the extent rectangle.  A function of its own so that
-    the point arrays are freed before the time loop's are built.
+    The F occupied bins, found once by np.flatnonzero in ascending order,
+    are the distinct Omega^2, and a point's group is its bin's rank among
+    them, read from an array over the bins into which 0 .. F - 1 are
+    scattered at the occupied bins (no prefix sum over the bins).  Each
+    moment is one np.bincount over the points in the set's row-by-row
+    order.  The bins number (max key + 1) / 2 <=
+    ((2 n_max1 + 3)(2 n_max2 + 3) + 1) / 2, at most about twice the extent
+    rectangle.  A function of its own so that the point arrays are freed
+    before the time loop's are built.
     """
-    # the set's points row by row: row n1 holds n2 = 0 .. rows[n1]
-    n1, n2 = _pairs(0, rows)
-    odd1, f1 = _mode_factors(variant, np.arange(len(w1)))
-    odd2, f2 = _mode_factors(variant, np.arange(len(w2)))
-    # each point array is built in place and each index freed once used:
-    # at most five point-sized arrays at a time
-    omega_sq = odd1[n1]
-    omega_sq *= odd2[n2]
-    omega_sq += 1
-    ratio = f1[n1]
-    ratio *= f2[n2]
-    weight = w2[n2]
+    # the set's points row by row: row n1 holds n2 = 0 .. rows[n1], so a row
+    # factor repeats over the row's rows[n1] + 1 points and a column factor is
+    # taken at n2; each point array is built in place and freed once used
+    counts = rows + 1
+    n2 = np.arange(counts.sum())
+    n2 -= np.repeat(np.cumsum(counts) - counts, counts)
+    odd, f = _mode_factors(variant, np.arange(len(w2)))
+    omega_sq = odd.take(n2)
+    ratio = f.take(n2)
+    weight = w2.take(n2)
     del n2
-    weight *= w1[n1]
-    del n1
+    odd, f = _mode_factors(variant, np.arange(len(w1)))
+    omega_sq *= np.repeat(odd, counts)
+    omega_sq += 1
+    ratio *= np.repeat(f, counts)
+    del odd, f
+    weight *= np.repeat(w1, counts)
     ratio = ratio / omega_sq
     # bin Omega^2 / 2 - 1; a point's group is its bin's rank among the occupied
     bins = omega_sq
@@ -253,16 +271,21 @@ def _moments(variant, w1, w2, rows):
     bins -= 1
     present = np.zeros(bins.max() + 1, dtype=bool)
     present[bins] = True
-    group = np.cumsum(present)[bins]
-    group -= 1
-    del bins
+    occupied = np.flatnonzero(present)
+    rank = np.empty(present.size, dtype=np.intp)
+    del present
+    rank[occupied] = np.arange(occupied.size)
+    group = rank.take(bins)
+    del bins, rank
     # np.bincount adds in index order: deterministic, and no BLAS
     moments = [np.bincount(group, weight)]
     for _ in range(2):
         weight *= ratio
         moments.append(np.bincount(group, weight))
     del group, weight, ratio
-    return 2 * (np.flatnonzero(present) + 1), np.array(moments)
+    occupied += 1
+    occupied *= 2
+    return occupied, np.array(moments)
 
 
 def thermal_sweep(variant, w1, w2, gts, rows):
@@ -277,14 +300,18 @@ def thermal_sweep(variant, w1, w2, gts, rows):
     up to the largest key (O(extent) bins, no sort), and sums w, w r and
     w r^2 per distinct key, with r = f1 f2 / Omega^2 (see _mode_factors).
     Then, per block of distinct frequencies (_sines: about TRIG_ELEMENTS
-    frequencies x times), x = 2 sin^2(Omega gt / 2) is formed once per
-    distinct block frequency and time, and two np.einsum reductions contract
-    x and x^2 with the block's moments.  The sines' path, angle addition or
-    rotation on a uniform grid from 0 and one np.sin per frequency and time
-    otherwise, is chosen from ``gts`` alone by the rule that _trig_split
-    states.  The blocks are added in ascending frequency order, and the
-    coefficient table maps the summed moments, x- and x^2-weighted, to the
-    rows.
+    frequencies x times), sin^2(Omega gt / 2) is formed once per distinct
+    block frequency and time, and two np.einsum reductions contract it and
+    its square with the block's moments that the variant's table reads at
+    x and at x^2 (READS: 1 and 2 moments for ee and gg, 2 and 2 for eg and
+    ge), scaled by 2 and 4 once per pass, since x = 2 sin^2: the products
+    are those of x and x^2 with the moments, bit for bit, unless sin^4
+    underflows.  The sums no entry of the table reads stay +0.0.  The
+    sines' path, angle addition or rotation on a uniform grid from 0 and
+    one np.sin per frequency and time otherwise, is chosen from ``gts``
+    alone by the rule that _trig_split states.  The blocks are added in
+    ascending frequency order, and the coefficient table maps the summed
+    moments, x- and x^2-weighted, to the rows.
     """
     omega_sq, moments = _moments(variant, w1, w2, rows)
     # Omega / 2 = sqrt(key + 1) / 2, with key + 1 = 2[(m1+1)(m2+1) + m1 m2] exact in a double
@@ -294,11 +321,15 @@ def thermal_sweep(variant, w1, w2, gts, rows):
     # sums[t, j, d]: the sum over frequencies of x^j times moment d
     sums = np.zeros((len(gts), 3, 3))
     sums[:, 0] = moments.sum(axis=1)
+    # x = 2 sin^2 and x^2 = 4 sin^4: the moments each power reads, scaled by 2
+    # and 4, are contracted with sin^2 and sin^4; the other sums stay +0.0
+    read_x, read_x2 = READS[variant]
+    by_x, by_x2 = 2.0 * moments[read_x], 4.0 * moments[read_x2]
+    del moments
     for f0, t0, x in _sines(half, gts, _trig_split(gts)):
-        block, at = moments[:, f0 : f0 + x.shape[1]], slice(t0, t0 + len(x))
+        block, at = slice(f0, f0 + x.shape[1]), slice(t0, t0 + len(x))
         np.square(x, out=x)
-        x *= 2.0
-        sums[at, 1] += np.einsum("tp,dp->td", x, block)
+        sums[at, 1, read_x] += np.einsum("tp,dp->td", x, by_x[:, block])
         np.square(x, out=x)
-        sums[at, 2] += np.einsum("tp,dp->td", x, block)
+        sums[at, 2, read_x2] += np.einsum("tp,dp->td", x, by_x2[:, block])
     return np.einsum("tjd,kjd->tk", sums, COEFFICIENTS[variant])

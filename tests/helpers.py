@@ -121,6 +121,28 @@ def trig_xstate_term(variant, n1, n2, gt):
     return (u * sf, sin4, cos4, v * sf, e)
 
 
+def full_contraction_sweep(variant, w1, w2, gts, rows):
+    """_core_py.thermal_sweep with x and x^2 contracted with all three moments.
+
+    The reference for the kernel's contraction: per block of _sines, x =
+    2 sin^2 is formed elementwise, and x and x^2 are each contracted with
+    every moment (1, r, r^2), whether or not the variant's table reads it.
+    """
+    omega_sq, moments = _core_py._moments(variant, w1, w2, rows)
+    half = np.sqrt(omega_sq)
+    half *= 0.5
+    sums = np.zeros((len(gts), 3, 3))
+    sums[:, 0] = moments.sum(axis=1)
+    for f0, t0, x in _core_py._sines(half, gts, _core_py._trig_split(gts)):
+        block, at = moments[:, f0 : f0 + x.shape[1]], slice(t0, t0 + len(x))
+        np.square(x, out=x)
+        x *= 2.0
+        sums[at, 1] += np.einsum("tp,dp->td", x, block)
+        np.square(x, out=x)
+        sums[at, 2] += np.einsum("tp,dp->td", x, block)
+    return np.einsum("tjd,kjd->tk", sums, _core_py.COEFFICIENTS[variant])
+
+
 def sine_blocks(monkeypatch, run, *args):
     """run(*args)'s result, and the starts (f0, t0) of the blocks that _sines yields in it."""
     starts = []

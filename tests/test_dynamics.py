@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_bit_identical,
     assert_valid_xstate,
     block_frequency,
     frequency_blocks,
+    full_contraction_sweep,
     sine_blocks,
     thermal_weight,
     trig_xstate_term,
@@ -203,12 +205,17 @@ def _grouped_by_unique(variant, w1, w2, cutoff):
 
 
 def test_moments_match_an_independent_grouping_bit_for_bit():
-    # the kernel bins the points by Omega^2 / 2 - 1 with no sort; np.unique
-    # groups them by sorting, and both sum each group in the set's point order
+    # the kernel bins the points by Omega^2 / 2 - 1 with no sort and ranks the
+    # occupied bins; np.unique groups them by sorting, and both sum each group
+    # in the set's point order.  The one-row and L-shaped sets leave up to
+    # three bins per pair, most of them empty
     staircase = FockCutoff.choose(3.0, 10.0, 1e-10)
     rectangle = FockCutoff.explicit(12, 20, 1.0, 1.0)
+    one_row = FockCutoff.choose(0.0, 10.0, 1e-10)
+    l_shape = FockCutoff((300,) + (0,) * 300, 2.0, 2.0)
     w1, w2 = staircase.weights()
-    cases = [(v, cutoff, *cutoff.weights()) for cutoff in (staircase, rectangle) for v in VARIANTS]
+    cutoffs = (staircase, rectangle, one_row, l_shape)
+    cases = [(v, cutoff, *cutoff.weights()) for cutoff in cutoffs for v in VARIANTS]
     # gg with all weight on an empty mode: its clamped rows have q = 0
     for a, b in ((np.eye(1, w1.size)[0], w2), (w1, np.eye(1, w2.size)[0])):
         cases.append(("gg", staircase, a, b))
@@ -217,6 +224,52 @@ def test_moments_match_an_independent_grouping_bit_for_bit():
         expected_sq, expected = _grouped_by_unique(variant, a, b, cutoff)
         assert np.array_equal(omega_sq, expected_sq), variant
         assert np.array_equal(moments, expected), variant
+
+
+class _ContractionRecorder:
+    """Stands in for numpy in the kernel module and records the moment rows of each contraction."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, subscripts, *operands, **kwargs):
+        if subscripts == "tp,dp->td":
+            self.rows.append(operands[1].shape[0])
+        return np.einsum(subscripts, *operands, **kwargs)
+
+
+def test_each_pass_contracts_only_what_its_table_reads(monkeypatch):
+    # the kernel contracts sin^2 and sin^4 only with the moments that the
+    # variant's table reads at x and x^2, scaled by 2 and 4; contracting
+    # x = 2 sin^2 and x^2 with all three moments gives the same floats,
+    # signed zeros included, on each of the three sine paths.  The table
+    # reads r at x and r, r^2 at x^2 in ee and gg, and 1, r at both in eg and ge
+    read = {"ee": (1, 2), "eg": (2, 2), "ge": (2, 2), "gg": (1, 2)}
+    staircase = FockCutoff.choose(3.0, 10.0, 1e-10)
+    rectangle = FockCutoff.explicit(12, 20, 1.0, 1.0)
+    one_row = FockCutoff.choose(0.0, 10.0, 1e-10)
+    cases = [(v, c, *c.weights()) for c in (staircase, rectangle, one_row) for v in VARIANTS]
+    # gg with all weight on an empty mode: its clamped rows have q = 0
+    w1, w2 = staircase.weights()
+    for a, b in ((np.eye(1, w1.size)[0], w2), (w1, np.eye(1, w2.size)[0])):
+        cases.append(("gg", staircase, a, b))
+    # direct, rotation and angle addition
+    grids = (np.geomspace(0.05, 10.0, 17), TimeGrid(10.0, 10).points())
+    grids += (TimeGrid(10.0, 1000).points(),)
+    assert [min(_core_py._trig_split(gts), 2) for gts in grids] == [0, 1, 2]
+    for variant, cutoff, a, b in cases:
+        rows = np.array(cutoff.rows)
+        for gts in grids:
+            recorder = _ContractionRecorder()
+            monkeypatch.setattr(_core_py, "np", recorder)
+            swept = _core_py.thermal_sweep(variant, a, b, gts, rows)
+            monkeypatch.undo()
+            assert recorder.rows
+            assert recorder.rows == list(read[variant]) * (len(recorder.rows) // 2)
+            assert_bit_identical(swept, full_contraction_sweep(variant, a, b, gts, rows))
 
 
 def test_sweep_is_exact_on_sparse_key_sets():

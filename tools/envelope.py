@@ -33,8 +33,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # oracle sweeps, edge inputs (a negative zero, a subnormal tail tolerance,
 # a one-row Fock set, an enormous mean photon number), two short uniform
 # grids the benchmark does not run (a hot field, long times), check into a
-# closed pipe, a uniform grid of more times than a trig block holds and a
-# one-pair Fock set over many times
+# closed pipe, a uniform grid of more times than a trig block holds, a
+# one-pair Fock set over many times, and a mixture's four kernel passes on
+# angle addition and with subnormal weights
 CORPUS = [
     ("sweep-eg", ["sweep", "--initial", "eg", "--nbar1", "1.0", "--nbar2", "1.0",
                   "--tmax", "10.0", "--steps", "1000", "--out", "out.csv"]),
@@ -63,6 +64,11 @@ CORPUS = [
                          "--steps", "20000"]),
     ("one-pair-many-times", ["sweep", "--initial", "gg", "--nbar1", "0", "--nbar2", "0",
                              "--steps", "5000"]),
+    ("mixed-hot-1001", ["sweep", "--initial", "mixed", "--lambda", "0.3", "--nbar1", "10",
+                        "--nbar2", "10"]),
+    ("mixed-subnormal-tail-tol", ["sweep", "--initial", "mixed", "--lambda", "0.3",
+                                  "--nbar1", "1", "--nbar2", "1", "--tail-tol", "1e-320",
+                                  "--steps", "2"]),
 ]
 
 # argvs whose stdout pipe is closed after this many lines
