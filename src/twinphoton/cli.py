@@ -35,7 +35,6 @@ from .model import (
     X_ROWS,
     InitialAtomicState,
     TimeGrid,
-    XState,
     _check_nbar,
 )
 from .negativity import negativity_general, negativity_x
@@ -269,16 +268,19 @@ def _sweep_documents(initials, grid, cutoff, use_oracle=False):
         _require_finite(gts, values)
         if not use_oracle:
             rows = values.tolist()
-            eps = [negativity_x(XState(*row)) for row in rows]
+            eps = [negativity_x(row) for row in rows]
         else:
             # the first five X entries hold (A, B, C, D, E) in order
             rows = values[:, X_ROWS[:5], X_COLS[:5]].real.tolist()
             eps = negativity_general(values).tolist()
         lines = _provenance_lines(initial, grid, cutoff, label)
         lines.append(CSV_HEADER)
-        # repr of a Python float is its shortest round-trip form
-        for gt, row, e in zip(gts.tolist(), rows, eps):
-            lines.append(",".join(map(repr, (gt, *row, e))))
+        # one row rule for both paths: the repr of a Python float is its
+        # shortest round-trip form, so each field is the float itself
+        lines += [
+            f"{gt!r},{a!r},{b!r},{c!r},{d!r},{e!r},{x!r}"
+            for gt, (a, b, c, d, e), x in zip(gts.tolist(), rows, eps)
+        ]
         documents.append(lines)
     return documents
 
@@ -387,7 +389,7 @@ def _run_check(args) -> int:
             eps = negativity_general(rhos)
         except ValueError:  # a non-finite or non-Hermitian oracle output fails the check
             eps = math.nan
-        closed_eps = [negativity_x(XState(*row)) for row in closed.tolist()]
+        closed_eps = [negativity_x(row) for row in closed.tolist()]
         dev_eps = np.abs(np.array(closed_eps) - eps).max()
         label = initial.variant
         if label == "mixed":

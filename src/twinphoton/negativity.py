@@ -9,6 +9,7 @@ produced by the brute-force oracle) go through an eigensolve.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -20,22 +21,24 @@ ZERO_EIGENVALUE_TOL = 1e-12
 HERMITICITY_TOL = 1e-8
 
 
-def negativity_x(state: XState) -> float:
+def negativity_x(state: XState | Sequence[float]) -> float:
     """Closed-form negativity of an X-shaped state.
 
+    state is an XState or any (A, B, C, D, E) sequence, unpacked
+    positionally, such as a row of a dynamics.sweep array as a list.
     The partial transpose moves the coherence into the (|++>, |-->) block, so
     at most one eigenvalue can turn negative, and it does so exactly when the
     squared coherence exceeds pop_ee * pop_gg.  A state with a NaN or
     infinite element gives NaN or inf, never a finite negativity: NaN > x is
     False, so the comparison alone would read such a state as separable.
     """
-    a, d, e = state.pop_ee, state.pop_gg, state.coherence
+    a, b, c, d, e = state
     # a NaN a, d or e fails the comparison and an infinite one makes the value
-    # infinite or NaN; pop_eg and pop_ge are not in the formula, so check them
-    if e * e > a * d and math.isfinite(state.pop_eg + state.pop_ge):
+    # infinite or NaN; b and c are not in the formula, so check them
+    if e * e > a * d and math.isfinite(b + c):
         return math.sqrt((d - a) * (d - a) + 4.0 * e * e) - d - a
     # finite exactly when every element is, short of elements near the float limit
-    if math.isfinite(a + state.pop_eg + state.pop_ge + d + e):
+    if math.isfinite(a + b + c + d + e):
         return 0.0
     return math.nan
 

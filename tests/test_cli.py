@@ -4,11 +4,13 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import assert_bit_identical, frequency_blocks
 from twinphoton import _core_py, cli, dynamics, oracle
-from twinphoton.model import VARIANTS, InitialAtomicState, TimeGrid
+from twinphoton.model import VARIANTS, InitialAtomicState, TimeGrid, XState
+from twinphoton.negativity import negativity_x
 from twinphoton.thermal import FockCutoff
 
 CMD = [sys.executable, "-m", "twinphoton.cli"]
@@ -126,6 +128,24 @@ def test_sweep_oracle_path_matches_closed_form():
     assert any("oracle" in c for c in comments_o)
     for rc, ro in zip(rows_c, rows_o):
         assert max(abs(a - b) for a, b in zip(rc, ro)) < 1e-10
+
+
+@pytest.mark.parametrize("variant, lam", [("eg", None), ("mixed", 0.3)])
+def test_sweep_rows_are_the_kernel_floats_exactly(variant, lam, tmp_path):
+    # every CSV field is the kernel's float and epsilon that of its XState,
+    # bit for bit: a dropped, reordered or rounded column fails here
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--initial", variant, "--nbar1", "0.3", "--nbar2", "2", "--steps", "40"]
+    if lam is not None:
+        argv += ["--lambda", repr(lam)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    _, rows = parse_csv(out.read_text())
+    gts = TimeGrid(10.0, 40).points()
+    cutoff = FockCutoff.choose(0.3, 2.0, cli.DEFAULT_TAIL_TOL)
+    values = dynamics.sweep([InitialAtomicState(variant, lam)], gts, cutoff)[0]
+    eps = [negativity_x(XState(*row)) for row in values.tolist()]
+    assert_bit_identical(np.array(rows), np.column_stack([gts, values, eps]))
+    assert (values[:, 1] != values[:, 2]).any()  # B and C tell a swap apart
 
 
 def test_separable_sweep_rows_end_alike_on_both_paths(capsys):

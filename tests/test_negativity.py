@@ -38,10 +38,19 @@ def test_negativity_x_vacuum_peak_value():
     assert got == pytest.approx(math.sqrt(2.0) / 2.0 - 0.5, abs=1e-15)
 
 
+def negativity_x_of_every_form(elements):
+    """negativity_x of (A, B, C, D, E) as an XState, a list and a tuple: one value, bit for bit."""
+    eps = negativity_x(XState(*elements))
+    for form in (list(elements), tuple(elements)):
+        # the shortest round-trip repr is one string per float, and "nan" for every NaN
+        assert repr(negativity_x(form)) == repr(eps), (form, eps)
+    return eps
+
+
 def test_negativity_x_range():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        eps = negativity_x(random_xstate(rng))
+        eps = negativity_x_of_every_form(random_xstate(rng))
         assert 0.0 <= eps <= 1.0 + 1e-12
 
 
@@ -124,14 +133,14 @@ def test_negativity_general_rejects_non_finite():
 
 def test_negativity_x_of_a_non_finite_state_is_not_finite():
     # the overflowed sweep row of `--tmax 1e307`: every element NaN
-    assert math.isnan(negativity_x(XState(*[math.nan] * 5)))
+    assert math.isnan(negativity_x_of_every_form([math.nan] * 5))
     # one bad element in a separable and in an entangled (Bell) state
     for base in ([0.2, 0.3, 0.3, 0.2, 0.0], [0.0, 0.5, 0.5, 0.0, 0.5]):
         for k in range(5):
             for bad in (math.nan, math.inf, -math.inf):
                 elements = list(base)
                 elements[k] = bad
-                assert not math.isfinite(negativity_x(XState(*elements))), (base, k, bad)
+                assert not math.isfinite(negativity_x_of_every_form(elements)), (base, k, bad)
 
 
 def random_density_matrix(rng):

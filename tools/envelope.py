@@ -34,8 +34,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # a one-row Fock set, an enormous mean photon number), two short uniform
 # grids the benchmark does not run (a hot field, long times), check into a
 # closed pipe, a uniform grid of more times than a trig block holds, a
-# one-pair Fock set over many times, and a mixture's four kernel passes on
-# angle addition and with subnormal weights
+# one-pair Fock set over many times, a mixture's four kernel passes on
+# angle addition and with subnormal weights, and the one pure state no other
+# argv writes on its own (ge, whose B and C columns differ)
 CORPUS = [
     ("sweep-eg", ["sweep", "--initial", "eg", "--nbar1", "1.0", "--nbar2", "1.0",
                   "--tmax", "10.0", "--steps", "1000", "--out", "out.csv"]),
@@ -69,6 +70,8 @@ CORPUS = [
     ("mixed-subnormal-tail-tol", ["sweep", "--initial", "mixed", "--lambda", "0.3",
                                   "--nbar1", "1", "--nbar2", "1", "--tail-tol", "1e-320",
                                   "--steps", "2"]),
+    ("sweep-ge", ["sweep", "--initial", "ge", "--nbar1", "0.3", "--nbar2", "2",
+                  "--steps", "200"]),
 ]
 
 # argvs whose stdout pipe is closed after this many lines
