@@ -6,16 +6,18 @@ ladder operators as the list of its nonzero entries, a real symmetric matrix
 never formed densely (time in units of 1/g, so the coupling is 1), and every
 result comes from one path.  The propagator reads nothing of the model but
 that list: the connected components of its nonzero pattern are exact
-invariant subspaces, each diagonalized on its own.  States are unit-basis
-columns |atom>|n1, n2> named by flat_index.  The path takes four steps:
-Propagator.plan gathers each column's block and its eigenvector
-coefficients, and trace_pairs finds the pairs of the plan's states that share
-a field index, both once per set of columns; Propagator.evolve_basis_batch
-then evolves the plan at a 1-D array of times into the caller's (K, S, T)
-complex array, each column inside its own block in real arithmetic, in block
-coordinates: the states of each column's block (the plan's states, a row of
-a smaller block padded with state -1) and their amplitudes, time the last,
-contiguous axis, the layout they are computed and traced in; and
+invariant subspaces, every one padded with zero rows and columns to the
+largest and all diagonalized in one batched eigh, which keeps each block's
+own eigenpairs exactly.  States are unit-basis columns |atom>|n1, n2> named
+by flat_index.  The path takes four steps: Propagator.plan gathers each
+column's block and its eigenvector coefficients, and trace_pairs finds the
+pairs of the plan's states that share a field index, both once per set of
+columns; Propagator.evolve_basis_batch then evolves the plan at a 1-D array
+of times into the caller's (K, S, T) complex array, each column inside its
+own block in real arithmetic, in block coordinates: the states of each
+column's block (the plan's states, every row padded with state -1 to the
+plan's largest block) and their amplitudes, every slot written, time the
+last, contiguous axis, the layout they are computed and traced in; and
 reduce_atoms traces out the field from that array's (K * S, T) rows as a
 weighted sum over the columns, gathering only the pairs found, so no array
 the size of the whole space is built per column and no product is formed
@@ -131,7 +133,9 @@ class ColumnPlan(NamedTuple):
     """The column-only work of Propagator.evolve_basis_batch, from Propagator.plan."""
 
     states: np.ndarray
-    groups: list
+    energies: np.ndarray
+    block: np.ndarray
+    coef: np.ndarray
 
 
 class Propagator:
@@ -139,99 +143,99 @@ class Propagator:
 
     The blocks are the connected components of the nonzero pattern of H, so
     H is exactly block diagonal on them and exp(-iHt) never mixes two blocks.
-    The nonzero entries of H are scattered into one matrix per block, and
-    blocks of equal size are diagonalized together once and reused.
-    hamiltonian is H as build_hamiltonian returns it, its nonzero entries.
+    Every block is padded to the largest block size W: its states, in
+    increasing index order, fill a row of the (blocks, W) member table padded
+    with state -1, and the nonzero entries of H are scattered into a
+    (blocks, W, W) stack of matrices padded with zero rows and columns, all
+    diagonalized once in one batched eigh.  A zero row and column stays
+    decoupled through the eigensolver, so a block's own eigenpairs are those
+    of its unpadded matrix and each padding eigenvector is a unit vector on
+    the padding alone.  hamiltonian is H as build_hamiltonian returns it, its
+    nonzero entries.
     """
 
     def __init__(self, n_max1: int, n_max2: int):
         h = self.hamiltonian = build_hamiltonian(n_max1, n_max2)
         dim = h.shape[0]
         labels = _components(h.rows, h.cols, dim)
-        sizes = np.bincount(labels, minlength=dim)[labels]  # the size of each state's block
-        # states by block size, then by block, each block in increasing index order
-        order = np.lexsort((labels, sizes))
-        # per state: its size group, its block within the group, its place in the block
-        self._group, self._block, self._place = (np.empty(dim, dtype=int) for _ in range(3))
-        self._blocks = []
-        # the block sizes present, ascending, counted in integers: np.unique would
-        # load numpy.ma into every oracle process for these few values
-        for g, size in enumerate(np.flatnonzero(np.bincount(sizes))):
-            members = order[sizes[order] == size].reshape(-1, size)
-            self._group[members] = g
-            self._block[members] = np.arange(len(members))[:, None]
-            self._place[members] = np.arange(size)
-            # the entries of H inside this group's blocks, scattered into one matrix per block
-            mine = sizes[h.rows] == size
-            rows, cols = h.rows[mine], h.cols[mine]
-            matrices = np.zeros((len(members), size, size))
-            matrices[self._block[rows], self._place[rows], self._place[cols]] = h.values[mine]
-            energies, vectors = np.linalg.eigh(matrices)
-            self._blocks.append((members, energies, vectors))
+        # blocks numbered in the order of their smallest states, the labels
+        self._block = (np.cumsum(labels == np.arange(dim)) - 1)[labels]
+        sizes = self._sizes = np.bincount(self._block)
+        # each state's place in its block, in increasing index order
+        order = np.argsort(self._block, kind="stable")
+        self._place = np.empty(dim, dtype=int)
+        self._place[order] = np.arange(dim) - (np.cumsum(sizes) - sizes)[self._block[order]]
+        width = sizes.max()
+        self._members = np.full((sizes.size, width), -1)
+        self._members[self._block, self._place] = np.arange(dim)
+        matrices = np.zeros((sizes.size, width, width))
+        matrices[self._block[h.rows], self._place[h.rows], self._place[h.cols]] = h.values
+        self._energies, self._vectors = np.linalg.eigh(matrices)
 
     def plan(self, flat_indices) -> ColumnPlan:
         """The work of evolve_basis_batch that depends only on its columns, done once.
 
-        For the unit-basis columns flat_indices, returns a ColumnPlan: the
-        states of each column's block, padded to the largest block size S
-        with state -1 (states, (K, S)), and per size group that holds any of
-        the columns the group index g, the columns' positions cols, their
-        blocks and the coefficients coef[i, j, k] = V[i, j] V[p, j] of column
-        k at place p of its block, the columns last.  A caller that evolves
-        the same columns at several blocks of times builds it once and passes
-        it to each call.
+        For the K unit-basis columns flat_indices, returns a ColumnPlan: the
+        states of each column's block padded with state -1 (states, (K, S)),
+        the energies of only the B blocks that hold a column (energies, (B,
+        J)), each column's row of them (block, (K,)) and the coefficients
+        coef[j, i, k] = V[i, j] V[p, j] of column k at place p of its block
+        (coef, (J, S, K), C-contiguous: the columns last and the eigenvectors
+        first, so evolve_basis_batch's einsum adds over j in increasing order
+        whatever the numbers of columns and times; with j the fastest axis a
+        single column at a single time was summed in another order).  Only
+        what some column reads is kept: S is the largest block of the
+        columns, and J leaves out every eigenvector whose coefficients are
+        zero for all the columns, such as the padding ones, which would add
+        only zero products; so a plan of one-state blocks has S = J = 1.  A
+        caller that evolves the same columns at several blocks of times builds
+        it once and passes it to each call.
         """
         flat = np.asarray(flat_indices)
-        width = self._blocks[-1][0].shape[1]  # the size groups are in increasing size
-        states = np.full((flat.shape[0], width), -1)
-        groups = []
-        group = self._group[flat]
-        for g, (members, _, vectors) in enumerate(self._blocks):
-            cols = np.flatnonzero(group == g)
-            if not cols.size:
-                continue
-            block, place = self._block[flat[cols]], self._place[flat[cols]]
-            size = members.shape[1]
-            states[cols, :size] = members[block]
-            coef = np.take(vectors.transpose(1, 2, 0), block, axis=-1) * vectors[block, place].T
-            groups.append((g, cols, block, coef))
-        return ColumnPlan(states, groups)
+        blocks, place = self._block[flat], self._place[flat]
+        width = self._sizes[blocks].max(initial=0)  # the columns' largest block
+        # V[i, j] of column k's block at [j, i, k], for the slots i < width
+        vectors = np.take(self._vectors.transpose(2, 1, 0)[:, :width], blocks, axis=-1)
+        coef = vectors * vectors[:, place, np.arange(flat.size)][:, None]
+        read = coef.any(axis=(1, 2))  # the rest, the padding ones among them, add only zeros
+        held = np.zeros(self._sizes.size, dtype=bool)
+        held[blocks] = True
+        return ColumnPlan(
+            np.take(self._members[:, :width], blocks, axis=0),
+            self._energies[held][:, read],
+            (np.cumsum(held) - 1)[blocks],
+            np.ascontiguousarray(coef[read]),
+        )
 
     def evolve_basis_batch(self, plan: ColumnPlan, times, out) -> np.ndarray:
         """Evolved unit-basis initial states in block coordinates, written into ``out``.
 
         plan is the ColumnPlan that plan() built for the K columns, times a
         1-D array of T times and out a C-contiguous complex array of shape
-        plan.states.shape + (T,), (K, S, T); out is zeroed, filled and
-        returned.  out[k, s, n] is the amplitude of basis state
+        plan.states.shape + (T,), (K, S, T); every element of out is written,
+        and out is returned.  out[k, s, n] is the amplitude of basis state
         plan.states[k, s] after times[n], time the last axis, so each state's
         amplitudes over the times are one contiguous run: row k of the (K, S)
-        array plan.states lists the basis states of the block of column k, S
-        is the largest block size, and the row of a smaller block is padded
-        with state -1 at amplitude 0.  No group writes a column's padding
-        slots, so the zeroing is what clears them in a reused array.  States
-        outside the block are left out: their amplitude is exactly zero.  The
-        block eigenvectors V are real, so exp(-iHt) e_p = V cos(Et) V^T e_p -
-        i V sin(Et) V^T e_p, and V^T e_p is row p of V: amplitude i is sum_j
-        coef[i, j] (cos(E_j t) - i sin(E_j t)) with coef[i, j] = V[i, j]
-        V[p, j].  The coefficients come from the plan; a call takes the phases
-        once per block eigenvalue and time, and each sum over j is one einsum
-        per size group, without optimize so never BLAS, that adds the products
-        to +0.0 in increasing j, so a time's amplitudes are bit-identical
-        whatever other times share the call.  The sine sums are negated once,
-        after every group, which is the sum of the products of -coef: only
+        array plan.states lists the basis states of the block of column k,
+        padded with state -1, whose amplitude comes out exactly 0: its
+        coefficients are all zero.  States outside the block are left out:
+        their amplitude is exactly zero.  The block eigenvectors V are real, so
+        exp(-iHt) e_p = V cos(Et) V^T e_p - i V sin(Et) V^T e_p, and V^T e_p is
+        row p of V: amplitude i is sum_j coef[j, i] (cos(E_j t) - i sin(E_j
+        t)) with coef[j, i] = V[i, j] V[p, j].  The coefficients come from the
+        plan; a call takes the phases once per block eigenvalue and time, and
+        each sum over j is one einsum, without optimize so never BLAS, that
+        adds the products to +0.0 in increasing j, so a time's amplitudes are
+        bit-identical whatever other times share the call, and the zero
+        products of padding eigenpairs never change a sum.  The sine sums are
+        negated afterwards, which is the sum of the products of -coef: only
         the sign of a zero sum depends on the start from +0.0, and the trace
         over the field adds into +0.0 as well, so it never shows.
         """
-        out[...] = 0
-        for g, cols, block, coef in plan.groups:
-            et = self._blocks[g][1].T[:, None, :] * times[:, None]  # (size, T, blocks)
-            size = coef.shape[0]
-            for part, trig in ((out.real, np.cos), (out.imag, np.sin)):
-                # the phases inline, so each is freed before the next is taken
-                part[cols, :size] = np.einsum(
-                    "ijk,jtk->kit", coef, np.take(trig(et), block, axis=-1)
-                )
+        et = plan.energies.T[:, None, :] * times[:, None]  # (J, T, blocks)
+        # the phases inline, so each is freed before the next is taken
+        out.real = np.einsum("jik,jtk->kit", plan.coef, np.take(np.cos(et), plan.block, axis=-1))
+        out.imag = np.einsum("jik,jtk->kit", plan.coef, np.take(np.sin(et), plan.block, axis=-1))
         np.negative(out.imag, out=out.imag)
         return out
 
@@ -313,6 +317,8 @@ def thermal_sweep(initials: list[InitialAtomicState], gts, cutoff: FockCutoff) -
     """
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     _check_times(gts)
+    if not initials:
+        return []
     trunc1, trunc2 = truncation(cutoff)
     prop = Propagator(trunc1, trunc2)
     atoms = sorted({ATOM_INDEX[v] for initial in initials for v, _ in initial.parts})

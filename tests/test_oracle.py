@@ -193,7 +193,7 @@ def test_evolution_matches_the_dense_blocks_at_long_times():
     # the blocks' by ~1e-15, so its phases there differ by ~1e-12
     n_max1, n_max2 = 4, 2
     prop = Propagator(n_max1, n_max2)
-    assert [members.shape[1] for members, _, _ in prop._blocks] == [1, 3, 4]
+    assert sorted(set(np.count_nonzero(prop._members >= 0, axis=1).tolist())) == [1, 3, 4]
     h = dense_hamiltonian(n_max1, n_max2)
     dim = h.shape[0]
     ts = np.array([0.0, 0.37, 37.3, 1e3])
@@ -209,28 +209,38 @@ def test_evolution_matches_the_dense_blocks_at_long_times():
 
 
 def test_propagator_stays_inside_the_connected_blocks_of_h():
-    prop = Propagator(5, 4)
-    coupled = dense_hamiltonian(5, 4) != 0
-    h = prop.hamiltonian
-    labels = _components(h.rows, h.cols, h.shape[0])
-    rows, cols = np.nonzero(coupled)
-    assert np.array_equal(labels[rows], labels[cols])
-    blocks = {frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels)}
-    assert blocks == connected_partition(coupled)
+    # one-row and one-column truncations hold one-state blocks only
+    for n_max1, n_max2 in ((5, 4), (0, 0), (0, 7), (7, 0), (2, 42), (12, 12)):
+        prop = Propagator(n_max1, n_max2)
+        coupled = dense_hamiltonian(n_max1, n_max2) != 0
+        h = prop.hamiltonian
+        labels = _components(h.rows, h.cols, h.shape[0])
+        rows, cols = np.nonzero(coupled)
+        assert np.array_equal(labels[rows], labels[cols])
+        blocks = {frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels)}
+        assert blocks == connected_partition(coupled)
 
-    # each column lists exactly the states of its own block, padded with state
-    # -1 at amplitude 0
-    dim = coupled.shape[0]
-    plan, amplitudes = evolve(prop, np.arange(dim), [37.3])
-    states, amplitudes = plan.states, amplitudes[..., 0]
-    assert (states == -1).any()
-    for flat in range(dim):
-        block = np.flatnonzero(labels == labels[flat])
-        assert np.array_equal(np.sort(states[flat, : len(block)]), block)
-        assert np.array_equal(states[flat, len(block) :], [-1] * (states.shape[1] - len(block)))
-        assert not amplitudes[flat, len(block) :].any()
-    evolved = dense_columns(states, amplitudes, dim)
-    assert np.abs(evolved.conj().T @ evolved - np.eye(dim)).max() < 1e-13
+        # each column lists exactly the states of its own block, padded with
+        # state -1 to the largest block at amplitude exactly 0: every slot is written
+        dim = coupled.shape[0]
+        plan, amplitudes = evolve(prop, np.arange(dim), [0.0, 37.3, 1e3])
+        states = plan.states
+        assert states.shape[1] == max(len(block) for block in blocks)
+        for flat in range(dim):
+            block = np.flatnonzero(labels == labels[flat])
+            assert np.array_equal(np.sort(states[flat, : len(block)]), block)
+            assert np.array_equal(states[flat, len(block) :], [-1] * (states.shape[1] - len(block)))
+        assert not amplitudes[states == -1].any(), (n_max1, n_max2)
+        evolved = dense_columns(states, amplitudes[..., 1], dim)
+        assert np.abs(evolved.conj().T @ evolved - np.eye(dim)).max() < 1e-13
+
+        # |gg>|0, n2> is stationary, a one-state block: a plan of only such
+        # columns keeps one slot and one eigenvector, and each amplitude stays 1
+        stationary = flat_index(ATOM_INDEX["gg"], 0, np.arange(n_max2 + 1), n_max1, n_max2)
+        plan, amplitudes = evolve(prop, stationary, [0.0, 37.3, 1e3])
+        assert plan.states.shape == (n_max2 + 1, 1)
+        assert plan.coef.shape == (1, 1, n_max2 + 1)
+        assert np.array_equal(amplitudes, np.ones(amplitudes.shape))
 
 
 def test_reduce_atoms_product_state():
@@ -334,16 +344,28 @@ def test_building_the_propagator_never_forms_the_dense_hamiltonian():
 
 
 def test_block_matrices_are_the_dense_blocks_of_h():
-    # the nonzeros scattered into each block give the eigendecomposition of the
-    # dense H's block, bit for bit
+    # the nonzeros scattered into each padded block give the eigendecomposition
+    # of the dense H's block padded with zeros, bit for bit, and the padding
+    # keeps the block's own eigenpairs: those of the unpadded block, bit for bit
     for n_max1, n_max2 in ((12, 12), (8, 11), (3, 4)):
         h = dense_hamiltonian(n_max1, n_max2)
-        for members, energies, vectors in Propagator(n_max1, n_max2)._blocks:
-            dense_energies, dense_vectors = np.linalg.eigh(
-                h[members[:, :, None], members[:, None, :]]
-            )
-            assert np.array_equal(energies, dense_energies), (n_max1, n_max2)
-            assert np.array_equal(vectors, dense_vectors), (n_max1, n_max2)
+        prop = Propagator(n_max1, n_max2)
+        members = prop._members
+        inside = members >= 0
+        inside = inside[:, :, None] & inside[:, None, :]
+        padded = np.where(inside, h[members[:, :, None], members[:, None, :]], 0.0)
+        dense_energies, dense_vectors = np.linalg.eigh(padded)
+        assert np.array_equal(prop._energies, dense_energies), (n_max1, n_max2)
+        assert np.array_equal(prop._vectors, dense_vectors), (n_max1, n_max2)
+        for block, energies, vectors in zip(members, prop._energies, prop._vectors):
+            size = np.count_nonzero(block >= 0)
+            own = vectors[size:].any(axis=0) == 0  # the padding eigenvectors live on the padding
+            assert np.count_nonzero(own) == size
+            assert not vectors[:size, ~own].any()
+            own_states = block[:size]
+            unpadded_energies, unpadded_vectors = np.linalg.eigh(h[np.ix_(own_states, own_states)])
+            assert np.array_equal(energies[own], unpadded_energies), (n_max1, n_max2)
+            assert np.array_equal(vectors[:size, own], unpadded_vectors), (n_max1, n_max2)
 
 
 def test_single_photon_pair_generates_bell_state():
@@ -397,6 +419,8 @@ def test_thermal_sweep_matches_closed_form_at_long_times():
     for initial, rhos in zip(initials, thermal_sweep(initials, gts, cutoff)):
         for row, rho in zip(dynamics.sweep([initial], gts, cutoff)[0], rhos):
             assert np.abs(XState(*row).to_matrix() - rho).max() < 1e-13, initial.variant
+    # no initial states: no result on either path
+    assert thermal_sweep([], gts, cutoff) == dynamics.sweep([], gts, cutoff) == []
 
 
 def test_thermal_sweep_shares_one_pass_per_block_of_times(monkeypatch):
@@ -492,6 +516,12 @@ def test_stacked_times_equal_the_per_time_calls():
         one = evolve(prop, cols, [t])[1]
         assert one[..., 0].tobytes() == amplitudes[..., i].tobytes(), t
         assert evolve_and_trace(prop, cols, [t], weights).tobytes() == stacked[i].tobytes(), t
+    # a plan of a single column, where no other column fixes the einsum's loops
+    for col in cols:
+        _, amplitudes = evolve(prop, [col], ts)
+        for i, t in enumerate(ts):
+            one = evolve(prop, [col], [t])[1]
+            assert one[..., 0].tobytes() == amplitudes[..., i].tobytes(), (col, t)
 
 
 def test_a_batch_is_laid_out_time_last_and_contiguous():
@@ -530,9 +560,11 @@ def test_thermal_sweep_temporaries_are_bounded_in_the_number_of_times():
 
 def test_default_check_sweep_memory_peak():
     # the oracle sweep of a default `twinphoton check`: four states, 50 times,
-    # truncation 12,12, 16 times per pass, 1.35 MB measured (the einsum's
-    # (K, S, T) result adds 0.1 MB); a pass holds 0.5 MB of amplitudes, and,
-    # measured against a 1.25 MB peak, a (K, S, S, T) product before the contraction,
+    # truncation 12,12, 16 times per pass, 1.48 MB measured: the einsum's
+    # (K, S, T) result and its (J, T, K) phases span every column, 0.5 MB
+    # together (1.35 MB when each group of equal-size blocks had its own
+    # einsum); a pass holds 0.5 MB of amplitudes, and, measured against a
+    # 1.25 MB peak, a (K, S, S, T) product before the contraction,
     # a partial trace that forms every (T, K, S, S) product before masking it,
     # a batch kept alive while the next one is evolved (1.74 MB), a gather
     # kept alive through the partial trace's bincount (1.42 MB) or one
@@ -556,10 +588,11 @@ def test_default_check_sweep_memory_peak():
 def test_thermal_sweep_rejects_the_times_the_closed_form_rejects():
     cutoff = FockCutoff.explicit(2, 2, 0.5, 0.5)
     for gts in ([math.nan, -1.0], [-0.5, 1.0], [1.0, math.inf]):
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            thermal_sweep([InitialAtomicState("eg")], gts, cutoff)
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            dynamics.sweep([InitialAtomicState("eg")], gts, cutoff)[0]
+        for initials in ([InitialAtomicState("eg")], []):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                thermal_sweep(initials, gts, cutoff)
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                dynamics.sweep(initials, gts, cutoff)
 
 
 def test_build_hamiltonian_rejects_negative_cutoff():

@@ -35,8 +35,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # grids the benchmark does not run (a hot field, long times), check into a
 # closed pipe, a uniform grid of more times than a trig block holds, a
 # one-pair Fock set over many times, a mixture's four kernel passes on
-# angle addition and with subnormal weights, and the one pure state no other
-# argv writes on its own (ge, whose B and C columns differ)
+# angle addition and with subnormal weights, the one pure state no other
+# argv writes on its own (ge, whose B and C columns differ), and an oracle
+# sweep whose every column lies in a one-state block (gg with mode 1 empty)
 CORPUS = [
     ("sweep-eg", ["sweep", "--initial", "eg", "--nbar1", "1.0", "--nbar2", "1.0",
                   "--tmax", "10.0", "--steps", "1000", "--out", "out.csv"]),
@@ -72,6 +73,8 @@ CORPUS = [
                                   "--steps", "2"]),
     ("sweep-ge", ["sweep", "--initial", "ge", "--nbar1", "0.3", "--nbar2", "2",
                   "--steps", "200"]),
+    ("oracle-one-row", ["sweep", "--oracle", "--initial", "gg", "--nbar1", "0", "--nbar2", "2",
+                        "--cutoff", "0,40", "--steps", "200"]),
 ]
 
 # argvs whose stdout pipe is closed after this many lines
